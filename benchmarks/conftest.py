@@ -10,13 +10,6 @@ Counterfactual-heavy benchmarks additionally record the number of
 :class:`fairexp.explanations.BatchModelAdapter`), so the BENCH_*.json
 trajectory tracks predict-call reduction and not just wall time.
 
-Every record additionally carries the active hot-path kernel selection
-(``kernel_path``, ``kernel_tier`` and ``kernel_numba_version`` via
-:func:`fairexp.explanations.active_kernel_info`, plus the numba
-``kernel_threading_layer`` backing parallel kernels), so wall-time
-trajectories recorded on numba-equipped, numpy-only and turbo-tier
-environments stay comparable.
-
 Passing ``experiment="E1_E2"`` (or any display-item id) to :func:`record`
 appends one trajectory point — wall time, predict-call counters and the
 headline numbers — to ``benchmarks/artifacts/BENCH_<experiment>.json``.
@@ -31,9 +24,6 @@ import json
 import os
 import time
 from pathlib import Path
-
-from fairexp.explanations import active_kernel_info
-from fairexp.explanations.kernels import numba_threading_layer
 
 ARTIFACT_DIR = Path(os.environ.get("FAIREXP_BENCH_DIR",
                                    Path(__file__).resolve().parent / "artifacts"))
@@ -111,17 +101,6 @@ def record(benchmark, results: dict, *, adapter=None, experiment: str | None = N
         if callable(stats):
             for key, value in stats().items():
                 benchmark.extra_info.setdefault(key, value)
-    # Stamp the kernel dispatch outcome into every record (setdefault: a
-    # session's own ``kernel_path`` stat, reflecting an explicit ``kernels=``
-    # override, wins over the process-wide default).  The resolved tier and
-    # the numba threading layer ride along so cross-tier perf trajectories
-    # stay attributable (a turbo point on tbb is not comparable to one on
-    # the serial workqueue layer).
-    for key, value in active_kernel_info().items():
-        benchmark.extra_info.setdefault(key, value)
-    benchmark.extra_info.setdefault(
-        "kernel_threading_layer", numba_threading_layer() or "none"
-    )
     if experiment is not None:
         emit_trajectory(experiment, benchmark, dict(benchmark.extra_info))
     return results

@@ -5,9 +5,8 @@
 curves: a **10x** point (6000 samples, 800 audited rows) and a **100x**
 point (60000 samples, 8000 audited rows) for E1, plus 10x points for E3
 (PreCoF) and E5 (group counterfactuals).  Every point is appended to the
-experiment's ``BENCH_<experiment>_XL.json`` trajectory with the active
-kernel path stamped in (see ``conftest.record``), so curves from numba and
-numpy-only environments stay comparable.
+experiment's ``BENCH_<experiment>_XL.json`` trajectory (see
+``conftest.record``).
 
 Two shape claims are asserted *across* curve points, not per run:
 
@@ -17,8 +16,8 @@ Two shape claims are asserted *across* curve points, not per run:
 * wall time grows sub-quadratically in the row count: each 10x step in rows
   may cost at most ``MAX_STEP_GROWTH``x the previous point's wall time.
   Before the kernel layer the inner Python loops made the 100x point scale
-  super-linearly in practice; the vectorized/compiled kernels keep the
-  per-row cost flat.
+  super-linearly in practice; the vectorized kernels keep the per-row cost
+  flat.
 """
 
 import time

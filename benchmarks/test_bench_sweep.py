@@ -19,7 +19,7 @@ from fairexp.sweep import SweepRegistry, run_sweep, sweep_plan
 SELECTION = {
     "where": {"explainer": ["growing_spheres", "random_search"],
               "schedule": ["geometric"],
-              "backend": ["numpy"], "kernels": ["default"]},
+              "backend": ["numpy"]},
     "overrides": {"n_samples": 300, "audit_size": 24},
 }
 

@@ -5,14 +5,13 @@ Each experiment id (FIG1/FIG2/TAB1 and E1–E14 from DESIGN.md) is a
 :class:`~fairexp.sweep.SweepRegistry`: the spec names the parameterized
 workload implementation (:mod:`fairexp.workloads`), its fixed arguments,
 and the :class:`~fairexp.sweep.Factor` s it crosses — counterfactual
-explainer × search schedule × predict backend × kernel path for E1/E2,
-model family × backend for E4, dataset for E14, and so on.  The planner
-prunes infeasible cells through the explainer registry's structured
-compatibility checks plus declared resources (a gradient-based generator
-over a model without gradients, a numba kernel path without numba, a
-remote backend for an unservable workload), so a spec's cross product is
-safe to enumerate blindly: ``python -m fairexp sweep plan`` shows exactly
-which cells run and why the rest don't.
+explainer × search schedule × predict backend for E1/E2, model family ×
+backend for E4, dataset for E14, and so on.  The planner prunes infeasible
+cells through the explainer registry's structured compatibility checks
+plus declared resources (a gradient-based generator over a model without
+gradients, a remote backend for an unservable workload), so a spec's cross
+product is safe to enumerate blindly: ``python -m fairexp sweep plan``
+shows exactly which cells run and why the rest don't.
 
 **Every factor's first level reproduces the historical hard-coded run bit
 for bit** — ``SweepRegistry.get("E5").cell().spec.runner(**cell.params())``
@@ -27,7 +26,6 @@ registry instead of being a second hand-maintained list.
 
 from __future__ import annotations
 
-from .explanations.kernels import numba_parallel_supported, numba_version
 from .sweep import Factor, SweepRegistry, SweepSpec
 from .workloads import (
     run_e1_e2_burden_nawb,
@@ -80,18 +78,8 @@ _TABULAR_DATA = ("labels", "feature-specs")
 
 #: Resources the servable tabular workloads provide.  ``"servable"`` gates
 #: the onnx/remote backend levels (every E1–E9 model family exports to a
-#: compute graph); ``"numba"`` appears only when the compiled kernel path
-#: is actually importable, so the kernels factor's numba level prunes —
-#: with a named reason — in numpy-only environments instead of silently
-#: falling back.  ``"numba_parallel"`` likewise gates the turbo level: a
-#: sweep should compare the fastmath+parallel tier, not its threaded-NumPy
-#: fallback (which is numerically just the numpy tier under a turbo
-#: fingerprint).
-_SERVABLE = frozenset(
-    {"servable"}
-    | ({"numba"} if numba_version() is not None else set())
-    | ({"numba_parallel"} if numba_parallel_supported() else set())
-)
+#: compute graph).
+_SERVABLE = frozenset({"servable"})
 
 
 def _backend_factor() -> Factor:
@@ -119,22 +107,6 @@ def _explainer_factor() -> Factor:
     )
 
 
-def _kernels_factor() -> Factor:
-    # ``default`` = ``kernels=None`` (the FAIREXP_KERNELS auto path, the
-    # legacy behaviour); the explicit levels pin one implementation.  The
-    # exact levels are bitwise-neutral, so they cross freely with resume;
-    # ``turbo`` is tolerance-bound and fingerprint-visible, and prunes
-    # (named reason) unless the workload provides ``numba_parallel`` — the
-    # fastmath+parallel compiled tier, not its fallback, is what a sweep
-    # should be comparing.
-    return Factor(
-        "kernels",
-        levels=(("default", None), ("numpy", "numpy"), ("numba", "numba"),
-                ("turbo", "turbo")),
-        requires={"numba": ("numba",), "turbo": ("numba_parallel",)},
-    )
-
-
 def _spec(**kwargs) -> SweepSpec:
     return SweepRegistry.register(SweepSpec(**kwargs))
 
@@ -154,8 +126,7 @@ _spec(experiment="TAB1", runner=run_table1,
 # --------------------------------------------------------------------------
 _spec(
     experiment="E1/E2", runner=run_e1_e2_burden_nawb,
-    factors=(_explainer_factor(), _schedule_factor(), _backend_factor(),
-             _kernels_factor()),
+    factors=(_explainer_factor(), _schedule_factor(), _backend_factor()),
     fixed={"n_samples": 600, "audit_size": 80},
     model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
     resources=_SERVABLE,

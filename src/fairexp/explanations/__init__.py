@@ -46,11 +46,8 @@ from .backends import (
 from .engine import BatchModelAdapter, CounterfactualEngine, generator_config, shard_indices
 from .kernels import (
     KernelSet,
-    active_kernel_info,
     batch_counterfactual_distance,
     build_prefix_revert_trials,
-    numba_parallel_supported,
-    numba_threading_layer,
     project_candidates,
     rank_changed_features,
     resolve_kernels,
@@ -160,9 +157,6 @@ __all__ = [
     "frequent_predicate_sets",
     "KernelSet",
     "resolve_kernels",
-    "active_kernel_info",
-    "numba_parallel_supported",
-    "numba_threading_layer",
     "batch_counterfactual_distance",
     "project_candidates",
     "build_prefix_revert_trials",

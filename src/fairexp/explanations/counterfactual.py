@@ -32,7 +32,7 @@ from ..exceptions import InfeasibleRecourseError, ValidationError
 from ..utils import check_random_state
 from .base import Counterfactual, ExplainerInfo, ExplainerRegistry
 from .engine import greedy_sparsify_batch, lockstep_candidate_search
-from .kernels import batch_counterfactual_distance, project_candidates, resolve_kernels
+from .kernels import resolve_kernels
 from .schedules import resolve_schedule
 
 __all__ = [
@@ -90,8 +90,7 @@ class ActionabilityConstraints:
             constraints.monotone[j] = spec.monotone
         return constraints
 
-    def project(self, x_original: np.ndarray, candidate: np.ndarray, *,
-                kernels=None) -> np.ndarray:
+    def project(self, x_original: np.ndarray, candidate: np.ndarray) -> np.ndarray:
         """Project candidate counterfactuals onto the feasible set.
 
         Accepts a single candidate of shape ``(d,)`` or any stacked candidate
@@ -101,14 +100,12 @@ class ActionabilityConstraints:
         engine.  ``x_original`` must broadcast against ``candidate``; NaN
         bounds are treated as unbounded.
 
-        The projection cascade runs on the
-        :mod:`~fairexp.explanations.kernels` dispatch layer; ``kernels``
-        overrides the resolved kernel set for this call (all sets are
-        bitwise-equal, so this only changes speed).
+        The projection cascade is the
+        :func:`~fairexp.explanations.kernels.project_candidates` kernel.
         """
-        return project_candidates(
+        return resolve_kernels().project_candidates(
             x_original, candidate, immutable=self.immutable, lower=self.lower,
-            upper=self.upper, monotone=self.monotone, kernels=kernels,
+            upper=self.upper, monotone=self.monotone,
         )
 
     def is_feasible(self, x_original: np.ndarray, candidate: np.ndarray, *, atol=1e-9):
@@ -126,7 +123,7 @@ class ActionabilityConstraints:
 
 def counterfactual_distance(
     x: np.ndarray, x_prime: np.ndarray, *, scale: np.ndarray | None = None,
-    metric: str = "l1", kernels=None,
+    metric: str = "l1",
 ) -> float:
     """Distance between an instance and its counterfactual.
 
@@ -140,8 +137,8 @@ def counterfactual_distance(
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     x_prime = np.asarray(x_prime, dtype=float).reshape(1, -1)
-    return float(batch_counterfactual_distance(
-        x, x_prime, scale=scale, metric=metric, kernels=kernels
+    return float(resolve_kernels().batch_counterfactual_distance(
+        x, x_prime, scale=scale, metric=metric
     )[0])
 
 
@@ -173,14 +170,6 @@ class BaseCounterfactualGenerator:
         (The sequential :meth:`generate` reference path always walks the
         full fixed ladder; generators without a rung ladder — gradient
         ascent — ignore the schedule.)
-    kernels:
-        Hot-path kernel selection for this generator's searches: ``None``
-        (default — honour the ``FAIREXP_KERNELS`` environment variable),
-        ``"auto"`` / ``"numpy"`` / ``"numba"``, or a resolved
-        :class:`~fairexp.explanations.kernels.KernelSet`.  All kernel sets
-        are bitwise-equal, so the choice only changes wall time — which is
-        why it is deliberately **not** part of ``generator_config`` and
-        never reaches store fingerprints.
 
     Attributes
     ----------
@@ -211,10 +200,8 @@ class BaseCounterfactualGenerator:
         metric: str = "l1",
         random_state=None,
         schedule=None,
-        kernels=None,
     ) -> None:
         self.model = model
-        self.kernels = kernels
         self.background = np.asarray(background, dtype=float)
         self.constraints = constraints or ActionabilityConstraints.unconstrained(
             self.background.shape[1]
@@ -262,17 +249,15 @@ class BaseCounterfactualGenerator:
                             ) -> list[Counterfactual]:
         """Build :class:`Counterfactual` results for many rows with two
         predict calls (originals + counterfactuals) instead of two per row."""
-        kernel_set = resolve_kernels(self.kernels)
         X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
         candidates = self.constraints.project(
             X_rows, np.atleast_2d(np.asarray(candidates, dtype=float)),
-            kernels=kernel_set,
         )
         original_predictions = self._predict(X_rows)
         counterfactual_predictions = self._predict(candidates)
         feasible = self.constraints.is_feasible(X_rows, candidates)
         changed_matrix = ~np.isclose(candidates, X_rows)
-        distances = kernel_set.batch_counterfactual_distance(
+        distances = resolve_kernels().batch_counterfactual_distance(
             X_rows, candidates, scale=self.scale_, metric=self.metric
         )
         results = []
@@ -389,9 +374,8 @@ class RandomSearchCounterfactual(BaseCounterfactualGenerator):
             hits = np.flatnonzero(predictions == self.target_class)
             if hits.size == 0:
                 continue
-            distances = batch_counterfactual_distance(
+            distances = resolve_kernels().batch_counterfactual_distance(
                 x, candidates[hits], scale=self.scale_, metric=self.metric,
-                kernels=self.kernels,
             )
             best = candidates[hits[np.argmin(distances)]]
             best = self._sparsify(x, best)
@@ -461,9 +445,8 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
             predictions = self._predict(candidates)
             hits = np.flatnonzero(predictions == self.target_class)
             if hits.size > 0:
-                distances = batch_counterfactual_distance(
+                distances = resolve_kernels().batch_counterfactual_distance(
                     x, candidates[hits], scale=self.scale_, metric=self.metric,
-                    kernels=self.kernels,
                 )
                 best = candidates[hits[np.argmin(distances)]]
                 best = self._sparsify(x, best)

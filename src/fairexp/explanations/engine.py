@@ -177,8 +177,8 @@ class BatchModelAdapter:
         self.backend.reset_counts()
 
 
-def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray,
-                          kernels=None) -> np.ndarray:
+def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
+                          ) -> np.ndarray:
     """Batched greedy sparsification, exactly equivalent to the sequential loop.
 
     The sequential ``_sparsify`` walks a candidate's changed features in order
@@ -193,16 +193,13 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray,
     features.  Predict calls drop from (#changed features) per instance to
     (#rejected reverts + 1) rounds shared by the whole batch.
 
-    The greedy order and the trial chains run on the
-    :mod:`~fairexp.explanations.kernels` dispatch layer: ranking is computed
+    The greedy order and the trial chains run on the kernels of
+    :mod:`~fairexp.explanations.kernels`: ranking is computed
     for the whole batch at once, and each instance's prefix chain is written
     directly into the round's stacked trial matrix — one allocation per
     round instead of one ``trial.copy()`` per feature per instance.
-    ``kernels`` overrides the generator's kernel choice for this call.
     """
-    kernel_set = resolve_kernels(
-        kernels if kernels is not None else getattr(generator, "kernels", None)
-    )
+    kernel_set = resolve_kernels()
     X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float)).copy()
     n_rows = candidates.shape[0]
@@ -277,7 +274,7 @@ def lockstep_candidate_search(
 
     if schedule is None:
         schedule = getattr(generator, "schedule", None) or GeometricSchedule()
-    kernel_set = resolve_kernels(getattr(generator, "kernels", None))
+    kernel_set = resolve_kernels()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n_instances, n_features = X.shape
     rngs = [check_random_state(generator.random_state) for _ in range(n_instances)]
@@ -301,8 +298,7 @@ def lockstep_candidate_search(
             break
         rows = list(plan)
         candidates = np.stack([draw(rngs[i], X[i], plan[i]) for i in rows])
-        projected = generator.constraints.project(X[rows][:, None, :], candidates,
-                                                  kernels=kernel_set)
+        projected = generator.constraints.project(X[rows][:, None, :], candidates)
         predictions = generator._predict(
             projected.reshape(-1, n_features)
         ).reshape(len(rows), -1)
@@ -364,14 +360,7 @@ def _iter_init_parameters(generator):
         if init is None:
             continue
         for name, parameter in inspect.signature(init).parameters.items():
-            # "kernels" is excluded on purpose: the exact kernel sets are
-            # bitwise-equal, so that choice must never reach generator_config
-            # — a store fingerprint that varied between numpy and numba would
-            # needlessly split identical populations across cache entries.
-            # The tolerance-bound turbo tier is the one exception, injected
-            # by generator_config as a "kernel_tier" entry (not an __init__
-            # parameter) precisely because its outputs may differ.
-            if name in ("self", "model", "background", "kernels") or name in seen:
+            if name in ("self", "model", "background") or name in seen:
                 continue
             if parameter.kind in (inspect.Parameter.VAR_POSITIONAL,
                                   inspect.Parameter.VAR_KEYWORD):
@@ -396,24 +385,12 @@ def generator_config(generator) -> dict:
     argument under a different attribute name (or not at all) yields a
     config with that parameter missing, which would rebuild with the default
     and fingerprint two different configurations identically.
-
-    The *exact* kernel choice (numpy/numba) is deliberately invisible here
-    — those sets are bitwise-equal, so fingerprints must not split on them.
-    When the generator resolves to the opt-in ``turbo`` tier, whose outputs
-    are only tolerance-bound, the config gains a ``"kernel_tier"`` entry
-    carrying the set's fingerprint token so turbo-computed populations
-    never alias exact ones in the store (shard-spec builders strip it
-    before rebuilding — it is not a constructor parameter).
     """
-    config = {
+    return {
         name: getattr(generator, name)
         for name in _iter_init_parameters(generator)
         if hasattr(generator, name)
     }
-    kernel_set = resolve_kernels(getattr(generator, "kernels", None))
-    if kernel_set.fingerprint_token is not None:
-        config["kernel_tier"] = kernel_set.fingerprint_token
-    return config
 
 
 def generator_config_is_faithful(generator) -> bool:
@@ -462,23 +439,13 @@ def _process_shard_spec(generator) -> dict | None:
     backend = effective_backend(model)
     if isinstance(model, BatchModelAdapter):
         model = model.model
-    params = generator_config(generator)
-    # "kernel_tier" is fingerprint metadata, not a constructor parameter —
-    # the tier itself travels via the "kernels" name below.
-    params.pop("kernel_tier", None)
     spec = {
         "cls": type(generator),
         "model": model,
         "fn": None,
         "fn_name": None,
         "background": np.asarray(generator.background, dtype=float),
-        "params": params,
-        # Workers must run the same kernel path the parent resolved (a
-        # worker whose environment lacks numba still falls back gracefully:
-        # exact tiers stay bitwise-identical, a turbo request resolves to
-        # the threaded turbo fallback).  The resolved NAME is shipped —
-        # compiled kernel sets themselves don't pickle.
-        "kernels": resolve_kernels(getattr(generator, "kernels", None)).name,
+        "params": generator_config(generator),
     }
     if backend is None or type(backend) is NumpyPredictBackend:
         if model is None:
@@ -521,9 +488,6 @@ def _run_process_shard(spec: dict, X_shard: np.ndarray
     else:
         adapter = BatchModelAdapter(spec["model"], cache=False)
     generator = spec["cls"](adapter, spec["background"], **spec["params"])
-    # Set as an attribute (not a constructor argument) so third-party
-    # generator classes without a ``kernels`` parameter still rebuild.
-    generator.kernels = spec.get("kernels")
     results = generator.generate_batch_aligned(X_shard)
     return (results, adapter.predict_call_count, adapter.predict_row_count,
             generator.search_step_count, generator.search_draw_count)
@@ -577,32 +541,16 @@ class CounterfactualEngine:
         keeps the historical per-call pools.  Pooled and per-call execution
         are bitwise-identical — shards are deterministic and instances own
         their random streams.
-    kernels:
-        Hot-path kernel selection for this generator's searches
-        (see :func:`~fairexp.explanations.kernels.resolve_kernels`):
-        ``None`` (default) keeps the generator's own choice / the
-        ``FAIREXP_KERNELS`` environment variable; ``"auto"`` / ``"numpy"`` /
-        ``"numba"`` / ``"turbo"`` (or a resolved
-        :class:`~fairexp.explanations.kernels.KernelSet`) is installed on
-        the generator so every pass — including process-sharded workers,
-        which receive the resolved name in their shard spec — runs the same
-        path.  The exact sets are bitwise-equal and never reach store
-        fingerprints; the opt-in ``turbo`` tier is tolerance-bound and
-        fingerprint-visible (see :func:`generator_config`).
     """
 
     # Fingerprint-safety declarations for lint rule FX006 (params never
     # stored as engine attributes, each covered elsewhere or neutral):
     # - adapt_model only decides whether a counting BatchModelAdapter wraps
     #   the model; predicted labels are identical either way.
-    # - kernels is installed onto the generator in __init__, so
-    #   generator_config carries it from there (including the turbo tier's
-    #   fingerprint token); the engine itself keeps no kernel state.
-    FINGERPRINT_INVARIANT = ("adapt_model", "kernels")
+    FINGERPRINT_INVARIANT = ("adapt_model",)
 
     def __init__(self, generator, *, adapt_model: bool = True, n_jobs: int = 1,
-                 executor: str = "auto", pool: ExecutorPool | None = None,
-                 kernels=None) -> None:
+                 executor: str = "auto", pool: ExecutorPool | None = None) -> None:
         if executor not in ("auto", "thread", "process"):
             raise ValidationError(
                 f"executor must be 'auto', 'thread' or 'process', got {executor!r}"
@@ -611,9 +559,6 @@ class CounterfactualEngine:
             raise ValidationError(
                 f"pool must be an ExecutorPool or None, got {type(pool).__name__}"
             )
-        if kernels is not None:
-            resolve_kernels(kernels)  # validate eagerly, before any search
-            generator.kernels = kernels
         self.generator = generator
         self.n_jobs = n_jobs
         self.executor = executor
@@ -643,13 +588,6 @@ class CounterfactualEngine:
     def search_draw_count(self) -> int:
         """Candidate draws issued across this generator's search passes."""
         return getattr(self.generator, "search_draw_count", 0)
-
-    @property
-    def kernel_path(self) -> str:
-        """The hot-path kernel set this engine's searches resolve to
-        (``"numpy"``, ``"numba"`` or ``"turbo"``), surfaced in session
-        stats and the benchmark trajectories."""
-        return resolve_kernels(getattr(self.generator, "kernels", None)).name
 
     # ------------------------------------------------------------ generation
     def _resolve_n_jobs(self, n_rows: int) -> int:

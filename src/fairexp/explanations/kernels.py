@@ -1,9 +1,10 @@
-"""Compiled hot-path kernels with runtime dispatch.
+"""The four hot-path kernels of the counterfactual search.
 
 The engine's inner loops — candidate projection, hit-distance scoring, the
 sparsifier's prefix-revert trial chains and its greedy feature ranking — are
 the wall-time story of a large audit now that predict-call counts are
-optimized.  This module concentrates those loops behind four kernels:
+optimized.  This module concentrates those loops in four vectorized NumPy
+kernels:
 
 * :func:`batch_counterfactual_distance` — distances for many ``(x, x')``
   pairs in one call (replaces the per-hit Python list comprehension);
@@ -16,58 +17,21 @@ optimized.  This module concentrates those loops behind four kernels:
 * :func:`rank_changed_features` — the sparsifier's greedy revert order for a
   whole batch of instances at once.
 
-Each kernel has a vectorized NumPy reference implementation and an optional
-`numba <https://numba.pydata.org>`_ ``@njit`` fast path, selected at runtime
-by :func:`resolve_kernels`:
+**Bitwise parity is the contract.**  Every kernel reproduces the pre-kernel
+loop implementation bit for bit (asserted in
+``tests/explanations/test_kernels.py``), so the kernels never reach
+``generator_config`` or store fingerprints.
 
-* the ``FAIREXP_KERNELS`` environment variable (``auto`` / ``numpy`` /
-  ``numba``, default ``auto``: numba when importable, NumPy otherwise);
-* the ``kernels=`` parameter on
-  :class:`~fairexp.explanations.engine.CounterfactualEngine` /
-  :class:`~fairexp.explanations.session.AuditSession`, which overrides the
-  environment for one generator.
-
-Requesting ``numba`` in an environment without it falls back to the NumPy
-reference (with a one-time warning) rather than failing — the numpy-only
-test environment runs the identical suite.
-
-**Bitwise parity is the contract for the exact tiers.**  The ``numpy`` and
-``numba`` kernel sets reproduce the pre-refactor loop implementations bit
-for bit (asserted in ``tests/explanations/test_kernels.py``), which is why
-the *exact* kernel choice is deliberately **excluded** from
-``generator_config`` and hence from store fingerprints: numpy- and
-numba-computed populations are interchangeable.
-Three exactness notes worth knowing about:
-
-* L1/L0 reductions use NumPy's pairwise-summation order; the numba path
-  replicates that algorithm exactly for rows of up to 128 features and
-  silently defers to the NumPy path beyond (reduction order would differ);
-* L2 always runs on the NumPy path (batched BLAS dot products, bitwise-equal
-  to the per-row ``np.linalg.norm`` the loops used; BLAS accumulation order
-  cannot be reproduced in nopython code);
-* :func:`rank_changed_features` keeps its (tiny, per-row) ``np.argsort`` on
-  NumPy in both kernel sets so unstable-sort tie order never diverges — the
-  numba set still vectorizes the magnitude/changed-mask computation.
-
-**The opt-in ``turbo`` tier trades exactness for throughput.**  Selecting
-``FAIREXP_KERNELS=turbo`` (or ``kernels="turbo"``) dispatches to
-``@njit(fastmath=True, parallel=True)`` variants of all four kernels that
-``prange`` over rows, drop the pairwise-summation replication and the
-128-feature cap, and compile L2 instead of deferring to BLAS.  Outputs may
-therefore differ from the exact tiers within the documented
-:data:`TURBO_KERNEL_TOLERANCES` bounds, so — inverting the rule above for
-this tier only — the resolved turbo tier **joins** ``generator_config`` and
-store fingerprints: turbo-computed populations never alias exact ones.
-When numba (or its parallel support) is absent the tier still resolves, to
-a threaded-NumPy fallback set that is bitwise-equal to the exact ``numpy``
-kernels but keeps the turbo name and fingerprint visibility.
+The engine, the sparsifier,
+:meth:`~fairexp.explanations.counterfactual.ActionabilityConstraints.project`
+and :func:`~fairexp.explanations.counterfactual.counterfactual_distance`
+call the kernels through the attributes of the one :class:`KernelSet` that
+:func:`resolve_kernels` returns, looked up at call time.  That object is the
+seam a profiler patches to time each kernel on its own.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -76,124 +40,25 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "KernelSet",
-    "TURBO_KERNEL_TOLERANCES",
-    "TURBO_METRIC_ATOL",
-    "TURBO_METRIC_RTOL",
-    "active_kernel_info",
     "batch_counterfactual_distance",
     "build_prefix_revert_trials",
-    "numba_parallel_supported",
-    "numba_threading_layer",
-    "numba_version",
     "project_candidates",
     "rank_changed_features",
     "resolve_kernels",
 ]
 
-#: Largest feature count the numba reduction kernels handle themselves;
-#: beyond it NumPy's pairwise summation recurses, and replicating that
-#: bitwise is not worth it — the dispatcher defers such rows to NumPy.
-NUMBA_MAX_REDUCE_FEATURES = 128
 
-_VALID_CHOICES = ("auto", "numpy", "numba", "turbo")
-_ISCLOSE_ATOL = 1e-8  # np.isclose defaults the legacy loops relied on
-_ISCLOSE_RTOL = 1e-5
-
-#: Documented per-kernel tolerance of the ``turbo`` tier relative to the
-#: exact tiers, asserted in ``tests/explanations/test_kernels_turbo.py``.
-#: Distances may drift by fastmath reassociation/reciprocal rewrites
-#: (≤ rtol·|exact| + atol per row); projection and prefix-revert trials are
-#: pure comparisons/copies, so they stay bitwise for finite inputs; the
-#: greedy revert ranking must select the same changed-feature *set* per row,
-#: though near-tie magnitudes may legally reorder.
-TURBO_KERNEL_TOLERANCES: dict = {
-    "batch_counterfactual_distance": {"rtol": 1e-6, "atol": 1e-9},
-    "project_candidates": {"rtol": 0.0, "atol": 0.0},
-    "build_prefix_revert_trials": {"rtol": 0.0, "atol": 0.0},
-    "rank_changed_features": {"set_equal": True},
-}
-
-#: Documented audit-metric tolerance of the turbo tier: every audited E1
-#: metric (hit rates, burden means/gaps, NAWB) must satisfy
-#: ``|turbo - exact| <= TURBO_METRIC_ATOL + TURBO_METRIC_RTOL * |exact|``.
-#: Kernel-level drift can flip which near-tied candidate a search keeps, so
-#: the bound is deliberately wider than the per-kernel numeric tolerances.
-TURBO_METRIC_ATOL = 0.05
-TURBO_METRIC_RTOL = 0.25
-
-
-def numba_version() -> str | None:
-    """The installed numba version, or ``None`` when numba is absent."""
-    try:
-        import numba
-    except Exception:
-        return None
-    return getattr(numba, "__version__", "unknown")
-
-
-def numba_parallel_supported() -> bool:
-    """Whether the fastmath+parallel ``turbo`` kernels can compile here.
-
-    Definitive once the turbo tier has been resolved (the probe compile has
-    run); before that, a cheap import check — numba present and its parallel
-    ufunc machinery importable.  This backs the ``numba_parallel`` sweep
-    resource that gates the ``kernels=turbo`` factor level.
-    """
-    kernels = _TURBO_STATE["kernels"]
-    if kernels is not None:
-        return bool(kernels)
-    if numba_version() is None:
-        return False
-    try:
-        from numba.np.ufunc import parallel  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def numba_threading_layer() -> str | None:
-    """The numba threading layer backing parallel kernels, or ``None``.
-
-    After the first parallel kernel has executed this is the layer that
-    actually loaded (``tbb`` / ``omp`` / ``workqueue``); before that, the
-    requested/configured layer name.  ``None`` when numba is absent — the
-    benchmark harness stamps it into every ``BENCH_*.json`` record so perf
-    trajectories stay comparable across tiers and thread backends.
-    """
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        return str(numba.threading_layer())
-    except Exception:
-        return str(getattr(numba.config, "THREADING_LAYER", "default"))
-
-
-# ---------------------------------------------------------------------------
-# NumPy reference kernels
-# ---------------------------------------------------------------------------
-def _sanitized_scale(scale, n_features: int) -> np.ndarray:
-    """Per-feature scale with zeros replaced by 1 (ones when ``scale=None``).
-
-    Dividing by 1.0 is a bitwise identity, so the no-scale case can share
-    the scaled code path.
-    """
-    if scale is None:
-        return np.ones(n_features, dtype=float)
-    scale = np.asarray(scale, dtype=float).copy()
-    scale[scale == 0] = 1.0
-    return scale
-
-
-def _np_batch_distance(X, candidates, *, scale=None, metric: str = "l1") -> np.ndarray:
-    """Vectorized reference: one distance per candidate row.
+def batch_counterfactual_distance(X, candidates, *, scale=None,
+                                  metric: str = "l1") -> np.ndarray:
+    """Distances between rows of ``X`` and ``candidates`` in one call.
 
     ``X`` is either ``(n, d)`` row-aligned with ``candidates`` or a single
-    ``(d,)`` instance broadcast against every candidate.  Bitwise-equal to
-    calling the scalar ``counterfactual_distance`` per row: L1/L0 reduce
-    with NumPy's per-row pairwise summation (identical to the 1-D sum), L2
-    uses batched BLAS dot products (identical to the 1-D ``np.linalg.norm``).
+    ``(d,)`` instance broadcast against every candidate; returns shape
+    ``(n,)``.  Bitwise-equal to calling the scalar
+    :func:`~fairexp.explanations.counterfactual.counterfactual_distance` per
+    row: L1/L0 reduce with NumPy's per-row pairwise summation (identical to
+    the 1-D sum), L2 uses batched BLAS dot products (identical to the 1-D
+    ``np.linalg.norm``).  Zero entries of ``scale`` count as 1.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     X = np.asarray(X, dtype=float)
@@ -201,7 +66,9 @@ def _np_batch_distance(X, candidates, *, scale=None, metric: str = "l1") -> np.n
         X = X[None, :]
     delta = candidates - X
     if scale is not None:
-        delta = delta / _sanitized_scale(scale, delta.shape[-1])
+        scale = np.asarray(scale, dtype=float).copy()
+        scale[scale == 0] = 1.0
+        delta = delta / scale
     if metric == "l1":
         return np.sum(np.abs(delta), axis=-1)
     if metric == "l2":
@@ -214,13 +81,16 @@ def _np_batch_distance(X, candidates, *, scale=None, metric: str = "l1") -> np.n
     raise ValidationError(f"unknown metric {metric!r}")
 
 
-def _np_project(x_original, candidates, *, immutable, lower, upper, monotone) -> np.ndarray:
-    """Vectorized reference projection onto the feasible set.
+def project_candidates(x_original, candidates, *, immutable, lower, upper,
+                       monotone) -> np.ndarray:
+    """Project stacked candidates onto the feasible set (clip → monotone → freeze).
 
-    Same semantics (and bitwise-identical output) as the historical
-    clip → ``np.where`` cascade, but the monotone/immutable passes write
-    in-place through ``where=`` masks instead of allocating a full-tensor
-    temporary per pass, and passes whose mask is empty are skipped entirely.
+    Accepts any ``(..., d)`` candidate tensor with ``x_original``
+    broadcastable against it.  Same semantics (and bitwise-identical output)
+    as the historical clip → ``np.where`` cascade, but the monotone/immutable
+    passes write in-place through ``where=`` masks instead of allocating a
+    full-tensor temporary per pass, and passes whose mask is empty are
+    skipped entirely.  NaN bounds are treated as unbounded.
     """
     candidates = np.asarray(candidates, dtype=float)
     x_original = np.asarray(x_original, dtype=float)
@@ -246,28 +116,27 @@ def _np_project(x_original, candidates, *, immutable, lower, upper, monotone) ->
     return projected
 
 
-def _np_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:
-    """Cumulative prefix-revert trial matrix for one instance.
+def build_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:
+    """One instance's cumulative prefix-revert trial matrix, one allocation.
 
     Row ``j`` is ``candidate`` with features ``order[:j + 1]`` reverted to
-    their original values — exactly the chain the sequential sparsifier
-    builds with one ``trial.copy()`` per feature, produced here with a
-    single allocation (or written into ``out``) and one column-slice
-    assignment per reverted feature.
+    ``x_row``'s values — exactly the chain the sequential sparsifier builds
+    with one ``trial.copy()`` per feature.  ``out`` (shape
+    ``(len(order), d)``) avoids even the single allocation when the caller
+    stacks trials itself.
     """
     candidate = np.asarray(candidate, dtype=float)
     x_row = np.asarray(x_row, dtype=float)
-    n_trials = len(order)
     if out is None:
-        out = np.empty((n_trials, candidate.shape[0]), dtype=float)
+        out = np.empty((len(order), candidate.shape[0]), dtype=float)
     out[:] = candidate
     for j, column in enumerate(order):
         out[j:, column] = x_row[column]
     return out
 
 
-def _np_rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:
-    """Greedy revert order for every instance of a batch.
+def rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:
+    """Greedy revert order (changed features by scaled magnitude) per instance.
 
     Per row: the indices of features where candidate and original differ
     (``~np.isclose``), sorted by scaled absolute delta — identical to the
@@ -289,729 +158,48 @@ def _np_rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:
     return orders
 
 
-# ---------------------------------------------------------------------------
-# numba fast path (compiled lazily, absent-dependency safe)
-# ---------------------------------------------------------------------------
-_NUMBA_STATE: dict = {"kernels": None}  # None = not tried, False = unavailable
-_TURBO_STATE: dict = {"kernels": None}  # same protocol for the turbo tier
-_NUMBA_LOCK = threading.Lock()
-_warned_numba_missing = False
-_warned_turbo_fallback = False
-
-
-def _compile_numba_kernels():
-    """Compile the ``@njit`` kernels once; ``False`` when numba is absent."""
-    try:
-        from numba import njit
-    except Exception:
-        return False
-
-    @njit(cache=True)
-    def pairwise_sum_block(values, n):  # pragma: no cover - compiled
-        # NumPy's pairwise_sum for n <= 128: sequential below 8 elements,
-        # otherwise eight partial accumulators combined as a balanced tree
-        # plus a sequential remainder.  Replicating the order is what makes
-        # the compiled L1 reduction bitwise-equal to np.sum.
-        if n < 8:
-            res = 0.0
-            for i in range(n):
-                res += values[i]
-            return res
-        r0 = values[0]
-        r1 = values[1]
-        r2 = values[2]
-        r3 = values[3]
-        r4 = values[4]
-        r5 = values[5]
-        r6 = values[6]
-        r7 = values[7]
-        i = 8
-        while i < n - (n % 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-            i += 8
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        while i < n:
-            res += values[i]
-            i += 1
-        return res
-
-    @njit(cache=True)
-    def l1_distances(X, candidates, scale):  # pragma: no cover - compiled
-        n, d = candidates.shape
-        out = np.empty(n, dtype=np.float64)
-        buffer = np.empty(d, dtype=np.float64)
-        for i in range(n):
-            for j in range(d):
-                buffer[j] = abs((candidates[i, j] - X[i, j]) / scale[j])
-            out[i] = pairwise_sum_block(buffer, d)
-        return out
-
-    @njit(cache=True)
-    def l0_distances(X, candidates, scale):  # pragma: no cover - compiled
-        # ~np.isclose(delta, 0.0): |delta| <= atol (rtol term vanishes at 0);
-        # NaN/inf deltas compare False under <=, so they count as changed —
-        # exactly np.isclose's behaviour.  Integer counting has no float
-        # accumulation order, so no pairwise replication is needed.
-        n, d = candidates.shape
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            count = 0
-            for j in range(d):
-                delta = (candidates[i, j] - X[i, j]) / scale[j]
-                if not (abs(delta) <= 1e-8):
-                    count += 1
-            out[i] = float(count)
-        return out
-
-    @njit(cache=True)
-    def project_rows(x_rows, candidates, immutable, lower, upper,
-                     monotone):  # pragma: no cover - compiled
-        # One fused elementwise pass: clip -> monotone -> immutable, the
-        # same per-element result as the reference's staged masked passes.
-        n, d = candidates.shape
-        out = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            for j in range(d):
-                value = candidates[i, j]
-                if value < lower[j]:
-                    value = lower[j]
-                if value > upper[j]:
-                    value = upper[j]
-                original = x_rows[i, j]
-                if monotone[j] == 1 and original > value:
-                    value = original
-                elif monotone[j] == -1 and original < value:
-                    value = original
-                if immutable[j]:
-                    value = original
-                out[i, j] = value
-        return out
-
-    @njit(cache=True)
-    def prefix_revert_trials(candidate, x_row, order, out):  # pragma: no cover
-        n_trials = order.shape[0]
-        d = candidate.shape[0]
-        for j in range(n_trials):
-            for column in range(d):
-                out[j, column] = candidate[column]
-        for j in range(n_trials):
-            column = order[j]
-            value = x_row[column]
-            for t in range(j, n_trials):
-                out[t, column] = value
-        return out
-
-    @njit(cache=True)
-    def changed_magnitudes(X_rows, candidates, scale):  # pragma: no cover
-        # np.isclose(a, b): |a - b| <= atol + rtol * |b| for finite pairs;
-        # equal infinities are close, NaN never is.  The legacy loop used
-        # the defaults, so they are hard-coded here.
-        n, d = candidates.shape
-        changed = np.empty((n, d), dtype=np.bool_)
-        magnitudes = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            for j in range(d):
-                a = candidates[i, j]
-                b = X_rows[i, j]
-                delta = a - b
-                if np.isfinite(a) and np.isfinite(b):
-                    close = abs(delta) <= (1e-8 + 1e-5 * abs(b))
-                else:
-                    close = a == b
-                changed[i, j] = not close
-                magnitudes[i, j] = abs(delta / scale[j])
-        return changed, magnitudes
-
-    return {
-        "pairwise_sum_block": pairwise_sum_block,
-        "l1_distances": l1_distances,
-        "l0_distances": l0_distances,
-        "project_rows": project_rows,
-        "prefix_revert_trials": prefix_revert_trials,
-        "changed_magnitudes": changed_magnitudes,
-    }
-
-
-def _numba_kernels():
-    """The compiled kernel table, or ``False`` when numba is unavailable."""
-    kernels = _NUMBA_STATE["kernels"]
-    if kernels is None:
-        with _NUMBA_LOCK:
-            kernels = _NUMBA_STATE["kernels"]
-            if kernels is None:
-                kernels = _compile_numba_kernels()
-                _NUMBA_STATE["kernels"] = kernels
-    return kernels
-
-
-def _nb_batch_distance(X, candidates, *, scale=None, metric: str = "l1") -> np.ndarray:
-    """Numba-dispatched distances; defers to NumPy where exactness demands.
-
-    L2 (BLAS accumulation order) and rows wider than
-    :data:`NUMBA_MAX_REDUCE_FEATURES` (recursive pairwise splits) stay on
-    the NumPy reference so the compiled path never changes a bit.
-    """
-    candidates = np.ascontiguousarray(np.atleast_2d(np.asarray(candidates, dtype=float)))
-    n, d = candidates.shape
-    if metric == "l2" or d > NUMBA_MAX_REDUCE_FEATURES or n == 0:
-        return _np_batch_distance(X, candidates, scale=scale, metric=metric)
-    if metric not in ("l1", "l0"):
-        raise ValidationError(f"unknown metric {metric!r}")
-    kernels = _numba_kernels()
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = np.broadcast_to(X, candidates.shape)
-    X = np.ascontiguousarray(X)
-    clean_scale = _sanitized_scale(scale, d)
-    if metric == "l1":
-        return kernels["l1_distances"](X, candidates, clean_scale)
-    return kernels["l0_distances"](X, candidates, clean_scale)
-
-
-def _nb_project(x_original, candidates, *, immutable, lower, upper, monotone) -> np.ndarray:
-    """Numba-dispatched projection over the shapes the hot paths produce.
-
-    Handles ``(n, c, d)`` tensors against ``(n, 1, d)`` originals (the
-    lockstep wave), row-aligned 2-D pairs, one-original-many-candidates and
-    single rows; anything more exotic falls back to the NumPy reference.
-    """
-    candidates_arr = np.asarray(candidates, dtype=float)
-    x_arr = np.asarray(x_original, dtype=float)
-    kernels = _numba_kernels()
-    numpy_fallback = lambda: _np_project(  # noqa: E731 - local alias
-        x_original, candidates, immutable=immutable, lower=lower,
-        upper=upper, monotone=monotone,
-    )
-    if candidates_arr.ndim == 0 or candidates_arr.size == 0:
-        return numpy_fallback()
-    d = candidates_arr.shape[-1]
-    if candidates_arr.ndim == 3 and x_arr.ndim == 3 \
-            and x_arr.shape[0] == candidates_arr.shape[0] and x_arr.shape[1] == 1 \
-            and x_arr.shape[2] == d:
-        n, c, _ = candidates_arr.shape
-        flat = np.ascontiguousarray(candidates_arr).reshape(n * c, d)
-        x_rows = np.ascontiguousarray(np.repeat(x_arr[:, 0, :], c, axis=0))
-    elif candidates_arr.ndim == 2 and x_arr.ndim == 1 and x_arr.shape[0] == d:
-        flat = np.ascontiguousarray(candidates_arr)
-        x_rows = np.ascontiguousarray(np.broadcast_to(x_arr, flat.shape))
-    elif candidates_arr.ndim == 2 and x_arr.shape == candidates_arr.shape:
-        flat = np.ascontiguousarray(candidates_arr)
-        x_rows = np.ascontiguousarray(x_arr)
-    elif candidates_arr.ndim == 1 and x_arr.ndim == 1 and x_arr.shape[0] == d:
-        flat = np.ascontiguousarray(candidates_arr).reshape(1, d)
-        x_rows = np.ascontiguousarray(x_arr).reshape(1, d)
-    else:
-        return numpy_fallback()
-    lower_arr = np.asarray(lower, dtype=float)
-    upper_arr = np.asarray(upper, dtype=float)
-    lower_arr = np.ascontiguousarray(np.where(np.isnan(lower_arr), -np.inf, lower_arr))
-    upper_arr = np.ascontiguousarray(np.where(np.isnan(upper_arr), np.inf, upper_arr))
-    projected = kernels["project_rows"](
-        x_rows, flat,
-        np.ascontiguousarray(np.asarray(immutable, dtype=np.bool_)),
-        lower_arr, upper_arr,
-        np.ascontiguousarray(np.asarray(monotone, dtype=np.int64)),
-    )
-    return projected.reshape(candidates_arr.shape)
-
-
-def _nb_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:
-    """Numba-dispatched prefix-revert trial construction."""
-    candidate = np.ascontiguousarray(np.asarray(candidate, dtype=float))
-    x_row = np.ascontiguousarray(np.asarray(x_row, dtype=float))
-    order_arr = np.ascontiguousarray(np.asarray(order, dtype=np.int64))
-    if out is None:
-        out = np.empty((order_arr.shape[0], candidate.shape[0]), dtype=float)
-    return _numba_kernels()["prefix_revert_trials"](candidate, x_row, order_arr, out)
-
-
-def _nb_rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:
-    """Numba-dispatched greedy revert ordering.
-
-    The changed-mask / magnitude arithmetic is compiled; the per-row subset
-    ``argsort`` stays on NumPy in both kernel sets so unstable-sort tie
-    order can never diverge between paths.
-    """
-    X_rows = np.ascontiguousarray(np.atleast_2d(np.asarray(X_rows, dtype=float)))
-    candidates = np.ascontiguousarray(np.atleast_2d(np.asarray(candidates, dtype=float)))
-    if candidates.shape[0] == 0:
-        return []
-    changed, magnitudes = _numba_kernels()["changed_magnitudes"](
-        X_rows, candidates,
-        np.ascontiguousarray(np.asarray(scale, dtype=float)),
-    )
-    orders = []
-    for k in range(candidates.shape[0]):
-        columns = np.flatnonzero(changed[k])
-        orders.append(columns[np.argsort(magnitudes[k, columns])])
-    return orders
-
-
-# ---------------------------------------------------------------------------
-# turbo tier: fastmath + parallel numba kernels (opt-in, tolerance-bound)
-# ---------------------------------------------------------------------------
-_METRIC_CODES = {"l1": 0, "l2": 1, "l0": 2}
-
-
-def _compile_turbo_kernels():
-    """Compile the fastmath+parallel kernels once; ``False`` when unavailable.
-
-    Unlike the exact tier, failure here includes numba-present-but-parallel-
-    unsupported: each kernel is probe-executed on tiny inputs so ``parallel=
-    True`` lowering errors surface now (as ``False``) instead of at first
-    real dispatch.
-    """
-    try:
-        from numba import njit, prange
-    except Exception:
-        return False
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def distances(X, candidates, scale, metric_code):  # pragma: no cover
-        # No pairwise-summation replication, no feature cap, L2 compiled:
-        # fastmath may reassociate the per-row reduction and rewrite the
-        # divisions, which is exactly the drift TURBO_KERNEL_TOLERANCES
-        # bounds.
-        n, d = candidates.shape
-        out = np.empty(n, dtype=np.float64)
-        for i in prange(n):
-            if metric_code == 0:
-                acc = 0.0
-                for j in range(d):
-                    acc += abs((candidates[i, j] - X[i, j]) / scale[j])
-                out[i] = acc
-            elif metric_code == 1:
-                acc = 0.0
-                for j in range(d):
-                    delta = (candidates[i, j] - X[i, j]) / scale[j]
-                    acc += delta * delta
-                out[i] = np.sqrt(acc)
-            else:
-                count = 0
-                for j in range(d):
-                    delta = (candidates[i, j] - X[i, j]) / scale[j]
-                    if not (abs(delta) <= 1e-8):
-                        count += 1
-                out[i] = float(count)
-        return out
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def project_rows(x_rows, candidates, immutable, lower, upper,
-                     monotone):  # pragma: no cover - compiled
-        # Comparisons and copies only — no accumulation — so this stays
-        # bitwise-equal to the exact projection for finite inputs even
-        # under fastmath.
-        n, d = candidates.shape
-        out = np.empty((n, d), dtype=np.float64)
-        for i in prange(n):
-            for j in range(d):
-                value = candidates[i, j]
-                if value < lower[j]:
-                    value = lower[j]
-                if value > upper[j]:
-                    value = upper[j]
-                original = x_rows[i, j]
-                if monotone[j] == 1 and original > value:
-                    value = original
-                elif monotone[j] == -1 and original < value:
-                    value = original
-                if immutable[j]:
-                    value = original
-                out[i, j] = value
-        return out
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def prefix_revert_trials(candidate, x_row, order, out):  # pragma: no cover
-        # Each trial row is independent under prange: copy the candidate,
-        # then revert the first t+1 ordered features.  Pure copies — bitwise.
-        n_trials = order.shape[0]
-        d = candidate.shape[0]
-        for t in prange(n_trials):
-            for column in range(d):
-                out[t, column] = candidate[column]
-            for j in range(t + 1):
-                reverted = order[j]
-                out[t, reverted] = x_row[reverted]
-        return out
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def changed_magnitudes(X_rows, candidates, scale):  # pragma: no cover
-        # Same isclose semantics as the exact kernel; fastmath division may
-        # drift a magnitude by an ulp, which can legally reorder near-tie
-        # revert ranks (the set of changed features is what the tolerance
-        # contract pins down).
-        n, d = candidates.shape
-        changed = np.empty((n, d), dtype=np.bool_)
-        magnitudes = np.empty((n, d), dtype=np.float64)
-        for i in prange(n):
-            for j in range(d):
-                a = candidates[i, j]
-                b = X_rows[i, j]
-                delta = a - b
-                if np.isfinite(a) and np.isfinite(b):
-                    close = abs(delta) <= (1e-8 + 1e-5 * abs(b))
-                else:
-                    close = a == b
-                changed[i, j] = not close
-                magnitudes[i, j] = abs(delta / scale[j])
-        return changed, magnitudes
-
-    try:
-        probe_X = np.zeros((4, 3))
-        probe_C = np.ones((4, 3))
-        probe_scale = np.ones(3)
-        distances(probe_X, probe_C, probe_scale, 0)
-        project_rows(probe_X, probe_C, np.zeros(3, dtype=np.bool_),
-                     np.full(3, -np.inf), np.full(3, np.inf),
-                     np.zeros(3, dtype=np.int64))
-        prefix_revert_trials(np.ones(3), np.zeros(3),
-                             np.arange(2, dtype=np.int64), np.empty((2, 3)))
-        changed_magnitudes(probe_X, probe_C, probe_scale)
-    except Exception:
-        return False
-
-    return {
-        "distances": distances,
-        "project_rows": project_rows,
-        "prefix_revert_trials": prefix_revert_trials,
-        "changed_magnitudes": changed_magnitudes,
-    }
-
-
-def _turbo_kernels():
-    """The compiled turbo table, or ``False`` when parallel numba is unavailable."""
-    kernels = _TURBO_STATE["kernels"]
-    if kernels is None:
-        with _NUMBA_LOCK:
-            kernels = _TURBO_STATE["kernels"]
-            if kernels is None:
-                kernels = _compile_turbo_kernels()
-                _TURBO_STATE["kernels"] = kernels
-    return kernels
-
-
-def _tb_batch_distance(X, candidates, *, scale=None, metric: str = "l1") -> np.ndarray:
-    """Turbo distances: fastmath + prange, no feature cap, compiled L2."""
-    if metric not in _METRIC_CODES:
-        raise ValidationError(f"unknown metric {metric!r}")
-    candidates = np.ascontiguousarray(np.atleast_2d(np.asarray(candidates, dtype=float)))
-    n, d = candidates.shape
-    kernels = _turbo_kernels()
-    if not kernels or n == 0:
-        return _np_batch_distance(X, candidates, scale=scale, metric=metric)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = np.broadcast_to(X, candidates.shape)
-    X = np.ascontiguousarray(X)
-    return kernels["distances"](
-        X, candidates, _sanitized_scale(scale, d), _METRIC_CODES[metric]
-    )
-
-
-def _tb_project(x_original, candidates, *, immutable, lower, upper, monotone) -> np.ndarray:
-    """Turbo projection: the exact numba shape dispatch over the prange kernel."""
-    candidates_arr = np.asarray(candidates, dtype=float)
-    x_arr = np.asarray(x_original, dtype=float)
-    kernels = _turbo_kernels()
-    numpy_fallback = lambda: _np_project(  # noqa: E731 - local alias
-        x_original, candidates, immutable=immutable, lower=lower,
-        upper=upper, monotone=monotone,
-    )
-    if not kernels or candidates_arr.ndim == 0 or candidates_arr.size == 0:
-        return numpy_fallback()
-    d = candidates_arr.shape[-1]
-    if candidates_arr.ndim == 3 and x_arr.ndim == 3 \
-            and x_arr.shape[0] == candidates_arr.shape[0] and x_arr.shape[1] == 1 \
-            and x_arr.shape[2] == d:
-        n, c, _ = candidates_arr.shape
-        flat = np.ascontiguousarray(candidates_arr).reshape(n * c, d)
-        x_rows = np.ascontiguousarray(np.repeat(x_arr[:, 0, :], c, axis=0))
-    elif candidates_arr.ndim == 2 and x_arr.ndim == 1 and x_arr.shape[0] == d:
-        flat = np.ascontiguousarray(candidates_arr)
-        x_rows = np.ascontiguousarray(np.broadcast_to(x_arr, flat.shape))
-    elif candidates_arr.ndim == 2 and x_arr.shape == candidates_arr.shape:
-        flat = np.ascontiguousarray(candidates_arr)
-        x_rows = np.ascontiguousarray(x_arr)
-    elif candidates_arr.ndim == 1 and x_arr.ndim == 1 and x_arr.shape[0] == d:
-        flat = np.ascontiguousarray(candidates_arr).reshape(1, d)
-        x_rows = np.ascontiguousarray(x_arr).reshape(1, d)
-    else:
-        return numpy_fallback()
-    lower_arr = np.asarray(lower, dtype=float)
-    upper_arr = np.asarray(upper, dtype=float)
-    lower_arr = np.ascontiguousarray(np.where(np.isnan(lower_arr), -np.inf, lower_arr))
-    upper_arr = np.ascontiguousarray(np.where(np.isnan(upper_arr), np.inf, upper_arr))
-    projected = kernels["project_rows"](
-        x_rows, flat,
-        np.ascontiguousarray(np.asarray(immutable, dtype=np.bool_)),
-        lower_arr, upper_arr,
-        np.ascontiguousarray(np.asarray(monotone, dtype=np.int64)),
-    )
-    return projected.reshape(candidates_arr.shape)
-
-
-def _tb_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:
-    """Turbo prefix-revert trials: independent rows under prange."""
-    kernels = _turbo_kernels()
-    if not kernels:
-        return _np_prefix_revert_trials(candidate, x_row, order, out)
-    candidate = np.ascontiguousarray(np.asarray(candidate, dtype=float))
-    x_row = np.ascontiguousarray(np.asarray(x_row, dtype=float))
-    order_arr = np.ascontiguousarray(np.asarray(order, dtype=np.int64))
-    if out is None:
-        out = np.empty((order_arr.shape[0], candidate.shape[0]), dtype=float)
-    return kernels["prefix_revert_trials"](candidate, x_row, order_arr, out)
-
-
-def _tb_rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:
-    """Turbo greedy revert ordering (prange magnitudes, NumPy argsort)."""
-    kernels = _turbo_kernels()
-    if not kernels:
-        return _np_rank_changed_features(X_rows, candidates, scale)
-    X_rows = np.ascontiguousarray(np.atleast_2d(np.asarray(X_rows, dtype=float)))
-    candidates = np.ascontiguousarray(np.atleast_2d(np.asarray(candidates, dtype=float)))
-    if candidates.shape[0] == 0:
-        return []
-    changed, magnitudes = kernels["changed_magnitudes"](
-        X_rows, candidates,
-        np.ascontiguousarray(np.asarray(scale, dtype=float)),
-    )
-    orders = []
-    for k in range(candidates.shape[0]):
-        columns = np.flatnonzero(changed[k])
-        orders.append(columns[np.argsort(magnitudes[k, columns])])
-    return orders
-
-
-# ---------------------------------------------------- turbo numba-less fallback
-#: Row count below which the threaded fallback stays single-threaded —
-#: thread handoff costs more than it saves on small batches.
-_TURBO_FALLBACK_MIN_ROWS = 4096
-
-
-def _tf_batch_distance(X, candidates, *, scale=None, metric: str = "l1") -> np.ndarray:
-    """Threaded-NumPy turbo fallback distances.
-
-    Splits the (row-independent) batch across a small thread pool and runs
-    the exact NumPy reference per contiguous chunk, so the result is
-    bitwise-equal to the exact ``numpy`` kernel while large batches overlap
-    NumPy's GIL-releasing inner loops across cores.
-    """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    X_arr = np.asarray(X, dtype=float)
-    if X_arr.ndim == 1:
-        X_arr = np.broadcast_to(X_arr, candidates.shape)
-    n = candidates.shape[0]
-    workers = min(4, os.cpu_count() or 1)
-    if workers < 2 or n < _TURBO_FALLBACK_MIN_ROWS:
-        return _np_batch_distance(X_arr, candidates, scale=scale, metric=metric)
-    from .pool import ExecutorPool
-
-    out = np.empty(n, dtype=float)
-    chunk = -(-n // workers)
-    bounds = [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
-
-    def run_chunk(span):
-        start, stop = span
-        out[start:stop] = _np_batch_distance(
-            X_arr[start:stop], candidates[start:stop], scale=scale, metric=metric
-        )
-
-    with ExecutorPool(max_workers=len(bounds)) as pool:
-        pool.map("thread", run_chunk, bounds)
-    return out
-
-
-
 class KernelSet:
-    """One resolved set of hot-path kernels (immutable once constructed).
+    """The four hot-path kernels, held as attributes so call sites look each
+    one up at call time.
 
     Attributes
     ----------
     name:
-        ``"numpy"``, ``"numba"`` or ``"turbo"`` — the path that actually
-        runs (a numba request in a numba-less environment resolves to the
-        ``"numpy"`` set, so the name is always truthful; a turbo request
-        always resolves to a set *named* ``turbo``, compiled or fallback).
-    tier:
-        ``"exact"`` (bitwise-parity contract, fingerprint-invariant) or
-        ``"turbo"`` (tolerance contract, fingerprint-visible).
-    fingerprint_token:
-        ``None`` for exact tiers — they never reach store fingerprints.
-        For turbo sets, the string folded into ``generator_config`` /
-        population fingerprints; it also distinguishes the compiled
-        fastmath path from the threaded-NumPy fallback, whose numerics
-        differ.
+        ``"numpy"`` — stamped into benchmark records as the kernel path.
     batch_counterfactual_distance, project_candidates,
     build_prefix_revert_trials, rank_changed_features:
-        The four kernels — bitwise-equal across exact sets,
-        tolerance-bound (:data:`TURBO_KERNEL_TOLERANCES`) for turbo.
+        The kernels of the same names in this module.
     """
 
-    __slots__ = ("name", "tier", "fingerprint_token",
-                 "batch_counterfactual_distance", "project_candidates",
+    __slots__ = ("name", "batch_counterfactual_distance", "project_candidates",
                  "build_prefix_revert_trials", "rank_changed_features")
 
     def __init__(self, name: str, distance: Callable, project: Callable,
-                 prefix_trials: Callable, rank_changed: Callable, *,
-                 tier: str = "exact", fingerprint_token: str | None = None) -> None:
+                 prefix_trials: Callable, rank_changed: Callable) -> None:
         self.name = name
-        self.tier = tier
-        self.fingerprint_token = fingerprint_token
         self.batch_counterfactual_distance = distance
         self.project_candidates = project
         self.build_prefix_revert_trials = prefix_trials
         self.rank_changed_features = rank_changed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        """Short identity, e.g. ``KernelSet('numba')``."""
-        if self.tier == "exact":
-            return f"KernelSet({self.name!r})"
-        return f"KernelSet({self.name!r}, tier={self.tier!r})"
+        """Short identity, e.g. ``KernelSet('numpy')``."""
+        return f"KernelSet({self.name!r})"
 
 
-_NUMPY_SET = KernelSet("numpy", _np_batch_distance, _np_project,
-                       _np_prefix_revert_trials, _np_rank_changed_features)
-_NUMBA_SET = KernelSet("numba", _nb_batch_distance, _nb_project,
-                       _nb_prefix_revert_trials, _nb_rank_changed_features)
-_TURBO_SET = KernelSet(
-    "turbo", _tb_batch_distance, _tb_project,
-    _tb_prefix_revert_trials, _tb_rank_changed_features,
-    tier="turbo",
-    fingerprint_token=f"turbo:numba-fastmath-parallel:{numba_version()}",
-)
-_TURBO_FALLBACK_SET = KernelSet(
-    "turbo", _tf_batch_distance, _np_project,
-    _np_prefix_revert_trials, _np_rank_changed_features,
-    tier="turbo",
-    fingerprint_token="turbo:numpy-threaded",
-)
+_KERNELS = KernelSet("numpy", batch_counterfactual_distance, project_candidates,
+                     build_prefix_revert_trials, rank_changed_features)
 
 
 def resolve_kernels(choice=None) -> KernelSet:
-    """Resolve a kernel choice to the :class:`KernelSet` that will run.
+    """The :class:`KernelSet` every search runs on.
 
-    ``choice`` is ``None`` (consult the ``FAIREXP_KERNELS`` environment
-    variable, default ``auto``), one of ``"auto"`` / ``"numpy"`` /
-    ``"numba"`` / ``"turbo"``, or an already-resolved :class:`KernelSet`
-    (returned as-is).  ``auto`` picks numba exactly when it is importable
-    and never selects turbo (the approximate tier is strictly opt-in); an
-    explicit ``numba`` request without the dependency falls back to the
-    NumPy reference with a one-time warning instead of failing, and an
-    explicit ``turbo`` request without parallel numba falls back (also
-    warning once) to the threaded-NumPy turbo set — the tier name always
-    resolves.
+    There is one set, so there is nothing to choose: ``choice`` must be
+    ``None`` (the form ``resolve_kernels(None)`` stays valid) and anything
+    else raises :class:`~fairexp.exceptions.ValidationError`.
     """
-    global _warned_numba_missing, _warned_turbo_fallback
-    if isinstance(choice, KernelSet):
-        return choice
-    if choice is None:
-        choice = os.environ.get("FAIREXP_KERNELS", "auto") or "auto"
-    choice = str(choice).lower()
-    if choice not in _VALID_CHOICES:
+    if choice is not None:
         raise ValidationError(
-            f"kernels must be one of {_VALID_CHOICES}, got {choice!r}"
+            f"there is one kernel set; resolve_kernels takes no choice, got {choice!r}"
         )
-    if choice == "numpy":
-        return _NUMPY_SET
-    if choice == "turbo":
-        if _turbo_kernels():
-            return _TURBO_SET
-        if not _warned_turbo_fallback:
-            _warned_turbo_fallback = True
-            warnings.warn(
-                "FAIREXP_KERNELS/kernels= requested 'turbo' but numba with "
-                "parallel support is not available; falling back to the "
-                "threaded-NumPy turbo set (bitwise-equal to the exact numpy "
-                "kernels, still fingerprinted as a turbo tier)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _TURBO_FALLBACK_SET
-    if _numba_kernels():
-        return _NUMBA_SET
-    if choice == "numba" and not _warned_numba_missing:
-        _warned_numba_missing = True
-        warnings.warn(
-            "FAIREXP_KERNELS/kernels= requested 'numba' but numba is not "
-            "installed; falling back to the (bitwise-identical) NumPy "
-            "reference kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _NUMPY_SET
-
-
-def active_kernel_info(choice=None) -> dict[str, str]:
-    """The kernel path a given choice resolves to, for records and stats.
-
-    Returns ``{"kernel_path": "numpy" | "numba" | "turbo", "kernel_tier":
-    "exact" | "turbo", "kernel_numba_version": <numba version> | "numpy"}``
-    — the fields the benchmark harness stamps into every ``BENCH_*.json``
-    trajectory point so perf curves stay comparable across environments.
-    ``kernel_numba_version`` reports ``"numpy"`` whenever the resolved set
-    runs on the NumPy reference (including the threaded turbo fallback).
-    """
-    kernels = resolve_kernels(choice)
-    version = numba_version()
-    compiled = kernels is _NUMBA_SET or kernels is _TURBO_SET
-    return {
-        "kernel_path": kernels.name,
-        "kernel_tier": kernels.tier,
-        "kernel_numba_version": version if compiled and version else "numpy",
-    }
-
-
-# ------------------------------------------------------- module-level kernels
-def batch_counterfactual_distance(X, candidates, *, scale=None, metric: str = "l1",
-                                  kernels=None) -> np.ndarray:
-    """Distances between rows of ``X`` and ``candidates`` in one call.
-
-    ``X`` is ``(n, d)`` aligned with ``candidates`` or a single ``(d,)``
-    instance; returns shape ``(n,)``.  Bitwise-equal to the scalar
-    :func:`~fairexp.explanations.counterfactual.counterfactual_distance`
-    applied per row.  ``kernels`` picks the dispatch set
-    (see :func:`resolve_kernels`).
-    """
-    return resolve_kernels(kernels).batch_counterfactual_distance(
-        X, candidates, scale=scale, metric=metric
-    )
-
-
-def project_candidates(x_original, candidates, *, immutable, lower, upper,
-                       monotone, kernels=None) -> np.ndarray:
-    """Project stacked candidates onto the feasible set (clip → monotone → freeze).
-
-    Accepts any ``(..., d)`` candidate tensor with ``x_original``
-    broadcastable against it — the dispatch target of
-    :meth:`~fairexp.explanations.counterfactual.ActionabilityConstraints.project`.
-    """
-    return resolve_kernels(kernels).project_candidates(
-        x_original, candidates, immutable=immutable, lower=lower,
-        upper=upper, monotone=monotone,
-    )
-
-
-def build_prefix_revert_trials(candidate, x_row, order, out=None, *,
-                               kernels=None) -> np.ndarray:
-    """One instance's cumulative prefix-revert trial matrix, one allocation.
-
-    Row ``j`` of the result is ``candidate`` with features ``order[:j + 1]``
-    reverted to ``x_row``'s values; ``out`` (shape ``(len(order), d)``)
-    avoids even the single allocation when the caller stacks trials itself.
-    """
-    return resolve_kernels(kernels).build_prefix_revert_trials(
-        candidate, x_row, order, out
-    )
-
-
-def rank_changed_features(X_rows, candidates, scale, *, kernels=None) -> list[np.ndarray]:
-    """Greedy revert order (changed features by scaled magnitude) per instance."""
-    return resolve_kernels(kernels).rank_changed_features(X_rows, candidates, scale)
+    return _KERNELS

@@ -43,7 +43,6 @@ from ..exceptions import ValidationError
 from .backends import MemoizingPredictBackend, ensure_backend
 from .base import Counterfactual
 from .engine import BatchModelAdapter, CounterfactualEngine
-from .kernels import resolve_kernels
 from .pool import ExecutorPool
 from .schedules import resolve_schedule
 from .store import CounterfactualStore, population_fingerprint
@@ -91,20 +90,6 @@ class AuditSession:
         generator's own schedule.  Because the schedule is part of the
         generator's search configuration it also keys the persistent store:
         geometric and adaptive results never alias.
-    kernels:
-        Hot-path kernel selection for the sweep's searches (``"auto"`` /
-        ``"numpy"`` / ``"numba"`` / ``"turbo"`` or a resolved
-        :class:`~fairexp.explanations.kernels.KernelSet`), installed on the
-        generator like ``schedule`` and forwarded to process-shard workers.
-        ``None`` (default) keeps the generator's choice / the
-        ``FAIREXP_KERNELS`` environment variable.  Unlike ``schedule``, the
-        *exact* choices are bitwise-neutral, so they never reach the store
-        fingerprint — numpy- and numba-computed populations share entries.
-        The opt-in ``turbo`` tier is the exception: its outputs are only
-        tolerance-bound, so the resolved tier joins the fingerprint and
-        turbo-computed populations publish under their own entries.  The
-        path that actually ran is reported by :meth:`stats` as
-        ``kernel_path``.
     pool:
         An :class:`~fairexp.explanations.pool.ExecutorPool` the engine runs
         every sharded pass on.  ``None`` (default) makes the session create
@@ -147,16 +132,16 @@ class AuditSession:
     #   fingerprint through the store instead.
     # - executor picks thread vs process sharding; shard outputs are
     #   bitwise-equal under the engine's parity contract.
-    # - schedule and kernels are installed onto the generator in __init__,
-    #   so generator_config carries both (the population memo additionally
-    #   keys on the schedule and the kernel tier token).
+    # - schedule is installed onto the generator in __init__, so
+    #   generator_config carries it (the population memo additionally keys
+    #   on the schedule).
     # - cache_predictions toggles the predict memo only; labels unchanged.
     FINGERPRINT_INVARIANT = (
-        "backend", "executor", "schedule", "kernels", "cache_predictions",
+        "backend", "executor", "schedule", "cache_predictions",
     )
 
     def __init__(self, generator=None, *, model=None, backend=None, n_jobs: int = 1,
-                 executor: str = "auto", schedule=None, kernels=None, pool=None,
+                 executor: str = "auto", schedule=None, pool=None,
                  store=None, cache_predictions: bool = True,
                  max_populations: int = 32) -> None:
         if generator is None and model is None and backend is None:
@@ -185,7 +170,7 @@ class AuditSession:
         self._closed = False
         try:
             self._finish_init(generator, model, backend, n_jobs, executor,
-                              schedule, kernels, cache_predictions)
+                              schedule, cache_predictions)
         except BaseException:
             # A validation failure below must not leak the pool this
             # half-built session would have owned — in particular a
@@ -196,16 +181,13 @@ class AuditSession:
             raise
 
     def _finish_init(self, generator, model, backend, n_jobs, executor,
-                     schedule, kernels, cache_predictions) -> None:
+                     schedule, cache_predictions) -> None:
         """Everything of ``__init__`` that may raise after the pool exists."""
         if backend is not None:
             backend = ensure_backend(backend)
         if generator is not None:
             if schedule is not None:
                 generator.schedule = resolve_schedule(schedule)
-            if kernels is not None:
-                resolve_kernels(kernels)  # validate eagerly, before any search
-                generator.kernels = kernels
             if backend is not None:
                 # backend= rewires WHERE this sweep's predict batches run
                 # (ONNX graph, remote scorer, ...) while keeping the model
@@ -230,13 +212,6 @@ class AuditSession:
                     "schedule= requires a generator (a model-only session "
                     "never runs a counterfactual search)"
                 )
-            if kernels is not None:
-                # Same reasoning: the hot-path kernels only run inside the
-                # candidate search, which a model-only session never does.
-                raise ValidationError(
-                    "kernels= requires a generator (a model-only session "
-                    "never runs a counterfactual search)"
-                )
             if backend is not None:
                 self._adapter = BatchModelAdapter(model, backend=backend,
                                                   cache=cache_predictions)
@@ -252,14 +227,13 @@ class AuditSession:
         self.engine_predict_call_count = 0
         # population key -> {row index -> Counterfactual | None (infeasible)}
         self._results: dict[str, dict[int, Counterfactual | None]] = {}
-        # population key -> (schedule observed at compute time, kernel-tier
-        # token observed at compute time, fingerprint); cleared with the
-        # results, since a refit invalidates all three.  The schedule and
-        # tier ride along because another session sharing this generator can
-        # swap them mid-sweep (schedule=... / kernels="turbo"), and a
-        # memoized fingerprint from before the swap would publish the new
+        # population key -> (schedule observed at compute time, fingerprint);
+        # cleared with the results, since a refit invalidates both.  The
+        # schedule rides along because another session sharing this
+        # generator can swap it mid-sweep (schedule=...), and a memoized
+        # fingerprint from before the swap would publish the new
         # configuration's rows under the old configuration's store entry.
-        self._store_fingerprints: dict[str, tuple[object, str | None, str | None]] = {}
+        self._store_fingerprints: dict[str, tuple[object, str | None]] = {}
         # Fingerprints this session has already published once: later
         # publishes skip the disk read-back merge — the in-memory cache is a
         # superset of this session's own last write (cross-process races
@@ -405,6 +379,12 @@ class AuditSession:
         engine pass.  Rows without a feasible counterfactual are absent from
         the returned mapping, mirroring
         :meth:`~fairexp.explanations.engine.CounterfactualEngine.generate_for`.
+
+        Indices follow NumPy's convention over ``n = len(X)``: a negative
+        index ``i`` names row ``i + n`` (and is returned, cached and stored
+        under that key), and any index outside ``[-n, n)`` raises
+        :class:`~fairexp.exceptions.ValidationError` before the cache or the
+        store is touched.
         """
         if self.engine is None:
             raise ValidationError(
@@ -415,6 +395,14 @@ class AuditSession:
         indices = np.asarray(indices, dtype=int)
         if indices.size == 0:
             return {}
+        n_rows = X.shape[0]
+        out_of_range = indices[(indices < -n_rows) | (indices >= n_rows)]
+        if out_of_range.size:
+            raise ValidationError(
+                f"row indices must lie in [-{n_rows}, {n_rows}) for a population "
+                f"of {n_rows} rows, got {out_of_range.tolist()}"
+            )
+        indices = np.where(indices < 0, indices + n_rows, indices)
         key = self.population_key(X)
         if key not in self._results and len(self._results) >= self.max_populations:
             # Bound the result cache like the predict memo: evict the oldest
@@ -423,13 +411,13 @@ class AuditSession:
             evicted = next(iter(self._results))
             self._results.pop(evicted)
             memo = self._store_fingerprints.pop(evicted, None)
-            if memo is not None and memo[2] is not None:
+            if memo is not None and memo[1] is not None:
                 # The published-fingerprint memo must fall with the results:
                 # after eviction the in-memory cache is no longer a superset
                 # of this session's own writes, so the next publish of a
                 # re-touched population has to do the disk read-back merge
                 # again or it would silently drop rows from the store entry.
-                self._published_fingerprints.discard(memo[2])
+                self._published_fingerprints.discard(memo[1])
         first_touch = key not in self._results
         cache = self._results.setdefault(key, {})
         if first_touch:
@@ -454,21 +442,17 @@ class AuditSession:
     def _store_fingerprint(self, key: str, X: np.ndarray) -> str | None:
         """Store fingerprint for a population, memoized per population key.
 
-        The memo is invalidated when the generator's schedule object or its
-        resolved kernel-tier token changed since it was computed (a second
-        session over the same generator can install a different schedule or
-        swap between an exact tier and ``turbo``), so rows searched under
-        the new configuration are never published under the old entry.
+        The memo is invalidated when the generator's schedule object changed
+        since it was computed (a second session over the same generator can
+        install a different schedule), so rows searched under the new
+        configuration are never published under the old entry.
         """
         schedule = getattr(self.generator, "schedule", None)
-        tier_token = resolve_kernels(
-            getattr(self.generator, "kernels", None)
-        ).fingerprint_token
         memo = self._store_fingerprints.get(key)
-        if memo is None or memo[0] is not schedule or memo[1] != tier_token:
-            memo = (schedule, tier_token, population_fingerprint(self.generator, X))
+        if memo is None or memo[0] is not schedule:
+            memo = (schedule, population_fingerprint(self.generator, X))
             self._store_fingerprints[key] = memo
-        return memo[2]
+        return memo[1]
 
     def _seed_from_store(self, key: str, X: np.ndarray,
                          cache: dict[int, Counterfactual | None]) -> None:
@@ -542,14 +526,6 @@ class AuditSession:
             # sharing; stays 0 without a store attached).
             "store_row_hits": self.store_row_hits,
         }
-        # Which hot-path kernel set the sweep's searches resolve to ("numpy"
-        # or "numba") — stamped into the BENCH_* trajectories so wall-time
-        # curves from different environments stay comparable.  Model-only
-        # sessions report the process-wide default.
-        stats["kernel_path"] = (
-            self.engine.kernel_path if self.engine is not None
-            else resolve_kernels(None).name
-        )
         # Pool utilization (executors created, busy workers, queue depth),
         # flattened so the BENCH_* trajectory points stay scalar-valued.
         for kind, metrics in self.pool.stats().items():

@@ -3,9 +3,9 @@
 Flags (a) bare ``except:`` that does not re-raise and (b) ``except
 Exception``/``BaseException`` handlers whose body is nothing but
 ``pass``/``continue``/``...``.  Handlers that return a fallback, log, or
-re-raise are deliberate degradation paths (the numba probes in
-``kernels.py`` return ``False``) and stay legal — the rule targets the
-handlers that erase the error entirely.
+re-raise are deliberate degradation paths (``_process_shard_spec`` in
+``engine.py`` returns ``None`` when a spec refuses to pickle) and stay
+legal — the rule targets the handlers that erase the error entirely.
 """
 
 from __future__ import annotations

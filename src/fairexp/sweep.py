@@ -3,15 +3,15 @@
 Every experiment in this repository used to be a hand-written ``run_eN``
 function.  This module replaces that idiom with a declarative one — an
 experiment is a :class:`SweepSpec` that *crosses* independent variables
-(:class:`Factor` levels: explainers, schedules, predict backends, kernel
-paths, model families, datasets) into an execution tree of
+(:class:`Factor` levels: explainers, schedules, predict backends, model
+families, datasets) into an execution tree of
 :class:`SweepCell` s, the factorial-``Design`` idiom of experiment
 orchestration frameworks.  The spec composes pieces that already exist
 elsewhere in the package instead of re-implementing them:
 
 * **Pruning** — the raw cross product usually contains infeasible cells
-  (a gradient-based explainer over a model without gradients, a numba
-  kernel path in a numpy-only environment).  :meth:`SweepSpec.plan`
+  (a gradient-based explainer over a model without gradients, a remote
+  backend for a model that does not export).  :meth:`SweepSpec.plan`
   partitions the raw product *exhaustively* into emitted
   :class:`SweepCell` s and :class:`PrunedCell` s: registry-backed factors
   are checked through :meth:`ExplainerRegistry.compatible`'s structured
@@ -198,7 +198,7 @@ class Factor:
     requires:
         Mapping ``label -> resource names`` that the spec's workload must
         provide (:attr:`SweepSpec.resources`) for the level to be feasible,
-        e.g. ``{"numba": ("numba",)}`` or ``{"remote": ("servable",)}``.
+        e.g. ``{"remote": ("servable",)}``.
     """
 
     name: str
@@ -294,8 +294,7 @@ class SweepSpec:
     resources:
         Free-form resource tokens the workload provides, checked against
         factor-level ``requires`` (e.g. ``"servable"`` — the model family
-        exports to a compute graph, so onnx/remote backends apply — or
-        ``"numba"`` when the compiled kernel path is importable).
+        exports to a compute graph, so onnx/remote backends apply).
     description:
         One line for ``fairexp sweep plan`` listings.
     """
@@ -745,8 +744,7 @@ def _fold_session_stats(sessions: list) -> dict[str, Any]:
     """Aggregate the tracked sessions' accounting into one flat dict.
 
     Numeric stats sum across sessions (predict calls, store hits, pool
-    gauges); string-valued ones (``kernel_path``) keep the last session's
-    value.  Cells that build no session (display items, mitigation) report
+    gauges); non-numeric ones keep the last session's value.  Cells that build no session (display items, mitigation) report
     zeros, which keeps the :class:`CellResult` schema uniform.
     """
     stats: dict[str, Any] = {

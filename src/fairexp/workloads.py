@@ -9,7 +9,7 @@ code serves both the fast benchmark configuration and larger runs.
 These are the *implementations* the declarative layer executes: every
 experiment id in :mod:`fairexp.experiments` is a
 :class:`~fairexp.sweep.SweepSpec` whose factors (explainer, schedule,
-predict backend, kernel path, model family, dataset) map onto keyword
+predict backend, model family, dataset) map onto keyword
 arguments of one of these functions, and whose defaults reproduce the
 historical single-configuration runs bit for bit.  Two sweep hooks thread
 through every workload:
@@ -219,7 +219,7 @@ def _experiment_store():
 
 
 def _session_for(dataset, train, model, *, seed=0, name="growing_spheres", n_jobs=1,
-                 schedule=None, executor="auto", predict_backend=None, kernels=None):
+                 schedule=None, executor="auto", predict_backend=None):
     """One shared-pass :class:`AuditSession` per workload: every audit of the
     workload draws counterfactuals and predictions from the same engine +
     backend, so overlapping populations are explained once — and, with
@@ -227,14 +227,12 @@ def _session_for(dataset, train, model, *, seed=0, name="growing_spheres", n_job
     :class:`~fairexp.explanations.SearchSchedule` or a name like
     ``"adaptive"``) selects the candidate-search schedule every audit of the
     sweep runs under; ``predict_backend`` (from :func:`_serving_backend`)
-    reroutes the sweep's predict batches out of process; ``kernels`` selects
-    the hot-path kernel implementation (exact tiers are bitwise-neutral;
-    ``"turbo"`` is tolerance-bound and fingerprint-visible); sharded passes
+    reroutes the sweep's predict batches out of process; sharded passes
     reuse the session's executor pool."""
     return track_session(
         AuditSession(_generator_for(dataset, train, model, seed=seed, name=name),
                      n_jobs=n_jobs, schedule=schedule, executor=executor,
-                     backend=predict_backend, kernels=kernels,
+                     backend=predict_backend,
                      store=_experiment_store())
     )
 
@@ -298,8 +296,7 @@ def run_table1() -> dict:
 def run_e1_e2_burden_nawb(n_samples: int = 600, audit_size: int = 80,
                           n_jobs: int = 1, schedule=None,
                           backend: str = "numpy",
-                          explainer: str = "growing_spheres",
-                          kernels=None) -> dict:
+                          explainer: str = "growing_spheres") -> dict:
     """Burden [72] and NAWB [73] on a biased vs. an unbiased loan model.
 
     Both explainers share one :class:`AuditSession` per workload: burden
@@ -312,9 +309,7 @@ def run_e1_e2_burden_nawb(n_samples: int = 600, audit_size: int = 80,
     ``benchmarks/test_bench_schedules.py``); ``backend`` selects where the
     predict batches run (``"onnx"`` = exported compute graph, ``"remote"``
     = loopback scoring server); ``explainer`` names the registered
-    counterfactual generator the shared session draws from; ``kernels``
-    picks the hot-path kernel implementation (exact tiers bitwise-neutral,
-    ``"turbo"`` tolerance-bound and fingerprint-visible).
+    counterfactual generator the shared session draws from.
     """
     results: dict[str, float] = {"predict_backend": backend}
     for label, direct_bias, recourse_gap in (("biased", 1.2, 1.0), ("fair", 0.0, 0.0)):
@@ -323,8 +318,8 @@ def run_e1_e2_burden_nawb(n_samples: int = 600, audit_size: int = 80,
         )
         with _serving_backend(model, backend) as predict_backend, \
                 _session_for(dataset, train, model, name=explainer, n_jobs=n_jobs,
-                             schedule=schedule, predict_backend=predict_backend,
-                             kernels=kernels) as session:
+                             schedule=schedule,
+                             predict_backend=predict_backend) as session:
             subset = test.subset(np.arange(min(audit_size, test.n_samples)))
             burden = BurdenExplainer(session=session).explain(subset.X,
                                                               subset.sensitive_values)

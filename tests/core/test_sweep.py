@@ -161,7 +161,7 @@ _GENERATOR_POOL = ("growing_spheres", "random_search", "gradient",
                    "not_a_registered_name")
 _MODEL_ATTRS = ("predict", "predict_proba", "gradient_input", "recommend_all", "rank")
 _DATA_PROVIDES = ("labels", "scm", "feature-specs")
-_RESOURCE_POOL = ("servable", "numba", "gpu")
+_RESOURCE_POOL = ("servable", "gpu", "disk")
 
 
 class _Model:
@@ -268,19 +268,6 @@ class TestDefaultSpecsPruning:
                         assert factor.capability in entry.capabilities
         for cell in plan.pruned:
             assert cell.reasons
-
-    def test_numba_cells_gated_on_availability(self):
-        from fairexp.explanations.kernels import numba_version
-
-        plan = SweepRegistry.get("E1/E2").plan()
-        numba_cells = [cell for cell in plan.emitted
-                       if ("kernels", "numba") in cell.assignment]
-        if numba_version() is None:
-            assert not numba_cells
-            assert any(("kernels", "numba") in cell.assignment
-                       for cell in plan.pruned)
-        else:
-            assert numba_cells
 
 
 class TestJournal:

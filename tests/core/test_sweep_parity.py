@@ -185,7 +185,7 @@ class TestStoreParity:
         result = run_sweep(
             ["E1/E2"],
             where={"explainer": ["growing_spheres"], "schedule": ["geometric"],
-                   "backend": ["numpy"], "kernels": ["default"]},
+                   "backend": ["numpy"]},
             overrides=reduced, store=sweep_store,
         )
         assert len(result.cells) == 1
@@ -202,7 +202,7 @@ class TestStoreParity:
         reduced = REDUCED["E1/E2"]
         selection = dict(
             where={"explainer": ["growing_spheres"], "schedule": ["geometric"],
-                   "backend": ["numpy"], "kernels": ["default"]},
+                   "backend": ["numpy"]},
             overrides=reduced, store=tmp_path / "store",
         )
         cold = run_sweep(["E1/E2"], **selection)

@@ -25,7 +25,7 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 SELECTION = {
     "where": {"explainer": ["growing_spheres", "random_search"],
               "schedule": ["geometric", "adaptive"],
-              "backend": ["numpy"], "kernels": ["default"]},
+              "backend": ["numpy"]},
     "overrides": {"n_samples": 300, "audit_size": 24},
 }
 
@@ -42,7 +42,7 @@ CRASH_SCRIPT = textwrap.dedent("""\
         ["E1/E2"],
         where={"explainer": ["growing_spheres", "random_search"],
                "schedule": ["geometric", "adaptive"],
-               "backend": ["numpy"], "kernels": ["default"]},
+               "backend": ["numpy"]},
         overrides={"n_samples": 300, "audit_size": 24},
         on_cell=crash_after_first,
     )

@@ -1,18 +1,14 @@
-"""Bitwise-parity, dispatch and integration tests for the hot-path kernels.
+"""Bitwise-parity and integration tests for the hot-path kernels.
 
 The contract of :mod:`fairexp.explanations.kernels` is exactness: every
-kernel reproduces the pre-kernel loop implementations bit for bit, and the
-numba fast path (when installed) reproduces the NumPy reference bit for bit
-on the workload families of every experiment (E1–E9).  The pre-kernel loops
-are kept verbatim in this module as the parity oracle.
+kernel reproduces the pre-kernel loop implementations bit for bit.  The
+pre-kernel loops are kept verbatim in this module as the parity oracle.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from fairexp.datasets import make_adult_like, make_loan_dataset, make_scm_loan_dataset
+from fairexp.datasets import make_loan_dataset
 from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     ActionabilityConstraints,
@@ -21,7 +17,6 @@ from fairexp.explanations import (
     GrowingSpheresCounterfactual,
     KernelSet,
     RandomSearchCounterfactual,
-    active_kernel_info,
     batch_counterfactual_distance,
     build_prefix_revert_trials,
     counterfactual_distance,
@@ -30,22 +25,9 @@ from fairexp.explanations import (
     rank_changed_features,
     resolve_kernels,
 )
-from fairexp.explanations import kernels as kernels_module
-from fairexp.explanations.engine import _process_shard_spec
-from fairexp.explanations.kernels import (
-    _NUMBA_SET,
-    _NUMPY_SET,
-    NUMBA_MAX_REDUCE_FEATURES,
-    numba_version,
-)
 from fairexp.models import LogisticRegression
 
-HAVE_NUMBA = numba_version() is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-KERNEL_SETS = [pytest.param(_NUMPY_SET, id="numpy"),
-               pytest.param(_NUMBA_SET, id="numba",
-                            marks=needs_numba)]
+KERNEL_SETS = [pytest.param(resolve_kernels(), id="numpy")]
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +104,7 @@ def rng():
 
 
 # --------------------------------------------------------------------------
-# Bitwise parity against the pre-kernel loops (both kernel sets).
+# Bitwise parity against the pre-kernel loops.
 # --------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
 class TestLegacyParity:
@@ -212,7 +194,7 @@ class TestLegacyParity:
 
 
 # --------------------------------------------------------------------------
-# Edge cases (both kernel sets).
+# Edge cases.
 # --------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
 class TestEdgeCases:
@@ -267,71 +249,27 @@ class TestEdgeCases:
 
 
 # --------------------------------------------------------------------------
-# Dispatch: env var, kernels= parameter, fallback, info.
+# Resolution: one NumPy kernel set, no choice.
 # --------------------------------------------------------------------------
 class TestDispatch:
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("FAIREXP_KERNELS", "numpy")
-        assert resolve_kernels(None).name == "numpy"
+    def test_one_numpy_set(self):
+        kernels = resolve_kernels()
+        assert isinstance(kernels, KernelSet)
+        assert kernels is resolve_kernels(None)
+        assert kernels.name == "numpy"
+        assert kernels.batch_counterfactual_distance is batch_counterfactual_distance
+        assert kernels.project_candidates is project_candidates
+        assert kernels.build_prefix_revert_trials is build_prefix_revert_trials
+        assert kernels.rank_changed_features is rank_changed_features
 
-    def test_explicit_choice_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("FAIREXP_KERNELS", "numba")
-        assert resolve_kernels("numpy") is _NUMPY_SET
-
-    def test_kernel_set_passes_through(self):
-        assert resolve_kernels(_NUMPY_SET) is _NUMPY_SET
-
-    def test_invalid_choice_raises(self, monkeypatch):
-        with pytest.raises(ValidationError, match="kernels must be one of"):
-            resolve_kernels("fortran")
-        monkeypatch.setenv("FAIREXP_KERNELS", "fortran")
-        with pytest.raises(ValidationError, match="kernels must be one of"):
-            resolve_kernels(None)
-
-    def test_auto_matches_numba_availability(self):
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert resolve_kernels("auto").name == expected
-
-    def test_numba_absent_falls_back_with_warning(self, monkeypatch):
-        # Simulate a numba-less environment even when numba is installed.
-        monkeypatch.setitem(kernels_module._NUMBA_STATE, "kernels", False)
-        monkeypatch.setattr(kernels_module, "_warned_numba_missing", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_kernels("numba") is _NUMPY_SET
-        # the warning fires once, not per search
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_kernels("numba") is _NUMPY_SET
-        assert resolve_kernels("auto") is _NUMPY_SET
-
-    def test_active_kernel_info_fields(self):
-        info = active_kernel_info("numpy")
-        assert info == {"kernel_path": "numpy", "kernel_tier": "exact",
-                        "kernel_numba_version": "numpy"}
-        auto = active_kernel_info()
-        assert auto["kernel_path"] in ("numpy", "numba")
-        assert auto["kernel_tier"] == "exact"  # auto never picks turbo
-
-    def test_module_level_kernels_accept_choice(self, rng):
-        X = rng.normal(size=(6, 4))
-        candidates = X + 1.0
-        assert np.array_equal(
-            batch_counterfactual_distance(X, candidates, kernels="numpy"),
-            np.full(6, 4.0))
-        projected = project_candidates(
-            X, candidates, immutable=np.ones(4, dtype=bool),
-            lower=np.full(4, -np.inf), upper=np.full(4, np.inf),
-            monotone=np.zeros(4, dtype=int), kernels="numpy")
-        assert np.array_equal(projected, X)
-        trials = build_prefix_revert_trials(candidates[0], X[0],
-                                            np.array([2, 0]), kernels="numpy")
-        assert trials.shape == (2, 4)
-        orders = rank_changed_features(X, candidates, np.ones(4), kernels="numpy")
-        assert all(len(order) == 4 for order in orders)
+    def test_invalid_choice_raises(self):
+        for choice in ("numpy", "numba", "turbo"):
+            with pytest.raises(ValidationError, match="one kernel set"):
+                resolve_kernels(choice)
 
 
 # --------------------------------------------------------------------------
-# Integration: counterfactual.py delegation, engine, session, shard specs.
+# Integration: counterfactual.py delegation, engine, session, the kernel seam.
 # --------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def loan_workload():
@@ -362,79 +300,30 @@ class TestIntegration:
         got = constraints.project(rejected[:, None, :], candidates)
         assert np.array_equal(got, expected)
 
-    def test_kernels_choice_is_bitwise_invariant_end_to_end(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        results = {}
-        for choice in (None, "numpy", "auto"):
-            generator = GrowingSpheresCounterfactual(
-                model, background, constraints=constraints, random_state=0)
-            engine = CounterfactualEngine(generator, kernels=choice)
-            results[choice] = engine.generate_aligned(rejected)
-        for choice in ("numpy", "auto"):
-            for a, b in zip(results[None], results[choice]):
-                if a is None or b is None:
-                    assert a is b
-                    continue
-                assert np.array_equal(a.counterfactual, b.counterfactual)
-                assert a.distance == b.distance
-
     def test_generator_config_excludes_kernel_choice(self, loan_workload):
         model, background, _, _ = loan_workload
-        plain = RandomSearchCounterfactual(model, background, random_state=0)
-        chosen = RandomSearchCounterfactual(model, background, random_state=0)
-        chosen.kernels = "numpy"
-        config_plain, config_chosen = generator_config(plain), generator_config(chosen)
-        assert "kernels" not in config_chosen
-        # values may be arrays / constraint dataclasses; repr equality is the
-        # same identity the store's fingerprint serialization sees
-        assert repr(config_plain) == repr(config_chosen)
-
-    def test_shard_spec_ships_resolved_kernel_name(self, loan_workload):
-        model, background, _, _ = loan_workload
         generator = RandomSearchCounterfactual(model, background, random_state=0)
-        generator.kernels = "numpy"
-        spec = _process_shard_spec(generator)
-        assert spec is not None
-        assert spec["kernels"] == "numpy"
-        # unset choice ships the resolved process-wide default
-        plain = RandomSearchCounterfactual(model, background, random_state=0)
-        assert _process_shard_spec(plain)["kernels"] == resolve_kernels(None).name
-
-    def test_engine_kernel_path_and_validation(self, loan_workload):
-        model, background, _, _ = loan_workload
-        generator = RandomSearchCounterfactual(model, background, random_state=0)
-        engine = CounterfactualEngine(generator, kernels="numpy")
-        assert engine.kernel_path == "numpy"
-        with pytest.raises(ValidationError, match="kernels must be one of"):
-            CounterfactualEngine(
-                RandomSearchCounterfactual(model, background, random_state=0),
-                kernels="cuda")
-
-    def test_session_reports_kernel_path(self, loan_workload):
-        model, background, _, rejected = loan_workload
-        generator = RandomSearchCounterfactual(model, background, random_state=0)
-        with AuditSession(generator, kernels="numpy") as session:
-            session.counterfactuals_for(rejected, range(3))
-            assert session.stats()["kernel_path"] == "numpy"
-        with AuditSession(model=model) as session:
-            assert session.stats()["kernel_path"] == resolve_kernels(None).name
+        assert not hasattr(generator, "kernels")
+        assert not any("kernel" in name for name in generator_config(generator))
 
     def test_model_only_session_rejects_kernels(self, loan_workload):
-        model, _, _, _ = loan_workload
-        with pytest.raises(ValidationError, match="kernels= requires a generator"):
+        model, background, _, _ = loan_workload
+        with pytest.raises(TypeError, match="kernels"):
             AuditSession(model=model, kernels="numpy")
+        generator = RandomSearchCounterfactual(model, background, random_state=0)
+        with pytest.raises(TypeError, match="kernels"):
+            CounterfactualEngine(generator, kernels="numpy")
 
     def test_process_sharded_search_matches_sequential(self, loan_workload):
         model, background, constraints, rejected = loan_workload
         sequential = CounterfactualEngine(
             GrowingSpheresCounterfactual(model, background,
                                          constraints=constraints, random_state=0),
-            kernels="numpy",
         ).generate_aligned(rejected)
         sharded = CounterfactualEngine(
             GrowingSpheresCounterfactual(model, background,
                                          constraints=constraints, random_state=0),
-            n_jobs=2, executor="process", kernels="numpy",
+            n_jobs=2, executor="process",
         ).generate_aligned(rejected)
         for a, b in zip(sequential, sharded):
             if a is None or b is None:
@@ -443,103 +332,28 @@ class TestIntegration:
             assert np.array_equal(a.counterfactual, b.counterfactual)
             assert a.distance == b.distance
 
+    def test_kernels_are_called_through_the_kernel_set(self, loan_workload,
+                                                       monkeypatch):
+        # A profiler times each kernel by patching the attributes of
+        # resolve_kernels(None); every call site must look them up there.
+        model, background, constraints, rejected = loan_workload
+        kernels = resolve_kernels(None)
+        calls = dict.fromkeys(("batch_counterfactual_distance", "project_candidates",
+                               "build_prefix_revert_trials", "rank_changed_features"), 0)
 
-# --------------------------------------------------------------------------
-# numpy vs numba parity on every experiment family's workload (E1–E9).
-# --------------------------------------------------------------------------
-def _family_workload(family):
-    """Representative (X_rows, candidates, constraints, scale) per E-family."""
-    if family in ("E1", "E2", "E4", "E5", "E7", "E8"):  # loan-model experiments
-        dataset = make_loan_dataset(300, direct_bias=1.2, recourse_gap=1.0,
-                                    random_state=0)
-    elif family in ("E3", "E9"):  # adult-like proxy-bias experiments
-        dataset = make_adult_like(300, direct_bias=1.2, proxy_bias=0.9,
-                                  random_state=0)
-    else:  # E6: SCM loan recourse
-        dataset, _ = make_scm_loan_dataset(300, random_state=0)
-    constraints = ActionabilityConstraints.from_feature_specs(dataset.features)
-    rng = np.random.default_rng(sum(map(ord, family)))
-    X_rows = dataset.X[rng.permutation(dataset.n_samples)[:40]]
-    candidates = X_rows + rng.normal(size=X_rows.shape) * (rng.random(X_rows.shape) < 0.7)
-    scale = np.std(dataset.X, axis=0)
-    return X_rows, candidates, constraints, scale
+        def counting(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            return wrapper
 
-
-@needs_numba
-@pytest.mark.parametrize("family", [f"E{i}" for i in range(1, 10)])
-class TestNumbaParityPerFamily:
-    def test_all_kernels_bitwise_equal(self, family):
-        X_rows, candidates, constraints, scale = _family_workload(family)
-        for metric in ("l1", "l2", "l0"):
-            assert np.array_equal(
-                _NUMPY_SET.batch_counterfactual_distance(
-                    X_rows, candidates, scale=scale, metric=metric),
-                _NUMBA_SET.batch_counterfactual_distance(
-                    X_rows, candidates, scale=scale, metric=metric))
-        wave = candidates[:, None, :] + np.linspace(-1, 1, 8)[None, :, None]
-        assert np.array_equal(
-            _NUMPY_SET.project_candidates(
-                X_rows[:, None, :], wave, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone),
-            _NUMBA_SET.project_candidates(
-                X_rows[:, None, :], wave, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone))
-        numpy_orders = _NUMPY_SET.rank_changed_features(X_rows, candidates, scale)
-        numba_orders = _NUMBA_SET.rank_changed_features(X_rows, candidates, scale)
-        for a, b in zip(numpy_orders, numba_orders):
-            assert np.array_equal(a, b)
-        for k, order in enumerate(numpy_orders):
-            if not len(order):
-                continue
-            assert np.array_equal(
-                _NUMPY_SET.build_prefix_revert_trials(candidates[k], X_rows[k], order),
-                _NUMBA_SET.build_prefix_revert_trials(candidates[k], X_rows[k], order))
-
-    def test_search_results_bitwise_equal_across_kernel_sets(self, family):
-        X_rows, candidates, constraints, scale = _family_workload(family)
-        dataset_X = X_rows
-        y = (dataset_X[:, 0] > np.median(dataset_X[:, 0])).astype(int)
-        model = LogisticRegression(n_iter=400, random_state=0).fit(dataset_X, y)
-        rejected = dataset_X[model.predict(dataset_X) == 0][:6]
-        if rejected.shape[0] == 0:
-            pytest.skip("family workload produced no rejected rows")
-        results = {}
-        for choice in ("numpy", "numba"):
-            generator = GrowingSpheresCounterfactual(
-                model, dataset_X, constraints=constraints, random_state=0)
-            engine = CounterfactualEngine(generator, kernels=choice)
-            results[choice] = engine.generate_aligned(rejected)
-        for a, b in zip(results["numpy"], results["numba"]):
-            if a is None or b is None:
-                assert a is b
-                continue
-            assert np.array_equal(a.counterfactual, b.counterfactual)
-            assert a.distance == b.distance
-
-
-@needs_numba
-class TestNumbaSpecifics:
-    def test_wide_rows_defer_to_numpy_reduction(self, rng):
-        d = NUMBA_MAX_REDUCE_FEATURES + 5
-        X = rng.normal(size=(10, d))
-        candidates = X + rng.normal(size=(10, d))
-        expected = np.array([legacy_distance(x, c) for x, c in zip(X, candidates)])
-        assert np.array_equal(
-            _NUMBA_SET.batch_counterfactual_distance(X, candidates), expected)
-
-    def test_exotic_projection_shape_falls_back(self, rng):
-        # 4-D stacks are not hot-path shapes; numba defers to the reference.
-        candidates = rng.normal(size=(2, 3, 4, 5))
-        x = rng.normal(size=5)
-        constraints = _random_constraints(rng, 5)
-        assert np.array_equal(
-            _NUMBA_SET.project_candidates(
-                x, candidates, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone),
-            _NUMPY_SET.project_candidates(
-                x, candidates, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone))
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+        generator = GrowingSpheresCounterfactual(
+            model, background, constraints=constraints, random_state=0)
+        results = generator.generate_batch_aligned(rejected)
+        assert any(result is not None for result in results)
+        assert all(count > 0 for count in calls.values()), calls
+        before = calls["batch_counterfactual_distance"]
+        counterfactual_distance(rejected[0], rejected[1])
+        assert calls["batch_counterfactual_distance"] == before + 1

@@ -541,3 +541,40 @@ class TestSessionLifecycleAndEviction:
         assert np.array_equal(first, second)
         assert session.predict_call_count == 1
         assert session.cache_hit_count == 1
+
+
+class TestSessionInputContract:
+    """Row indices follow NumPy's convention and are checked at the boundary."""
+
+    @pytest.fixture
+    def population(self, loan_data, loan_model, loan_cf_generator):
+        _, train, test = loan_data
+        X = test.X[:50]
+        generator = _generator(GrowingSpheresCounterfactual, train, loan_model,
+                               loan_cf_generator.constraints)
+        return generator, X
+
+    def test_negative_index_names_the_same_row(self, population, tmp_path):
+        generator, X = population
+        with AuditSession(generator, store=tmp_path) as session:
+            first = session.counterfactuals_for(X, [-1])
+            second = session.counterfactuals_for(X, [49])
+            assert session.result_reuse_count == 1  # served from cache
+            assert set(first) <= {49} and set(second) <= {49}
+            assert set(first) == set(second)
+            stored = [session.store.load(fingerprint)
+                      for fingerprint in session.store.entries()]
+        assert stored
+        assert all(row >= 0 for rows in stored for row in rows)
+        assert all(set(rows) == {49} for rows in stored)
+
+    @pytest.mark.parametrize("bad", [[55], [50], [-51], [3, 55]])
+    def test_out_of_range_index_raises_before_any_state(self, population, tmp_path,
+                                                        bad):
+        generator, X = population
+        with AuditSession(generator, store=tmp_path) as session:
+            with pytest.raises(ValidationError, match=r"\[-50, 50\)"):
+                session.counterfactuals_for(X, bad)
+            assert session.stats()["n_populations"] == 0
+            assert session.store.entries() == []
+            assert session.predict_call_count == 0

@@ -20,9 +20,12 @@ from fairexp.datasets import make_loan_dataset
 from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
+    BatchModelAdapter,
     Counterfactual,
     CounterfactualStore,
     GrowingSpheresCounterfactual,
+    RemoteScoringBackend,
+    export_model,
     model_signature,
     population_fingerprint,
 )
@@ -858,3 +861,60 @@ class TestExplicitEviction:
         assert store.entries() == ["c" * 64, "d" * 64]  # oldest two evicted
         assert store.evict(max_bytes=0) == 2
         assert store.entries() == []
+
+
+class TestRemoteBackendFingerprint:
+    """A remote backend keys the store by its graph's content hash, never by
+    the (ephemeral) server endpoint; without a graph it bypasses the store."""
+
+    @pytest.fixture(scope="class")
+    def remote_workload(self, loan_workload):
+        _, train, subset, model, constraints = loan_workload
+        rejected = subset.X[model.predict(subset.X) == 0][:12]
+        return model, train.X, constraints, rejected
+
+    def test_graph_routed_remote_backend_is_store_addressable(self, remote_workload):
+        model, background, constraints, rejected = remote_workload
+        graph = export_model(model)
+
+        def fingerprint_at(url):
+            backend = RemoteScoringBackend(url, graph=graph)
+            adapted = BatchModelAdapter(model, backend=backend, cache=False)
+            generator = GrowingSpheresCounterfactual(
+                adapted, background, constraints=constraints, random_state=0)
+            return population_fingerprint(generator, rejected)
+
+        # same graph behind two (never-contacted) endpoints: same identity
+        first = fingerprint_at("http://127.0.0.1:9001")
+        second = fingerprint_at("http://127.0.0.1:9002")
+        assert first is not None
+        assert first == second
+        # ...and distinct from the in-process dispatch over the same model
+        in_process = population_fingerprint(
+            GrowingSpheresCounterfactual(model, background,
+                                         constraints=constraints, random_state=0),
+            rejected)
+        assert first != in_process
+
+    def test_graphless_remote_backend_skips_the_store(self, remote_workload):
+        model, background, constraints, rejected = remote_workload
+        backend = RemoteScoringBackend("http://127.0.0.1:9003")
+        adapted = BatchModelAdapter(model, backend=backend, cache=False)
+        generator = GrowingSpheresCounterfactual(
+            adapted, background, constraints=constraints, random_state=0)
+        assert population_fingerprint(generator, rejected) is None
+
+    def test_different_graphs_key_apart(self, remote_workload):
+        model, background, constraints, rejected = remote_workload
+        other = LogisticRegression(n_iter=400, random_state=3).fit(
+            background, (background[:, 0] > np.median(background[:, 0])).astype(int))
+
+        def fingerprint_for(graph_model):
+            backend = RemoteScoringBackend("http://127.0.0.1:9004",
+                                           graph=export_model(graph_model))
+            adapted = BatchModelAdapter(model, backend=backend, cache=False)
+            generator = GrowingSpheresCounterfactual(
+                adapted, background, constraints=constraints, random_state=0)
+            return population_fingerprint(generator, rejected)
+
+        assert fingerprint_for(model) != fingerprint_for(other)

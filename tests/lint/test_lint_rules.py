@@ -178,9 +178,8 @@ class TestFX004SwallowedExcept:
         """) == []
 
     def test_quiet_fallback_clean(self):
-        # The numba-probe shape from kernels.py: a broad except that
-        # RETURNS a fallback is a deliberate degradation path, not a
-        # swallow.
+        # An optional-dependency probe: a broad except that RETURNS a
+        # fallback is a deliberate degradation path, not a swallow.
         assert codes("""
             def numba_version():
                 try:
