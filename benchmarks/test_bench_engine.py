@@ -1,9 +1,9 @@
 """Batched counterfactual engine: predict-call reduction on the E1/E2 workload.
 
-Verifies the engine acceptance criterion: with a fixed ``random_state`` the
-engine-backed ``generate_batch`` produces the same counterfactuals as the
-sequential per-instance path on the E1/E2 burden workload while issuing at
-least 5x fewer ``model.predict`` calls (counted by
+Verifies the engine acceptance criterion: with a fixed ``random_state`` one
+``generate_batch_aligned`` call over the E1/E2 burden workload produces the
+same counterfactuals as calling ``generate`` row by row (each call a one-row
+batch) while issuing at least 5x fewer ``model.predict`` calls (counted by
 :class:`~fairexp.explanations.BatchModelAdapter`).
 """
 
@@ -34,7 +34,7 @@ def _burden_workload(n_samples=600, audit_size=80):
 def test_engine_matches_sequential_with_fewer_predict_calls(benchmark):
     model, train, constraints, rejected = _burden_workload()
 
-    # Sequential per-instance path (the seed implementation's access pattern).
+    # Row-by-row access pattern: one generate call (a one-row batch) per row.
     sequential_adapter = BatchModelAdapter(model, cache=False)
     sequential_generator = GrowingSpheresCounterfactual(
         sequential_adapter, train.X, constraints=constraints, random_state=0
@@ -70,7 +70,7 @@ def test_engine_matches_sequential_with_fewer_predict_calls(benchmark):
 
 
 def test_registered_generators_reduce_predict_calls(benchmark):
-    """Every registered generator's batch kernel beats its sequential path."""
+    """Every registered generator's batch search beats row-by-row calls."""
     model, train, constraints, rejected = _burden_workload(n_samples=400, audit_size=40)
     reductions = {}
 

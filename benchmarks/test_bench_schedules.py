@@ -7,9 +7,11 @@ Two claims are asserted on the E1 benchmark sweep:
   than :class:`~fairexp.explanations.GeometricSchedule`, while the audit's
   qualitative shape claims (burden gap, NAWB gap on the biased model) still
   hold;
-* :class:`~fairexp.explanations.GeometricSchedule` remains **bitwise-equal**
-  to the pre-refactor fixed widening under fixed seeds (checked against the
-  sequential per-instance path, which still hard-codes the fixed ladder).
+* :class:`~fairexp.explanations.GeometricSchedule` keeps a row's result
+  **bitwise-equal** whether it is searched alone (``generate``, a one-row
+  batch) or with the whole population under fixed seeds.  The check
+  against the per-instance fixed-ladder oracle lives in
+  ``tests/explanations/test_schedules.py``.
 
 Both schedules' call/step/draw counts are recorded into
 ``BENCH_SCHEDULES.json`` so the trajectory tracks the adaptive win.
@@ -72,7 +74,7 @@ def test_adaptive_schedule_fewer_predict_calls_on_e1(benchmark):
 
 
 def test_geometric_schedule_bitwise_equal_to_fixed_ladder(benchmark):
-    """The default schedule reproduces the pre-refactor search exactly."""
+    """The default schedule gives each row the same result alone or batched."""
     dataset = make_loan_dataset(600, direct_bias=1.2, recourse_gap=1.0,
                                 random_state=0)
     train, test = dataset.split(test_size=0.3, random_state=1)

@@ -9,10 +9,6 @@ server hosting THREE exported compute graphs at once:
   client-side coalescing factor are recorded, and every session's
   counterfactuals AND predict-row accounting are bitwise/exactly equal to
   its in-process twin's;
-* **Dynamic window**: N = 4 concurrent sessions with ``window="auto"``
-  coalesce at least as well as the same sessions under the fixed default
-  window — the EWMA window never undershoots the fixed baseline's bound,
-  so the adaptive mode is a pure win at this concurrency;
 * **Shed/retry accounting**: a server wedged down to ``max_inflight=1``
   sheds concurrent batches; the clients' bounded retry ladders land every
   batch eventually and per-session row accounting still sums exactly —
@@ -47,7 +43,6 @@ from fairexp.models import (
 N_FLEET_SESSIONS = 210          # sustained-load sessions (>= 200, 70/graph)
 N_WORKERS = 24                  # concurrently live sessions at any moment
 ROWS_PER_SESSION = 1            # tiny populations keep the run minutes-free
-N_WINDOW_SESSIONS = 4           # the dynamic-vs-fixed window comparison
 
 
 def _fleet_workload(n_samples=600):
@@ -127,7 +122,7 @@ def test_sustained_fleet_load_routes_and_accounts_exactly(benchmark):
     references = _reference_runs(train, constraints, models, plan)
 
     with serve_fleet(graphs) as server:
-        client = CoalescingScoringClient(server.url, window="auto")
+        client = CoalescingScoringClient(server.url)
 
         def sustained_run():
             outputs = [None] * N_FLEET_SESSIONS
@@ -186,80 +181,6 @@ def test_sustained_fleet_load_routes_and_accounts_exactly(benchmark):
         "retry_count": client.retry_count,
         "server_peak_inflight": server_stats["peak_inflight"],
     }, experiment="SERVING_FLEET")
-
-
-def _window_run(train, model, constraints, populations, url, window):
-    """N_WINDOW_SESSIONS barrier-synced concurrent sessions through one
-    client with the given window; returns the client and per-session rows."""
-    client = CoalescingScoringClient(url, window=window)
-    outputs = [None] * N_WINDOW_SESSIONS
-    rows = [0] * N_WINDOW_SESSIONS
-    barrier = threading.Barrier(N_WINDOW_SESSIONS)
-
-    def run(k):
-        backend = RemoteScoringBackend(client)
-        barrier.wait(timeout=30)
-        try:
-            outputs[k], rows[k] = _run_session(train, model, constraints,
-                                               populations[k], backend)
-        finally:
-            backend.close()
-
-    threads = [threading.Thread(target=run, args=(k,))
-               for k in range(N_WINDOW_SESSIONS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=300)
-    return client, outputs, rows
-
-
-def test_dynamic_window_coalesces_at_least_as_well_as_fixed(benchmark):
-    """N = 4 concurrent sessions: the EWMA window (clamped to never dip
-    below the fixed baseline) must coalesce at least as many caller batches
-    per wire call as the fixed 0.02s default."""
-    train, constraints, models, graphs, rejected = _fleet_workload()
-    model, graph = models[0], graphs[0]
-    populations = [rejected[0][k * 4:(k + 1) * 4]
-                   for k in range(N_WINDOW_SESSIONS)]
-
-    def factor(client):
-        batches = client.wire_call_count + client.coalesced_count
-        return batches / max(client.wire_call_count, 1)
-
-    with serve_fleet([graph]) as server:
-        fixed_client, fixed_outputs, fixed_rows = _window_run(
-            train, model, constraints, populations, server.url, 0.02)
-        dynamic_run = benchmark.pedantic(
-            lambda: _window_run(train, model, constraints, populations,
-                                server.url, "auto"),
-            rounds=1, iterations=1)
-        dynamic_client, dynamic_outputs, dynamic_rows = dynamic_run
-
-    # Same audits either way: identical results and identical accounting.
-    assert dynamic_rows == fixed_rows
-    for k in range(N_WINDOW_SESSIONS):
-        assert set(dynamic_outputs[k]) == set(fixed_outputs[k])
-        for i in fixed_outputs[k]:
-            assert np.array_equal(dynamic_outputs[k][i].counterfactual,
-                                  fixed_outputs[k][i].counterfactual)
-
-    fixed_factor, dynamic_factor = factor(fixed_client), factor(dynamic_client)
-    assert dynamic_client.coalesced_count > 0
-    assert dynamic_factor >= fixed_factor, (
-        f"dynamic window coalesced {dynamic_factor:.2f} batches/wire call, "
-        f"fixed window {fixed_factor:.2f}"
-    )
-
-    record(benchmark, {
-        "n_sessions": N_WINDOW_SESSIONS,
-        "fixed_window_seconds": 0.02,
-        "fixed_wire_calls": fixed_client.wire_call_count,
-        "fixed_coalescing_factor": fixed_factor,
-        "dynamic_wire_calls": dynamic_client.wire_call_count,
-        "dynamic_coalescing_factor": dynamic_factor,
-        "dynamic_final_window": dynamic_client.current_window(),
-    }, experiment="SERVING_FLEET_WINDOW")
 
 
 def test_shed_retry_keeps_per_session_rows_exact(benchmark):

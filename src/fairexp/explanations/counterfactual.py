@@ -29,7 +29,6 @@ import numpy as np
 
 from ..datasets.schema import FeatureSpec
 from ..exceptions import InfeasibleRecourseError, ValidationError
-from ..utils import check_random_state
 from .base import Counterfactual, ExplainerInfo, ExplainerRegistry
 from .engine import greedy_sparsify_batch, lockstep_candidate_search
 from .kernels import resolve_kernels
@@ -167,9 +166,7 @@ class BaseCounterfactualGenerator:
         reproduces the historical fixed widening bitwise-exactly.  The
         schedule is part of the search configuration: it is introspected by
         ``generator_config`` and therefore folded into store fingerprints.
-        (The sequential :meth:`generate` reference path always walks the
-        full fixed ladder; generators without a rung ladder — gradient
-        ascent — ignore the schedule.)
+        (Generators without a rung ladder — gradient ascent — ignore it.)
 
     Attributes
     ----------
@@ -275,43 +272,36 @@ class BaseCounterfactualGenerator:
             ))
         return results
 
-    def _make_result(self, x: np.ndarray, candidate: np.ndarray) -> Counterfactual:
-        return self._make_results_batch(
-            np.asarray(x, dtype=float)[None, :], np.asarray(candidate, dtype=float)[None, :]
-        )[0]
-
-    def _sparsify(self, x: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-        """Greedily revert changed features back to their original value while
-        the counterfactual still reaches the target class.
-
-        The greedy semantics of the original one-predict-per-feature loop are
-        preserved, but all revert trials of a speculation round are evaluated
-        in a single batched predict (see :func:`greedy_sparsify_batch`).
-        """
-        return greedy_sparsify_batch(
-            self, np.asarray(x, dtype=float)[None, :],
-            np.asarray(candidate, dtype=float)[None, :],
-        )[0]
+    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
+        """Candidate matrix for ``x`` at rung ``step`` of :meth:`draw_schedule`."""
+        raise NotImplementedError
 
     def generate(self, x: np.ndarray) -> Counterfactual:
-        """Return one counterfactual for ``x``; raises if none is found."""
-        raise NotImplementedError
+        """Return one counterfactual for ``x``; raises if none is found.
+
+        This is :meth:`generate_batch_aligned` on a one-row batch.  Every
+        row searches on its own freshly seeded random stream, so with an
+        integer ``random_state`` the result equals the row's result in any
+        batch that contains it.
+        """
+        result = self.generate_batch_aligned(np.asarray(x, dtype=float).reshape(1, -1))[0]
+        if result is None:
+            raise InfeasibleRecourseError(
+                f"{type(self).__name__} found no counterfactual within its search budget"
+            )
+        return result
 
     def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
         """Counterfactuals for every row of ``X``, aligned with the rows.
 
-        Rows whose search budget is exhausted map to ``None``.  Subclasses
-        with a vectorized cross-instance kernel override this; the fallback
-        simply loops :meth:`generate`.
+        Rows whose search budget is exhausted map to ``None``.  The default
+        is the cross-instance lockstep search over the :meth:`draw_schedule`
+        ladder, probing rungs in the order this generator's ``schedule``
+        plans; generators without a ladder override it.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        results: list[Counterfactual | None] = []
-        for i in range(X.shape[0]):
-            try:
-                results.append(self.generate(X[i]))
-            except InfeasibleRecourseError:
-                results.append(None)
-        return results
+        return lockstep_candidate_search(self, X, self._draw,
+                                         len(self.draw_schedule()),
+                                         schedule=self.schedule)
 
     def generate_batch(self, X: np.ndarray, *, skip_failures: bool = True) -> list[Counterfactual]:
         """Generate counterfactuals for many instances.
@@ -348,47 +338,15 @@ class RandomSearchCounterfactual(BaseCounterfactualGenerator):
         self.max_radius = max_radius
         self.n_radii = n_radii
 
-    def _radii(self) -> np.ndarray:
-        return np.linspace(self.max_radius / self.n_radii, self.max_radius, self.n_radii)
-
     def draw_schedule(self) -> list[float]:
         """The rung ladder: one Gaussian radius per search step, smallest first."""
-        return [float(radius) for radius in self._radii()]
+        radii = np.linspace(self.max_radius / self.n_radii, self.max_radius, self.n_radii)
+        return [float(radius) for radius in radii]
 
     def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        noise = rng.normal(0.0, self._radii()[step], (self.n_samples, x.shape[0])) * self.scale_
+        radius = self.draw_schedule()[step]
+        noise = rng.normal(0.0, radius, (self.n_samples, x.shape[0])) * self.scale_
         return x[None, :] + noise
-
-    def generate(self, x: np.ndarray) -> Counterfactual:
-        """One counterfactual for ``x`` via widening rejection sampling.
-
-        This sequential reference path always walks the full fixed ladder
-        (rung 0, 1, 2, …); the pluggable ``schedule`` only drives the
-        batched :meth:`generate_batch_aligned` search.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        rng = check_random_state(self.random_state)
-        for step in range(len(self.draw_schedule())):
-            candidates = self.constraints.project(x, self._draw(rng, x, step))
-            predictions = self._predict(candidates)
-            hits = np.flatnonzero(predictions == self.target_class)
-            if hits.size == 0:
-                continue
-            distances = resolve_kernels().batch_counterfactual_distance(
-                x, candidates[hits], scale=self.scale_, metric=self.metric,
-            )
-            best = candidates[hits[np.argmin(distances)]]
-            best = self._sparsify(x, best)
-            return self._make_result(x, best)
-        raise InfeasibleRecourseError("random search found no counterfactual within the radius")
-
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
-        """Row-aligned counterfactuals via the cross-instance lockstep kernel,
-        probing the radius ladder in the order this generator's ``schedule``
-        plans."""
-        return lockstep_candidate_search(self, X, self._draw,
-                                         len(self.draw_schedule()),
-                                         schedule=self.schedule)
 
 
 @ExplainerRegistry.register("growing_spheres", capabilities=("counterfactual-generator",),
@@ -405,9 +363,9 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
         self.growth = growth
         self.max_shells = max_shells
 
-    def _shell_schedule(self) -> list[tuple[float, float]]:
-        """(inner, outer) radii of every shell, accumulated iteratively so the
-        sequential and batched paths see bit-identical bounds."""
+    def draw_schedule(self) -> list[tuple[float, float]]:
+        """The rung ladder: one ``(inner, outer)`` shell per search step,
+        innermost first (radii accumulated iteratively)."""
         schedule = []
         inner, outer = 0.0, self.initial_radius
         for _ in range(self.max_shells):
@@ -415,51 +373,12 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
             inner, outer = outer, outer * self.growth
         return schedule
 
-    def draw_schedule(self) -> list[tuple[float, float]]:
-        """The rung ladder: one ``(inner, outer)`` shell per search step,
-        innermost first."""
-        return self._shell_schedule()
-
-    def _sample_shell(self, rng, x, inner: float, outer: float) -> np.ndarray:
-        n_features = x.shape[0]
-        directions = rng.normal(size=(self.n_samples_per_shell, n_features))
+    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
+        inner, outer = self.draw_schedule()[step]
+        directions = rng.normal(size=(self.n_samples_per_shell, x.shape[0]))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True) + 1e-12
         radii = rng.uniform(inner, outer, self.n_samples_per_shell)
         return x[None, :] + directions * radii[:, None] * self.scale_
-
-    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        inner, outer = self._shell_schedule()[step]
-        return self._sample_shell(rng, x, inner, outer)
-
-    def generate(self, x: np.ndarray) -> Counterfactual:
-        """One counterfactual for ``x`` via expanding L2 shells.
-
-        This sequential reference path always walks the full fixed ladder
-        (innermost shell outward); the pluggable ``schedule`` only drives
-        the batched :meth:`generate_batch_aligned` search.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        rng = check_random_state(self.random_state)
-        for step in range(len(self.draw_schedule())):
-            candidates = self.constraints.project(x, self._draw(rng, x, step))
-            predictions = self._predict(candidates)
-            hits = np.flatnonzero(predictions == self.target_class)
-            if hits.size > 0:
-                distances = resolve_kernels().batch_counterfactual_distance(
-                    x, candidates[hits], scale=self.scale_, metric=self.metric,
-                )
-                best = candidates[hits[np.argmin(distances)]]
-                best = self._sparsify(x, best)
-                return self._make_result(x, best)
-        raise InfeasibleRecourseError("growing spheres exhausted the search radius")
-
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
-        """Row-aligned counterfactuals via the cross-instance lockstep kernel,
-        probing the shell ladder in the order this generator's ``schedule``
-        plans."""
-        return lockstep_candidate_search(self, X, self._draw,
-                                         len(self.draw_schedule()),
-                                         schedule=self.schedule)
 
 
 @ExplainerRegistry.register(
@@ -498,27 +417,6 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
         background_predictions = self._predict(self.background)
         target_rows = self.background[background_predictions == self.target_class]
         return target_rows.mean(axis=0) if target_rows.shape[0] else self.background.mean(axis=0)
-
-    def generate(self, x: np.ndarray) -> Counterfactual:
-        """One counterfactual for ``x`` via gradient ascent on the target class."""
-        x = np.asarray(x, dtype=float).ravel()
-        candidate = x.copy()
-        sign = 1.0 if self.target_class == 1 else -1.0
-        anchor = self._anchor()
-        for _ in range(self.max_iter):
-            if int(self._predict(candidate)[0]) == self.target_class:
-                candidate = self._sparsify(x, candidate)
-                return self._make_result(x, candidate)
-            gradient = np.asarray(self.model.gradient_input(candidate[None, :]))[0]
-            step = sign * self.step_size * gradient * self.scale_**2
-            norm = np.linalg.norm(step / self.scale_)
-            if norm < 1e-4:
-                # Plateau: move a fixed fraction of the way toward the anchor.
-                step = 0.2 * (anchor - candidate)
-            candidate = self.constraints.project(x, candidate + step)
-        if int(self._predict(candidate)[0]) == self.target_class:
-            return self._make_result(x, candidate)
-        raise InfeasibleRecourseError("gradient search did not cross the decision boundary")
 
     def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
         """Cross-instance gradient ascent: all still-unsolved instances share

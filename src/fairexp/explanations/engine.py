@@ -22,11 +22,12 @@ One layer up, :class:`~fairexp.explanations.session.AuditSession` owns one
 adapter + engine pair and shares each population's counterfactual matrix
 across every audit that requests it (session → engine → backend).
 
-With an integer ``random_state`` the engine path reproduces the sequential
-per-instance path exactly: every instance consumes its own freshly seeded
-random stream in the same order the sequential search would, and only the
-model evaluations are batched across instances.  For the sampling-based
-generators the results are bitwise-identical; for gradient ascent they agree
+These batched searches are the generators' only search path: a
+generator's ``generate(x)`` is ``generate_batch_aligned(x[None])[0]``.  With
+an integer ``random_state`` every instance consumes its own freshly seeded
+random stream, and only the model evaluations are batched across instances,
+so a row's result does not depend on the batch it is searched in.  For the
+sampling-based generators that holds bitwise; for gradient ascent it holds
 up to the floating-point associativity of the backing BLAS (single-row vs.
 batched mat-vec products can differ in the last ulp, which a long gradient
 trajectory amplifies to ~1e-13).
@@ -179,9 +180,9 @@ class BatchModelAdapter:
 
 def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
                           ) -> np.ndarray:
-    """Batched greedy sparsification, exactly equivalent to the sequential loop.
+    """Batched greedy sparsification, exactly equivalent to the per-feature loop.
 
-    The sequential ``_sparsify`` walks a candidate's changed features in order
+    The greedy loop walks a candidate's changed features in order
     of increasing scaled magnitude and reverts each one whose revert keeps the
     target class — one single-row ``model.predict`` per feature.  This kernel
     keeps the *identical* greedy semantics while batching the model work:
@@ -205,8 +206,8 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
     n_rows = candidates.shape[0]
     n_features = candidates.shape[1] if candidates.ndim == 2 else 0
 
-    # Greedy order per instance, fixed once from the initial candidate (this is
-    # what the sequential implementation does as well).
+    # Greedy order per instance, fixed once from the initial candidate (as
+    # the per-feature greedy loop does).
     orders: list[list[int]] = [
         [int(j) for j in ranked]
         for ranked in kernel_set.rank_changed_features(X_rows, candidates,

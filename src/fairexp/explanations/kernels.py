@@ -120,7 +120,7 @@ def build_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:
     """One instance's cumulative prefix-revert trial matrix, one allocation.
 
     Row ``j`` is ``candidate`` with features ``order[:j + 1]`` reverted to
-    ``x_row``'s values — exactly the chain the sequential sparsifier builds
+    ``x_row``'s values — exactly the chain the per-feature greedy loop builds
     with one ``trial.copy()`` per feature.  ``out`` (shape
     ``(len(order), d)``) avoids even the single allocation when the caller
     stacks trials itself.

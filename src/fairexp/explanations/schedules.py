@@ -87,8 +87,9 @@ class GeometricSchedule(SearchSchedule):
     stops at its first hit.  This reproduces the pre-schedule search
     bitwise: identical random-stream consumption, identical predict
     batches, identical chosen candidates (asserted in
-    ``tests/explanations/test_schedules.py`` against the sequential
-    per-instance path, across thread and process executors).
+    ``tests/explanations/test_schedules.py`` against the per-instance
+    oracle loop kept in ``tests/explanations/sequential_oracles.py``,
+    across thread and process executors).
     """
 
     def begin(self, n_steps: int):

@@ -29,15 +29,13 @@ the two real out-of-process backends the ROADMAP asks for:
   accounting is folded back into its own backend only after the dispatch
   succeeds — N concurrent sessions issue strictly fewer wire calls than N
   independent ones (asserted in ``benchmarks/test_bench_serving.py`` and
-  ``benchmarks/test_bench_serving_fleet.py``).  The window is either a
-  fixed number of seconds or ``"auto"``: an EWMA of observed
-  inter-arrival times per graph, clamped to configurable bounds, so a
-  busy lane dispatches quickly and a sparse one waits longer for peers.
+  ``benchmarks/test_bench_serving_fleet.py``).  The window is a fixed
+  number of seconds.
 
 Sustained overload degrades gracefully instead of queueing without bound:
-the server tracks its in-flight batch count and, past ``max_inflight``,
-answers new batches with a fast ``429`` *shed* reply that the client turns
-into a bounded retry-with-backoff — rows are only counted after a dispatch
+the server tracks its admission load and, past ``max_inflight``, answers
+new batches with a fast ``429`` *shed* reply that the client turns into a
+bounded retry-with-backoff — rows are only counted after a dispatch
 finally succeeds, so shed-then-retry never skews session accounting.
 
 The wire format is deliberately boring: ``POST /score`` with a raw ``.npy``
@@ -420,8 +418,8 @@ def _decode_array(blob: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Scoring server
 # ---------------------------------------------------------------------------
-@guard_counters("request_count", "row_count", "shed_count", "pool_shed_count",
-                "peak_inflight", "_inflight")
+@guard_counters("request_count", "row_count", "shed_count", "peak_inflight",
+                "_inflight")
 class ScoringServer:
     """Loopback HTTP scoring server hosting a fleet of scorers.
 
@@ -442,26 +440,21 @@ class ScoringServer:
     scorer also accepts header-less requests (the single-graph wire shape
     of earlier releases); a fleet rejects them with ``400``.
 
-    **Admission control.**  ``max_inflight`` bounds concurrently admitted
-    ``/score`` batches.  Past the bound, new batches get a fast ``429``
-    reply with a ``Retry-After`` hint instead of deepening the queue — the
-    client's bounded retry-with-backoff (see
-    :class:`CoalescingScoringClient`) turns sustained overload into higher
-    latency rather than unbounded server memory growth.  ``None`` (the
-    default) disables shedding.
+    **Admission control.**  ``max_inflight`` is the one admission bound.
+    Past it, new batches get a fast ``429`` reply with a ``Retry-After``
+    hint instead of deepening the queue — the client's bounded
+    retry-with-backoff (see :class:`CoalescingScoringClient`) turns
+    sustained overload into higher latency rather than unbounded server
+    memory growth.  ``None`` (the default) disables shedding.
 
     With ``pool=`` (an :class:`~fairexp.explanations.pool.ExecutorPool`)
     scorer evaluation runs on the pool's thread executor instead of the
     request thread, so busy-worker / queue-depth numbers show up in the
-    pool's (and this server's) stats.  ``max_pending`` then adds a second
-    shed condition on the pool itself: a batch is refused (same fast 429)
-    whenever the attached pool's thread queue depth
-    (:meth:`ExecutorPool.pending`) has reached the bound — the in-flight
-    gauge counts batches *this server* admitted, while ``pending()`` sees
-    the whole queue, including work other holders of a shared pool
-    submitted, so a saturated scorer pool sheds even when few requests are
-    formally in flight.  Pool-depth sheds are booked separately as
-    ``pool_shed`` in :meth:`stats`.
+    pool's (and this server's) stats.  The load checked against
+    ``max_inflight`` is then the larger of the batches this server admitted
+    and the pool's thread queue depth (:meth:`ExecutorPool.pending`), which
+    also counts work other holders of a shared pool submitted — a saturated
+    scorer pool sheds even when few requests are formally in flight.
 
     ``python -m fairexp serve --graph a.npz --graph b.npz`` wraps this
     class around :class:`ComputeGraph` archives, which is how a scoring
@@ -469,22 +462,16 @@ class ScoringServer:
     training code.
     """
 
+    #: Seconds a shed reply's ``Retry-After`` header asks the client to wait.
+    retry_after = 0.05
+
     def __init__(self, scorer, *, host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int | None = None, max_pending: int | None = None,
-                 retry_after: float = 0.05, pool=None) -> None:
-        if max_pending is not None and pool is None:
-            raise ValidationError(
-                "max_pending= bounds the attached pool's queue depth; "
-                "it requires pool="
-            )
+                 max_inflight: int | None = None, pool=None) -> None:
         self.max_inflight = None if max_inflight is None else int(max_inflight)
-        self.max_pending = None if max_pending is None else int(max_pending)
-        self.retry_after = float(retry_after)
         self.pool = pool
         self.request_count = 0
         self.row_count = 0
         self.shed_count = 0
-        self.pool_shed_count = 0
         self.peak_inflight = 0
         self._inflight = 0
         self._scorers: dict[str, object] = {}
@@ -504,8 +491,6 @@ class ScoringServer:
             self.add_scorer(scorer)
         if not self._scorers:
             raise ValidationError("ScoringServer needs at least one scorer")
-        # Kept for single-scorer back-compat introspection.
-        self.scorer = next(iter(self._scorers.values()))
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -634,33 +619,24 @@ class ScoringServer:
 
     # -------------------------------------------------------------- admission
     def _admit(self, key: str) -> bool:
-        """Admit one batch, or count a shed when a saturation bound is hit.
+        """Admit one batch, or book a shed (global and per graph) when the
+        load has reached ``max_inflight``.
 
-        Two independent bounds: ``max_inflight`` on this server's own
-        admitted-batch gauge, and ``max_pending`` on the attached pool's
-        thread queue depth — the latter sees submissions from *every*
-        holder of a shared pool, so scorer-pool saturation sheds load even
-        when this server's in-flight count is low.
+        The load is this server's admitted-batch gauge or, with an attached
+        pool, the larger of that and the pool's thread queue depth.
         """
         with self._lock:
-            if (self.max_inflight is not None
-                    and self._inflight >= self.max_inflight):
-                return self._shed_locked(key)
-            if (self.max_pending is not None and self.pool is not None
-                    and self.pool.pending("thread") >= self.max_pending):
-                self.pool_shed_count += 1
-                return self._shed_locked(key)
+            if self.max_inflight is not None:
+                load = self._inflight
+                if self.pool is not None:
+                    load = max(load, self.pool.pending("thread"))
+                if load >= self.max_inflight:
+                    self.shed_count += 1
+                    self._graph_stats[key]["shed"] += 1
+                    return False
             self._inflight += 1
             self.peak_inflight = max(self.peak_inflight, self._inflight)
             return True
-
-    def _shed_locked(self, key: str) -> bool:
-        """Book one refused batch (global + per-graph); returns ``False``."""
-        self.shed_count += 1
-        stats = self._graph_stats.get(key)
-        if stats is not None:
-            stats["shed"] += 1
-        return False
 
     def _leave(self) -> None:
         with self._lock:
@@ -703,10 +679,9 @@ class ScoringServer:
         requests), the derived ``coalescing_factor`` and the last
         client-reported dispatch ``window``.  Globals keep the legacy
         ``requests`` / ``rows`` names, plus ``shed`` (every refusal),
-        ``pool_shed`` (the subset refused on attached-pool queue depth),
         ``inflight`` / ``peak_inflight`` and the configured
-        ``max_inflight`` / ``max_pending``.  With an attached pool, its
-        per-kind utilization rides along under ``pool``.
+        ``max_inflight``.  With an attached pool, its per-kind utilization
+        rides along under ``pool``.
         """
         with self._lock:
             graphs = {}
@@ -722,11 +697,9 @@ class ScoringServer:
                 "requests": self.request_count,
                 "rows": self.row_count,
                 "shed": self.shed_count,
-                "pool_shed": self.pool_shed_count,
                 "inflight": self._inflight,
                 "peak_inflight": self.peak_inflight,
                 "max_inflight": self.max_inflight,
-                "max_pending": self.max_pending,
                 "graphs": graphs,
             }
         if self.pool is not None:
@@ -794,8 +767,7 @@ def serve_model(model, *, host: str = "127.0.0.1", port: int = 0,
 
 
 def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
-                max_inflight: int | None = None, max_pending: int | None = None,
-                pool=None) -> ScoringServer:
+                max_inflight: int | None = None, pool=None) -> ScoringServer:
     """Start one loopback :class:`ScoringServer` hosting a whole model fleet.
 
     Each element of ``models_or_graphs`` is a fitted model (compiled via
@@ -806,8 +778,7 @@ def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
     graphs = [graph if isinstance(graph, ComputeGraph) else export_model(graph)
               for graph in models_or_graphs]
     return ScoringServer(graphs, host=host, port=port,
-                         max_inflight=max_inflight, max_pending=max_pending,
-                         pool=pool)
+                         max_inflight=max_inflight, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -844,26 +815,21 @@ def _retry_backoff_sleep(delay: float) -> None:
 
 
 class _Lane:
-    """One graph's dispatch lane: pending batches, leadership and window.
+    """One graph's dispatch lane: pending batches and leadership.
 
     Coalescing is per graph — batches bound for different graphs can never
-    share a wire call — so every piece of window state (pending queue,
-    leader flag, registered-peer count, EWMA inter-arrival estimate and the
-    current window) lives on the lane, keyed by the graph's routing hash
-    (``None`` for the header-less single-graph wire shape).
+    share a wire call — so the pending queue, leader flag and
+    registered-peer count live on the lane, keyed by the graph's routing
+    hash (``None`` for the header-less single-graph wire shape).
     """
 
-    __slots__ = ("key", "pending", "leader_active", "registered",
-                 "window", "ewma_interval", "last_arrival")
+    __slots__ = ("key", "pending", "leader_active", "registered")
 
-    def __init__(self, key: str | None, window: float) -> None:
+    def __init__(self, key: str | None) -> None:
         self.key = key
         self.pending: list[_PendingScore] = []
         self.leader_active = False
         self.registered = 0
-        self.window = window
-        self.ewma_interval: float | None = None
-        self.last_arrival: float | None = None
 
 
 @guard_counters("wire_call_count", "wire_row_count", "coalesced_count",
@@ -896,18 +862,10 @@ class CoalescingScoringClient:
         Base URL of a :class:`ScoringServer` (``http://127.0.0.1:PORT``).
     window:
         Seconds a lane's leader waits for peers before dispatching.  ``0``
-        disables coalescing (every batch is its own wire call); a positive
-        float is a fixed window (bit-compatible with earlier releases);
-        ``"auto"`` sizes each lane's window dynamically from an EWMA of
-        that lane's observed inter-arrival times — ``window_gain`` times
-        the EWMA, clamped to ``window_bounds`` — so a busy lane dispatches
-        quickly and a sparse one waits longer for peers.
+        disables coalescing (every batch is its own wire call).  ``"auto"``
+        is accepted as a name for the default window.
     timeout:
         Socket timeout for the wire call.
-    window_bounds, ewma_alpha, window_gain:
-        Dynamic-window tuning: the ``(min, max)`` clamp, the EWMA smoothing
-        factor, and the multiple of the mean inter-arrival time the window
-        targets.  Ignored for fixed windows.
     max_retries, backoff:
         Shed handling: how many times a shed batch is re-dispatched, and
         the base backoff delay (doubled per attempt; the server's
@@ -925,17 +883,13 @@ class CoalescingScoringClient:
         them.
     """
 
-    def __init__(self, url: str, *, window=0.02, timeout: float = 30.0,
-                 window_bounds: tuple = (0.002, 0.25),
-                 ewma_alpha: float = 0.25, window_gain: float = 4.0,
+    DEFAULT_WINDOW = 0.02
+
+    def __init__(self, url: str, *, window=DEFAULT_WINDOW, timeout: float = 30.0,
                  max_retries: int = 8, backoff: float = 0.05) -> None:
         self.url = url.rstrip("/")
-        self.dynamic_window = window == "auto"
-        self.window = window if self.dynamic_window else float(window)
+        self.window = self.DEFAULT_WINDOW if window == "auto" else float(window)
         self.timeout = float(timeout)
-        self.window_bounds = (float(window_bounds[0]), float(window_bounds[1]))
-        self.ewma_alpha = float(ewma_alpha)
-        self.window_gain = float(window_gain)
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
         self.wire_call_count = 0
@@ -961,9 +915,7 @@ class CoalescingScoringClient:
     def _lane_locked(self, key: str | None) -> _Lane:
         lane = self._lanes.get(key)
         if lane is None:
-            initial = self.window_bounds[1] if self.dynamic_window else self.window
-            lane = _Lane(key, initial)
-            self._lanes[key] = lane
+            lane = self._lanes[key] = _Lane(key)
         return lane
 
     @property
@@ -971,25 +923,6 @@ class CoalescingScoringClient:
         """Registered callers across every lane."""
         with self._cond:
             return sum(lane.registered for lane in self._lanes.values())
-
-    def current_window(self, graph=None) -> float:
-        """The dispatch window a graph's lane would use right now."""
-        with self._cond:
-            return self._lane_locked(self._lane_key(graph)).window
-
-    def lane_stats(self) -> dict:
-        """Per-lane window state: registered peers, current window and the
-        EWMA inter-arrival estimate driving it (``""`` keys the default
-        lane)."""
-        with self._cond:
-            return {
-                lane.key or "": {
-                    "registered": lane.registered,
-                    "window": lane.window,
-                    "ewma_interval": lane.ewma_interval,
-                }
-                for lane in self._lanes.values()
-            }
 
     # ----------------------------------------------------------- registration
     def register(self, graph=None) -> None:
@@ -1017,7 +950,6 @@ class CoalescingScoringClient:
         request = _PendingScore(np.atleast_2d(np.asarray(X, dtype=float)))
         with self._cond:
             lane = self._lane_locked(self._lane_key(graph))
-            self._observe_arrival(lane)
             lane.pending.append(request)
             self._cond.notify_all()
             lead = not lane.leader_active
@@ -1030,24 +962,6 @@ class CoalescingScoringClient:
             raise request.error
         return request.result
 
-    def _observe_arrival(self, lane: _Lane) -> None:
-        """Fold one batch arrival into the lane's EWMA inter-arrival
-        estimate and (for ``window="auto"``) resize its window (caller
-        holds the lock)."""
-        now = time.monotonic()
-        if lane.last_arrival is not None:
-            delta = now - lane.last_arrival
-            if lane.ewma_interval is None:
-                lane.ewma_interval = delta
-            else:
-                lane.ewma_interval = (self.ewma_alpha * delta
-                                      + (1.0 - self.ewma_alpha) * lane.ewma_interval)
-            if self.dynamic_window:
-                low, high = self.window_bounds
-                lane.window = min(high, max(low,
-                                            self.window_gain * lane.ewma_interval))
-        lane.last_arrival = now
-
     def _lead_dispatch(self, lane: _Lane) -> None:
         """Run one dispatch window on a lane: wait for peers, flush."""
         start = time.monotonic()
@@ -1055,9 +969,7 @@ class CoalescingScoringClient:
             while True:
                 enough = (lane.registered > 0
                           and len(lane.pending) >= lane.registered)
-                # Re-read the window every pass: a dynamic lane may shrink
-                # (or grow) while the leader waits.
-                remaining = start + lane.window - time.monotonic()
+                remaining = start + self.window - time.monotonic()
                 if enough or remaining <= 0:
                     break
                 self._cond.wait(timeout=remaining)
@@ -1120,10 +1032,10 @@ class CoalescingScoringClient:
         headers = {
             "Content-Type": "application/octet-stream",
             # The server folds these into its per-graph /stats: how many
-            # caller batches this wire call coalesces, and the window the
-            # lane is currently running.
+            # caller batches this wire call coalesces, and the client's
+            # dispatch window.
             "X-Fairexp-Batches": str(n_batches),
-            "X-Fairexp-Window": f"{lane.window:.6f}",
+            "X-Fairexp-Window": f"{self.window:.6f}",
         }
         if lane.key is not None:
             headers["X-Fairexp-Graph"] = lane.key
@@ -1183,7 +1095,8 @@ class RemoteScoringBackend(NumpyPredictBackend):
     ships_fn_to_workers = False  # the client's locks must not cross processes
 
     def __init__(self, url_or_client, *, name: str = "remote", graph=None,
-                 window=0.02, timeout: float = 30.0,
+                 window=CoalescingScoringClient.DEFAULT_WINDOW,
+                 timeout: float = 30.0,
                  max_retries: int = 8, backoff: float = 0.05) -> None:
         if isinstance(url_or_client, CoalescingScoringClient):
             client = url_or_client

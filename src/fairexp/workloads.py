@@ -181,7 +181,7 @@ def _serving_fleet(models, backend):
     if backend == "remote":
         graphs = [export_model(model) for model in models]
         server = ScoringServer(graphs)
-        client = CoalescingScoringClient(server.url, window="auto")
+        client = CoalescingScoringClient(server.url)
         remotes = [RemoteScoringBackend(client, graph=graph)
                    for graph in graphs]
         try:

@@ -14,7 +14,9 @@ from fairexp.explanations import (
     GrowingSpheresCounterfactual,
     RandomSearchCounterfactual,
 )
+from fairexp.explanations.engine import greedy_sparsify_batch
 from fairexp.models import LogisticRegression
+from sequential_oracles import gradient_search, greedy_sparsify, ladder_search
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +68,8 @@ class TestBatchModelAdapter:
 
 
 class TestBatchParity:
-    """Fixed-seed regression: the engine path reproduces the sequential path."""
+    """Fixed-seed regression: the engine path reproduces the per-instance
+    oracle loops of ``sequential_oracles``."""
 
     @pytest.mark.parametrize("generator_cls", [
         RandomSearchCounterfactual, GrowingSpheresCounterfactual,
@@ -74,7 +77,7 @@ class TestBatchParity:
     def test_sampling_generators_bitwise_identical(self, generator_cls, loan_workload):
         model, background, constraints, rejected = loan_workload
         generator = generator_cls(model, background, constraints=constraints, random_state=0)
-        sequential = [generator.generate(row) for row in rejected]
+        sequential = [ladder_search(generator, row) for row in rejected]
         batched = generator.generate_batch_aligned(rejected)
         assert len(batched) == len(sequential)
         for seq, bat in zip(sequential, batched):
@@ -93,12 +96,7 @@ class TestBatchParity:
         model, background, constraints, rejected = loan_workload
         generator = GradientCounterfactual(model, background, constraints=constraints,
                                            random_state=0)
-        sequential = []
-        for row in rejected:
-            try:
-                sequential.append(generator.generate(row))
-            except InfeasibleRecourseError:
-                sequential.append(None)
+        sequential = [gradient_search(generator, row) for row in rejected]
         batched = generator.generate_batch_aligned(rejected)
         assert any(result is not None for result in sequential)
         for seq, bat in zip(sequential, batched):
@@ -108,6 +106,30 @@ class TestBatchParity:
             np.testing.assert_allclose(bat.counterfactual, seq.counterfactual, atol=1e-9)
             assert seq.changed_features == bat.changed_features
             assert seq.counterfactual_prediction == bat.counterfactual_prediction
+
+    @pytest.mark.parametrize("generator_cls", [
+        RandomSearchCounterfactual, GrowingSpheresCounterfactual, GradientCounterfactual,
+    ])
+    def test_generate_is_a_one_row_batch(self, generator_cls, loan_workload):
+        """``generate(x)`` is the batched search on ``x[None]``: each row's
+        result is independent of the batch it is searched in (bitwise for
+        the sampling generators, to BLAS associativity for gradient
+        ascent)."""
+        model, background, constraints, rejected = loan_workload
+        generator = generator_cls(model, background, constraints=constraints, random_state=0)
+        batched = generator.generate_batch_aligned(rejected[:8])
+        for row, bat in zip(rejected[:8], batched):
+            if bat is None:
+                with pytest.raises(InfeasibleRecourseError):
+                    generator.generate(row)
+                continue
+            one = generator.generate(row)
+            if generator_cls is GradientCounterfactual:
+                np.testing.assert_allclose(one.counterfactual, bat.counterfactual,
+                                           atol=1e-9)
+            else:
+                assert np.array_equal(one.counterfactual, bat.counterfactual)
+                assert one.distance == bat.distance
 
     def test_batch_issues_fewer_predict_calls(self, loan_workload):
         model, background, constraints, rejected = loan_workload
@@ -123,7 +145,7 @@ class TestBatchParity:
         assert sequential_adapter.predict_call_count >= 5 * batch_adapter.predict_call_count
 
     def test_sparsify_batched_predict_preserves_greedy_result(self, loan_workload):
-        # The batched _sparsify must reproduce the one-predict-per-feature
+        # The batched sparsifier must reproduce the one-predict-per-feature
         # greedy loop exactly, including the path-dependent accept/reject
         # decisions.
         model, background, constraints, rejected = loan_workload
@@ -131,16 +153,8 @@ class TestBatchParity:
                                                  random_state=0)
         x = rejected[0]
         candidate = generator.constraints.project(x, x + 2.5 * generator.scale_)
-
-        reference = candidate.copy()
-        changed = np.flatnonzero(~np.isclose(reference, x))
-        order = changed[np.argsort(np.abs((reference - x) / generator.scale_)[changed])]
-        for j in order:
-            trial = reference.copy()
-            trial[j] = x[j]
-            if int(np.asarray(model.predict(trial[None]))[0]) == generator.target_class:
-                reference = trial
-        assert np.array_equal(generator._sparsify(x, candidate), reference)
+        sparse = greedy_sparsify_batch(generator, x[None, :], candidate[None, :])[0]
+        assert np.array_equal(sparse, greedy_sparsify(generator, x, candidate))
 
 
 class TestCounterfactualEngine:

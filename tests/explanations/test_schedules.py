@@ -16,6 +16,7 @@ from fairexp.explanations import (
     population_fingerprint,
     resolve_schedule,
 )
+from sequential_oracles import ladder_search
 
 
 @pytest.fixture
@@ -54,8 +55,8 @@ class TestResolveSchedule:
 
 
 class TestGeometricParity:
-    """GeometricSchedule must reproduce the pre-refactor fixed widening
-    bitwise-exactly under fixed seeds — the tentpole's parity criterion."""
+    """GeometricSchedule must reproduce the fixed widening of the
+    per-instance oracle loop bitwise-exactly under fixed seeds."""
 
     @pytest.mark.parametrize("generator_cls", [
         GrowingSpheresCounterfactual, RandomSearchCounterfactual,
@@ -64,7 +65,7 @@ class TestGeometricParity:
             self, generator_cls, workload):
         train, model, constraints, rejected = workload
         sequential_generator = _generator(generator_cls, train, model, constraints)
-        sequential = [sequential_generator.generate(row) for row in rejected]
+        sequential = [ladder_search(sequential_generator, row) for row in rejected]
         batched = _generator(generator_cls, train, model, constraints,
                              schedule=GeometricSchedule()).generate_batch_aligned(rejected)
         for seq, bat in zip(sequential, batched):

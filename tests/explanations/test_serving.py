@@ -1,6 +1,6 @@
 """Tests for the serving layer: graph export parity, the ONNX-style backend,
 the loopback fleet scoring server (hash routing, admission control) and the
-coalescing remote client (per-graph lanes, dynamic windows, shed retry)."""
+coalescing remote client (per-graph lanes, fixed windows, shed retry)."""
 
 import threading
 import time
@@ -411,65 +411,31 @@ class TestFleetRouting:
 
 
 class TestDynamicWindow:
+    """The EWMA window is gone: a client's dispatch window is one fixed
+    number of seconds, and ``"auto"`` only names the default."""
+
     def test_numeric_window_stays_fixed(self, zoo):
-        """Explicit numeric windows keep the exact fixed behaviour: no EWMA
-        resizing, whatever the arrival pattern."""
+        """Explicit numeric windows keep the exact fixed behaviour, whatever
+        the arrival pattern."""
         models, _, test = zoo
         with serve_model(models["logistic"]) as server:
-            backend = RemoteScoringBackend(server.url, window=0.02)
-            client = backend.client
-            assert not client.dynamic_window
+            backend = RemoteScoringBackend(server.url, window=0.03)
             for _ in range(5):
                 backend.predict(test.X[:3])
-            assert client.current_window() == 0.02
+            assert backend.client.window == 0.03
+            graph_stats = next(iter(server.stats()["graphs"].values()))
+            assert graph_stats["window"] == 0.03
 
-    def test_auto_window_starts_wide_and_shrinks_under_load(self, zoo):
-        """``window="auto"``: a fresh lane waits the upper bound (nothing is
-        known yet), then rapid arrivals pull the window down toward the
-        lower clamp."""
+    def test_auto_window_is_the_default_fixed_window(self, zoo):
         models, _, test = zoo
         with serve_model(models["logistic"]) as server:
-            client = CoalescingScoringClient(server.url, window="auto",
-                                             window_bounds=(0.001, 0.25))
+            client = CoalescingScoringClient(server.url, window="auto")
             backend = RemoteScoringBackend(client)
-            assert client.current_window() == 0.25
-            for _ in range(25):  # back-to-back arrivals: ewma -> ~0
+            for _ in range(5):
                 backend.predict(test.X[:2])
-            assert client.current_window() < 0.25
-            stats = client.lane_stats()[""]
-            assert stats["ewma_interval"] is not None
-            assert stats["ewma_interval"] < 0.25
-
-    def test_auto_window_is_clamped_to_bounds(self, zoo):
-        models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
-            client = CoalescingScoringClient(server.url, window="auto",
-                                             window_bounds=(0.015, 0.04))
-            backend = RemoteScoringBackend(client)
-            for _ in range(25):
-                backend.predict(test.X[:2])
-            # Sub-millisecond arrivals push gain*ewma below the lower bound:
-            # the clamp holds the lane at exactly window_bounds[0].
-            assert client.current_window() == 0.015
-            slow = client.lane_stats()[""]
-            assert 0.015 <= slow["window"] <= 0.04
-
-    def test_auto_lanes_size_independently(self, zoo):
-        """Each graph's lane keeps its own EWMA: a busy lane shrinks while
-        an untouched lane still waits the full upper bound."""
-        models, _, test = zoo
-        graphs = [export_model(models["logistic"]), export_model(models["tree"])]
-        with serve_fleet(graphs) as server:
-            client = CoalescingScoringClient(server.url, window="auto",
-                                             window_bounds=(0.001, 0.2))
-            busy = RemoteScoringBackend(client, graph=graphs[0])
-            idle = RemoteScoringBackend(client, graph=graphs[1])
-            for _ in range(25):
-                busy.predict(test.X[:2])
-            assert client.current_window(graphs[0]) < 0.2
-            assert client.current_window(graphs[1]) == 0.2
-            idle.close()
-            busy.close()
+            assert client.window == CoalescingScoringClient.DEFAULT_WINDOW == 0.02
+            assert CoalescingScoringClient(server.url).window == client.window
+            backend.close()
 
 
 class TestAdmissionControl:
@@ -534,35 +500,41 @@ class TestAdmissionControl:
             assert stats["inflight"] == 0
             assert stats["shed"] == 0
 
-    def test_max_pending_requires_an_attached_pool(self, zoo):
-        models, _, _ = zoo
-        with pytest.raises(ValidationError, match="requires pool="):
-            ScoringServer(export_model(models["logistic"]), max_pending=4)
-        with pytest.raises(ValidationError, match="requires pool="):
-            serve_fleet([models["logistic"]], max_pending=4)
-
-    def test_pool_queue_depth_sheds_and_books_separately(self, zoo):
-        """The ExecutorPool.pending() wiring: a saturated scorer pool sheds
-        with the same fast 429 as max_inflight, booked as ``pool_shed``."""
+    def test_pool_queue_depth_counts_against_max_inflight(self, zoo):
+        """With an attached pool, work another holder queued on it counts
+        toward the one admission bound: the server sheds while the pool is
+        saturated, though none of its own batches is in flight, and admits
+        again once the queue drains."""
         models, _, test = zoo
+        model = models["logistic"]
         pool = ExecutorPool(max_workers=2)
+        release = threading.Event()
         try:
-            with serve_fleet([export_model(models["logistic"])], pool=pool,
-                             max_pending=0) as server:
-                # max_pending=0: any queue depth (>= 0) refuses admission, so
-                # every attempt sheds on pool depth — never on max_inflight.
+            with serve_fleet([export_model(model)], pool=pool,
+                             max_inflight=4) as server:
+                holder = threading.Thread(target=lambda: pool.map(
+                    "thread", lambda _: release.wait(timeout=10), range(4)))
+                holder.start()
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline and pool.pending("thread") < 4:
+                    time.sleep(0.01)
                 backend = RemoteScoringBackend(server.url, window=0.0,
                                                max_retries=2, backoff=0.001)
                 with pytest.raises(ValidationError, match="shed"):
                     backend.predict(test.X[:8])
                 stats = server.stats()
-                assert stats["max_pending"] == 0
-                assert stats["pool_shed"] == 3       # initial + 2 retries
-                assert stats["shed"] == 3            # pool sheds count as sheds
+                assert stats["shed"] == 3            # initial + 2 retries
                 assert stats["requests"] == 0        # nothing was admitted
+                assert stats["peak_inflight"] == 0
                 assert backend.call_count == 0
                 assert backend.row_count == 0
+                release.set()
+                holder.join(timeout=10)
+                out = backend.predict(test.X[:8])
+                assert np.array_equal(out, model.predict(test.X[:8]))
+                assert server.stats()["requests"] == 1
         finally:
+            release.set()
             pool.shutdown()
 
     def test_pool_bound_admits_when_queue_is_shallow(self, zoo):
@@ -571,13 +543,12 @@ class TestAdmissionControl:
         pool = ExecutorPool(max_workers=2)
         try:
             with serve_fleet([export_model(model)], pool=pool,
-                             max_pending=8) as server:
+                             max_inflight=8) as server:
                 backend = RemoteScoringBackend(server.url, window=0.0)
                 out = backend.predict(test.X[:6])
                 assert np.array_equal(out, model.predict(test.X[:6]))
                 stats = server.stats()
-                assert stats["max_pending"] == 8
-                assert stats["pool_shed"] == 0
+                assert stats["max_inflight"] == 8
                 assert stats["shed"] == 0
                 assert stats["requests"] == 1
         finally:
