@@ -150,6 +150,8 @@ def test_kernels_vs_legacy_loops(benchmark):
     kernel_times["project"], p_kernel = _best_of(3, lambda: kernels.project_candidates(
         x_wave, wave_candidates, **constraints))
     assert np.array_equal(p_legacy, p_kernel)
+    # The column-wise projection must beat the cascade it replaced.
+    assert legacy_times["project"] / kernel_times["project"] > 1.0
 
     # 3 + 4. Greedy ranking and the prefix-revert trial chains.
     legacy_times["rank"], orders_legacy = _best_of(3, lambda: _legacy_rank_changed(

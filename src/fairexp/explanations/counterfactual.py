@@ -89,7 +89,8 @@ class ActionabilityConstraints:
             constraints.monotone[j] = spec.monotone
         return constraints
 
-    def project(self, x_original: np.ndarray, candidate: np.ndarray) -> np.ndarray:
+    def project(self, x_original: np.ndarray, candidate: np.ndarray, *,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Project candidate counterfactuals onto the feasible set.
 
         Accepts a single candidate of shape ``(d,)`` or any stacked candidate
@@ -100,11 +101,12 @@ class ActionabilityConstraints:
         bounds are treated as unbounded.
 
         The projection cascade is the
-        :func:`~fairexp.explanations.kernels.project_candidates` kernel.
+        :func:`~fairexp.explanations.kernels.project_candidates` kernel;
+        ``out`` (e.g. ``candidate`` itself) receives the result in place.
         """
         return resolve_kernels().project_candidates(
             x_original, candidate, immutable=self.immutable, lower=self.lower,
-            upper=self.upper, monotone=self.monotone,
+            upper=self.upper, monotone=self.monotone, out=out,
         )
 
     def is_feasible(self, x_original: np.ndarray, candidate: np.ndarray, *, atol=1e-9):
@@ -272,17 +274,24 @@ class BaseCounterfactualGenerator:
             ))
         return results
 
-    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        """Candidate matrix for ``x`` at rung ``step`` of :meth:`draw_schedule`."""
+    def _offsets(self, rng, step: int, n_features: int) -> np.ndarray:
+        """Candidate offsets at rung ``step`` of :meth:`draw_schedule`.
+
+        Returns an ``(n_candidates, n_features)`` matrix; an instance ``x``
+        searches the candidates ``x[None, :] + offsets``.  How much of
+        ``rng``'s stream one call consumes must not depend on ``step``: the
+        lockstep search relies on it to draw each stream position once and
+        share the offsets across instances.
+        """
         raise NotImplementedError
 
     def generate(self, x: np.ndarray) -> Counterfactual:
         """Return one counterfactual for ``x``; raises if none is found.
 
-        This is :meth:`generate_batch_aligned` on a one-row batch.  Every
-        row searches on its own freshly seeded random stream, so with an
-        integer ``random_state`` the result equals the row's result in any
-        batch that contains it.
+        This is :meth:`generate_batch_aligned` on a one-row batch.  With an
+        integer ``random_state`` every row reads the same seeded stream and
+        its offsets depend only on (draws consumed, rung), so the result
+        equals the row's result in any batch that contains it.
         """
         result = self.generate_batch_aligned(np.asarray(x, dtype=float).reshape(1, -1))[0]
         if result is None:
@@ -299,7 +308,7 @@ class BaseCounterfactualGenerator:
         ladder, probing rungs in the order this generator's ``schedule``
         plans; generators without a ladder override it.
         """
-        return lockstep_candidate_search(self, X, self._draw,
+        return lockstep_candidate_search(self, X, self._offsets,
                                          len(self.draw_schedule()),
                                          schedule=self.schedule)
 
@@ -343,10 +352,9 @@ class RandomSearchCounterfactual(BaseCounterfactualGenerator):
         radii = np.linspace(self.max_radius / self.n_radii, self.max_radius, self.n_radii)
         return [float(radius) for radius in radii]
 
-    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
+    def _offsets(self, rng, step: int, n_features: int) -> np.ndarray:
         radius = self.draw_schedule()[step]
-        noise = rng.normal(0.0, radius, (self.n_samples, x.shape[0])) * self.scale_
-        return x[None, :] + noise
+        return rng.normal(0.0, radius, (self.n_samples, n_features)) * self.scale_
 
 
 @ExplainerRegistry.register("growing_spheres", capabilities=("counterfactual-generator",),
@@ -373,12 +381,12 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
             inner, outer = outer, outer * self.growth
         return schedule
 
-    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
+    def _offsets(self, rng, step: int, n_features: int) -> np.ndarray:
         inner, outer = self.draw_schedule()[step]
-        directions = rng.normal(size=(self.n_samples_per_shell, x.shape[0]))
+        directions = rng.normal(size=(self.n_samples_per_shell, n_features))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True) + 1e-12
         radii = rng.uniform(inner, outer, self.n_samples_per_shell)
-        return x[None, :] + directions * radii[:, None] * self.scale_
+        return directions * radii[:, None] * self.scale_
 
 
 @ExplainerRegistry.register(

@@ -24,13 +24,14 @@ across every audit that requests it (session → engine → backend).
 
 These batched searches are the generators' only search path: a
 generator's ``generate(x)`` is ``generate_batch_aligned(x[None])[0]``.  With
-an integer ``random_state`` every instance consumes its own freshly seeded
-random stream, and only the model evaluations are batched across instances,
-so a row's result does not depend on the batch it is searched in.  For the
-sampling-based generators that holds bitwise; for gradient ascent it holds
-up to the floating-point associativity of the backing BLAS (single-row vs.
-batched mat-vec products can differ in the last ulp, which a long gradient
-trajectory amplifies to ~1e-13).
+an integer ``random_state`` every instance reads the same seeded stream, and
+its candidate offsets depend only on (draws it has consumed, rung), so the
+search draws each distinct pair once and shares it across the instances at
+that position; a row's result does not depend on the batch it is searched
+in.  For the sampling-based generators that holds bitwise; for gradient
+ascent it holds up to the floating-point associativity of the backing BLAS
+(single-row vs. batched mat-vec products can differ in the last ulp, which a
+long gradient trajectory amplifies to ~1e-13).
 """
 
 from __future__ import annotations
@@ -247,23 +248,35 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
 def lockstep_candidate_search(
     generator,
     X: np.ndarray,
-    draw: Callable[[np.random.Generator, np.ndarray, int], np.ndarray],
+    offsets: Callable[[np.random.Generator, int, int], np.ndarray],
     n_steps: int,
     schedule: SearchSchedule | None = None,
 ) -> list[Counterfactual | None]:
     """Cross-instance rejection-sampling search over a pluggable rung schedule.
 
     All instances advance through the radius/shell ladder in lockstep: one
-    step draws each still-pending instance's candidate matrix at the rung
-    its :class:`~fairexp.explanations.schedules.SearchSchedule` cursor
-    planned (from its OWN freshly seeded random stream), projects the
-    resulting ``(n_pending, n_candidates, d)`` tensor through the
-    actionability constraints in one shot, and issues a single
+    step gives each still-pending instance ``x`` the candidate matrix
+    ``x[None, :] + offsets(rng, rung, d)`` at the rung its
+    :class:`~fairexp.explanations.schedules.SearchSchedule` cursor planned,
+    projects the resulting ``(n_pending, n_candidates, d)`` tensor through
+    the actionability constraints in place, and issues a single
     ``model.predict`` over all candidates of all pending instances — instead
     of ``n_instances × n_steps`` separate predicts.  The cursor observes
     every probe's hit count and decides which rung each instance tries next
     (or that it is finished); each finished instance keeps its
     minimum-distance hit across every rung it probed.
+
+    Every instance reads its offsets from the stream
+    ``check_random_state(generator.random_state)`` would give it alone.  An
+    integer seed gives all instances the same stream, and ``offsets``
+    consumes the same amount of it at every rung, so an instance's offsets
+    depend only on (draws it has consumed, rung): each wave draws every
+    distinct pair once — replaying the stream from a snapshot of its state
+    at that position — and broadcasts it over the instances that share it.
+    A ``None`` seed (fresh entropy per instance) and a
+    ``numpy.random.Generator`` (one stream consumed in row order) give every
+    instance its own stream key, so nothing is shared.  Either way a row's
+    offsets never depend on which other rows share its batch.
 
     With the default :class:`~fairexp.explanations.schedules.GeometricSchedule`
     every instance walks rung 0, 1, 2, … and stops at its first hit, which
@@ -278,7 +291,17 @@ def lockstep_candidate_search(
     kernel_set = resolve_kernels()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n_instances, n_features = X.shape
-    rngs = [check_random_state(generator.random_state) for _ in range(n_instances)]
+    seed = generator.random_state
+    if seed is None or isinstance(seed, np.random.Generator):
+        streams = [check_random_state(seed) for _ in range(n_instances)]
+        stream_of = list(range(n_instances))
+        positions = None
+    else:
+        streams = [check_random_state(seed)]
+        stream_of = [0] * n_instances
+        # positions[k]: the shared stream's state after k draws.
+        positions = [streams[0].bit_generator.state]
+    consumed = [0] * n_instances
     pending = list(range(n_instances))
     best: dict[int, tuple[float, np.ndarray]] = {}  # (distance, candidate)
     cursor = schedule.begin(n_steps)
@@ -298,8 +321,26 @@ def lockstep_candidate_search(
         if not plan:
             break
         rows = list(plan)
-        candidates = np.stack([draw(rngs[i], X[i], plan[i]) for i in rows])
-        projected = generator.constraints.project(X[rows][:, None, :], candidates)
+        table: dict[tuple[int, int, int], np.ndarray] = {}
+        keys = []
+        for i in rows:
+            key = (stream_of[i], consumed[i], plan[i])
+            if key not in table:
+                rng = streams[key[0]]
+                if positions is not None:
+                    rng.bit_generator.state = positions[key[1]]
+                table[key] = offsets(rng, plan[i], n_features)
+                if positions is not None and len(positions) == key[1] + 1:
+                    positions.append(rng.bit_generator.state)
+            keys.append(key)
+            consumed[i] += 1
+        originals = X[rows][:, None, :]
+        if len(table) == 1:
+            candidates = originals + table[keys[0]]
+        else:
+            candidates = np.stack([table[key] for key in keys])
+            candidates += originals
+        projected = generator.constraints.project(originals, candidates, out=candidates)
         predictions = generator._predict(
             projected.reshape(-1, n_features)
         ).reshape(len(rows), -1)
@@ -346,8 +387,9 @@ def shard_indices(n_items: int, n_shards: int) -> list[np.ndarray]:
     ``np.array_split`` semantics (shard sizes differ by at most one), with
     empty shards dropped.  The split depends only on ``(n_items, n_shards)``
     so a sharded run is reproducible, and because every lockstep kernel
-    seeds each instance's random stream independently, per-shard results are
-    bitwise-identical to the unsharded pass.
+    gives each instance offsets that depend only on the seed and its own
+    (draws consumed, rung), per-shard results are bitwise-identical to the
+    unsharded pass.
     """
     n_shards = max(1, min(int(n_shards), int(n_items))) if n_items else 1
     return [shard for shard in np.array_split(np.arange(n_items), n_shards) if shard.size]
@@ -478,8 +520,9 @@ def _run_process_shard(spec: dict, X_shard: np.ndarray
     callable backend) in a fresh counting adapter so the parent can fold the
     shard's predict work back into its own backend
     (:meth:`~fairexp.explanations.backends.NumpyPredictBackend.add_counts`);
-    the shard's schedule step/draw totals ride along the same way.  Because
-    every instance seeds its own random stream from the same integer seed,
+    the shard's schedule step/draw totals ride along the same way.  An
+    integer seed gives every instance the same stream, so an instance's
+    offsets depend only on (draws consumed, rung) and never on its batch:
     the shard's results are bitwise-identical to the rows it would produce
     inside the sequential pass.
     """
@@ -514,10 +557,11 @@ class CounterfactualEngine:
         Number of workers :meth:`generate_aligned` splits its
         work-list across.  ``1`` (the default) runs the single lockstep
         batch; ``-1`` uses one worker per CPU.  Shards are deterministic
-        (:func:`shard_indices`) and each instance owns its freshly seeded
-        random stream, so the merged results are bitwise-identical to
-        ``n_jobs=1`` — only the predict batching (and hence the call count)
-        changes.  Backends are thread-safe, so shards may share one adapter.
+        (:func:`shard_indices`) and an instance's candidate offsets depend
+        only on the seed and its own (draws consumed, rung), so the merged
+        results are bitwise-identical to ``n_jobs=1`` — only the predict
+        batching (and hence the call count) changes.  Backends are
+        thread-safe, so shards may share one adapter.
         Generators seeded with a shared ``np.random.Generator`` instance
         always run the sequential pass (one stream cannot be sharded).
     executor:
@@ -595,8 +639,8 @@ class CounterfactualEngine:
         # A np.random.Generator instance as random_state is ONE shared stream:
         # per-instance draws consume it in sequence, so shards would both race
         # on its (non-thread-safe) internal state and change the draw order.
-        # Integer / None seeds give every instance its own stream and shard
-        # deterministically; a Generator falls back to the sequential pass.
+        # Integer / None seeds make an instance's draws independent of its
+        # batch, so they shard; a Generator falls back to the sequential pass.
         if isinstance(getattr(self.generator, "random_state", None), np.random.Generator):
             return 1
         n_jobs = self.n_jobs

@@ -9,8 +9,9 @@ kernels:
 * :func:`batch_counterfactual_distance` — distances for many ``(x, x')``
   pairs in one call (replaces the per-hit Python list comprehension);
 * :func:`project_candidates` — the actionability projection cascade over any
-  stacked candidate tensor, with masked in-place passes instead of a chain
-  of full-tensor ``np.where`` temporaries;
+  stacked candidate tensor, one in-place pass per constrained feature
+  column instead of a chain of full-tensor passes (optionally into the
+  candidate tensor itself);
 * :func:`build_prefix_revert_trials` — one instance's cumulative
   prefix-revert trial matrix in a single allocation (replaces the
   per-feature ``trial.copy()`` chain);
@@ -82,38 +83,45 @@ def batch_counterfactual_distance(X, candidates, *, scale=None,
 
 
 def project_candidates(x_original, candidates, *, immutable, lower, upper,
-                       monotone) -> np.ndarray:
+                       monotone, out=None) -> np.ndarray:
     """Project stacked candidates onto the feasible set (clip → monotone → freeze).
 
     Accepts any ``(..., d)`` candidate tensor with ``x_original``
-    broadcastable against it.  Same semantics (and bitwise-identical output)
-    as the historical clip → ``np.where`` cascade, but the monotone/immutable
-    passes write in-place through ``where=`` masks instead of allocating a
-    full-tensor temporary per pass, and passes whose mask is empty are
-    skipped entirely.  NaN bounds are treated as unbounded.
+    broadcastable to it; the result has ``candidates.shape``.  Same
+    semantics (and bitwise-identical output) as the historical clip →
+    ``np.where`` cascade, but computed one feature at a time over that
+    column's ``(...)`` slice: an immutable column is a copy of the
+    original, a column with a finite bound is clipped to it, a monotone
+    column is raised/lowered to the original, and a free column is left as
+    drawn.  NaN bounds are treated as unbounded.  ``out`` (which may be
+    ``candidates`` itself) receives the projection instead of a fresh
+    array.
     """
     candidates = np.asarray(candidates, dtype=float)
-    x_original = np.asarray(x_original, dtype=float)
+    if out is None:
+        out = candidates.copy()
+    elif out is not candidates:
+        out[...] = candidates
+    originals = np.broadcast_to(np.asarray(x_original, dtype=float), out.shape)
     immutable = np.asarray(immutable, dtype=bool)
     monotone = np.asarray(monotone)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     lower = np.where(np.isnan(lower), -np.inf, lower)
     upper = np.where(np.isnan(upper), np.inf, upper)
-    if np.isfinite(lower).any() or np.isfinite(upper).any():
-        projected = np.clip(candidates, lower, upper)
-    else:
-        projected = candidates.copy()
-    originals = np.broadcast_to(x_original, projected.shape)
-    increasing = monotone == 1
-    if increasing.any():
-        np.maximum(projected, originals, out=projected, where=increasing)
-    decreasing = monotone == -1
-    if decreasing.any():
-        np.minimum(projected, originals, out=projected, where=decreasing)
-    if immutable.any():
-        np.copyto(projected, originals, where=immutable)
-    return projected
+    bounded = np.isfinite(lower) | np.isfinite(upper)
+    for j in np.flatnonzero(immutable | bounded | (monotone != 0)):
+        column = out[..., j]
+        if immutable[j]:
+            column[...] = originals[..., j]
+            continue
+        if bounded[j]:
+            np.clip(column, lower[j], upper[j], out=column)
+        if monotone[j] == 1:
+            np.maximum(column, originals[..., j], out=column)
+        elif monotone[j] == -1:
+            np.minimum(column, originals[..., j], out=column)
+    return out
 
 
 def build_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:

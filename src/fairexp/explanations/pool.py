@@ -17,8 +17,9 @@ threads it into every engine call, so a whole sweep with
 ``executor="process"`` constructs exactly **one** ``ProcessPoolExecutor``
 (asserted via a counting factory double in
 ``tests/explanations/test_pool.py``).  Shard *results* are unaffected:
-shards are deterministic and every instance seeds its own random stream, so
-pooled and per-call execution are bitwise-identical.
+shards are deterministic and an instance's candidate offsets depend only on
+the seed and its own (draws consumed, rung) — never on which shard or batch
+it lands in — so pooled and per-call execution are bitwise-identical.
 
 Two features make one pool safe to share across **concurrent** sessions of
 one process (the ROADMAP's pool follow-on):

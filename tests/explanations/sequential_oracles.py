@@ -3,18 +3,23 @@
 The generators have one search path, ``generate_batch_aligned``; their
 ``generate(x)`` runs it on a one-row batch.  These loops are the original
 one-instance-at-a-time searches, kept here as independent oracles: each
-walks one row through its ladder (or gradient trajectory) with its own
-predict calls and the one-predict-per-feature greedy sparsifier, sharing
-nothing with the lockstep engine but the generator's draw, projection and
-result builder.  Each returns a ``Counterfactual`` or ``None`` when the
-search budget runs out.
+walks one row through its ladder (or gradient trajectory) on its own
+freshly seeded random stream, with its own copy of the generators' draw
+formulas, its own predict calls and the one-predict-per-feature greedy
+sparsifier, sharing nothing with the lockstep engine but the generator's
+parameters, projection and result builder.  Each returns a
+``Counterfactual`` or ``None`` when the search budget runs out.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fairexp.explanations import batch_counterfactual_distance
+from fairexp.explanations import (
+    GrowingSpheresCounterfactual,
+    RandomSearchCounterfactual,
+    batch_counterfactual_distance,
+)
 from fairexp.utils import check_random_state
 
 
@@ -36,21 +41,50 @@ def _result(generator, x, candidate):
     return generator._make_results_batch(x[None, :], candidate[None, :])[0]
 
 
+def draw(generator, rng, x, step):
+    """Candidate matrix for ``x`` at rung ``step``: the sampling formulas
+    of the two ladder generators, written out here so the parity tests do
+    not check the generators' ``_offsets`` against themselves."""
+    if isinstance(generator, RandomSearchCounterfactual):
+        radius = generator.draw_schedule()[step]
+        noise = rng.normal(0.0, radius, (generator.n_samples, x.shape[0]))
+        return x[None, :] + noise * generator.scale_
+    if isinstance(generator, GrowingSpheresCounterfactual):
+        inner, outer = generator.draw_schedule()[step]
+        directions = rng.normal(size=(generator.n_samples_per_shell, x.shape[0]))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True) + 1e-12
+        radii = rng.uniform(inner, outer, generator.n_samples_per_shell)
+        return x[None, :] + directions * radii[:, None] * generator.scale_
+    raise TypeError(f"no reference draw for {type(generator).__name__}")
+
+
 def ladder_search(generator, x):
-    """Random-search / growing-spheres reference: walk the rung ladder
-    bottom-up and keep the closest hit of the first rung that has one."""
+    """Random-search / growing-spheres reference: probe the rungs the
+    generator's schedule plans for this one row (bottom-up until the first
+    hit for the geometric ladder) and keep the closest hit over every
+    probed rung."""
     x = np.asarray(x, dtype=float).ravel()
     rng = check_random_state(generator.random_state)
-    for step in range(len(generator.draw_schedule())):
-        candidates = generator.constraints.project(x, generator._draw(rng, x, step))
+    cursor = generator.schedule.begin(len(generator.draw_schedule()))
+    best = None  # (distance, candidate)
+    while 0 not in cursor.finished:
+        plan = cursor.plan([0])
+        if not plan:
+            break
+        step = plan[0]
+        candidates = generator.constraints.project(x, draw(generator, rng, x, step))
         hits = np.flatnonzero(generator._predict(candidates) == generator.target_class)
         if hits.size:
             distances = batch_counterfactual_distance(
                 x, candidates[hits], scale=generator.scale_, metric=generator.metric,
             )
-            best = candidates[hits[np.argmin(distances)]]
-            return _result(generator, x, greedy_sparsify(generator, x, best))
-    return None
+            pick = int(np.argmin(distances))
+            if best is None or distances[pick] < best[0]:
+                best = (distances[pick], candidates[hits[pick]])
+        cursor.observe(0, step, int(hits.size), candidates.shape[0])
+    if best is None:
+        return None
+    return _result(generator, x, greedy_sparsify(generator, x, best[1]))
 
 
 def gradient_search(generator, x):

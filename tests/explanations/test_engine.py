@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexp.datasets import make_loan_dataset
 from fairexp.exceptions import InfeasibleRecourseError
@@ -155,6 +157,82 @@ class TestBatchParity:
         candidate = generator.constraints.project(x, x + 2.5 * generator.scale_)
         sparse = greedy_sparsify_batch(generator, x[None, :], candidate[None, :])[0]
         assert np.array_equal(sparse, greedy_sparsify(generator, x, candidate))
+
+
+LADDER_GENERATORS = [RandomSearchCounterfactual, GrowingSpheresCounterfactual]
+SAMPLE_SIZE_PARAMETER = {RandomSearchCounterfactual: "n_samples",
+                         GrowingSpheresCounterfactual: "n_samples_per_shell"}
+
+
+class TestSharedStream:
+    """The lockstep search draws each (stream position, rung) once and
+    shares the offsets across instances; these properties are what make
+    that sharing exact."""
+
+    @pytest.mark.parametrize("generator_cls", LADDER_GENERATORS)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 64),
+           data=st.data())
+    def test_stream_consumption_does_not_depend_on_the_rung(
+            self, generator_cls, loan_workload, seed, n_samples, data):
+        model, background, _, _ = loan_workload
+        generator = generator_cls(model, background, random_state=seed,
+                                  **{SAMPLE_SIZE_PARAMETER[generator_cls]: n_samples})
+        rung = st.integers(0, len(generator.draw_schedule()) - 1)
+        first = data.draw(st.lists(rung, min_size=1, max_size=4), label="rungs")
+        second = data.draw(st.lists(rung, min_size=len(first), max_size=len(first)),
+                           label="other rungs")
+        states = []
+        for rungs in (first, second):
+            rng = np.random.default_rng(seed)
+            for step in rungs:
+                generator._offsets(rng, step, background.shape[1])
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("generator_cls", LADDER_GENERATORS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True),
+           schedule=st.sampled_from(["geometric", "adaptive"]))
+    def test_lockstep_matches_the_oracle_per_row(self, generator_cls, loan_workload,
+                                                 seed, rows, schedule):
+        """Any seed, batch subset and order, and both schedules (adaptive
+        waves mix rungs and stream positions): each row's result is the
+        independent per-instance oracle's."""
+        model, background, constraints, rejected = loan_workload
+        generator = generator_cls(model, background, constraints=constraints,
+                                  random_state=seed, schedule=schedule)
+        batched = generator.generate_batch_aligned(rejected[rows])
+        for row, got in zip(rows, batched):
+            expected = ladder_search(generator, rejected[row])
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.array_equal(got.counterfactual, expected.counterfactual)
+                assert got.distance == expected.distance
+
+    def test_generator_seed_streams_are_per_instance(self, loan_workload):
+        """A ``numpy.random.Generator`` seed is one stream consumed in row
+        order, so two copies of a row draw different candidates (an int
+        seed gives them the same ones); a one-row batch reads the stream
+        exactly as the oracle does."""
+        model, background, constraints, rejected = loan_workload
+        twice = np.stack([rejected[0], rejected[0]])
+
+        def search(random_state, X):
+            return GrowingSpheresCounterfactual(
+                model, background, constraints=constraints, random_state=random_state,
+            ).generate_batch_aligned(X)
+
+        same = search(3, twice)
+        assert np.array_equal(same[0].counterfactual, same[1].counterfactual)
+        shared = search(np.random.default_rng(3), twice)
+        assert not np.array_equal(shared[0].counterfactual, shared[1].counterfactual)
+        one = search(np.random.default_rng(3), rejected[:1])[0]
+        oracle = ladder_search(GrowingSpheresCounterfactual(
+            model, background, constraints=constraints,
+            random_state=np.random.default_rng(3)), rejected[0])
+        assert np.array_equal(one.counterfactual, oracle.counterfactual)
 
 
 class TestCounterfactualEngine:

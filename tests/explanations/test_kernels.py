@@ -248,6 +248,75 @@ class TestEdgeCases:
         assert projected.dtype == np.float64
 
 
+def _edge_constraints(kind, rng, d):
+    if kind == "random":
+        return _random_constraints(rng, d)
+    constraints = ActionabilityConstraints.unconstrained(d)
+    constraints.monotone = rng.integers(-1, 2, size=d)
+    if kind == "nan_bounds":  # NaN on one side, finite on the other
+        constraints.lower[::2] = np.nan
+        constraints.upper[::2] = 1.0
+        constraints.lower[1::2] = -1.0
+        constraints.upper[1::2] = np.nan
+    elif kind == "all_immutable":
+        constraints.immutable[:] = True
+        constraints.lower[:] = -1.0
+    elif kind == "no_finite_bound":
+        constraints.immutable = rng.random(d) < 0.3
+        constraints.lower[::2] = np.nan
+        constraints.upper[1::2] = np.nan
+    return constraints
+
+
+def _edge_inputs(shape, rng, d):
+    if shape == "single":  # a 1-D (d,) candidate
+        return rng.normal(size=d), rng.normal(size=d) * 3
+    if shape == "matrix":
+        return rng.normal(size=d), rng.normal(size=(25, d)) * 3
+    # the engine's wave: (n, c, d) candidates against (n, 1, d) originals
+    return rng.normal(size=(7, 1, d)), rng.normal(size=(7, 13, d)) * 3
+
+
+@pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+class TestProjectEdgeParity:
+    """The column-wise projection against the where cascade, bit for bit,
+    on the inputs the cascade handled implicitly."""
+
+    @pytest.mark.parametrize("kind", ["random", "nan_bounds", "all_immutable",
+                                      "no_finite_bound"])
+    @pytest.mark.parametrize("shape", ["single", "matrix", "wave"])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_matches_where_cascade(self, kernel_set, kind, shape, with_nan, rng):
+        d = 6
+        constraints = _edge_constraints(kind, rng, d)
+        x_original, candidates = _edge_inputs(shape, rng, d)
+        if with_nan:
+            candidates[rng.random(candidates.shape) < 0.15] = np.nan
+        expected = legacy_project(constraints, x_original, candidates)
+        bounds = dict(immutable=constraints.immutable, lower=constraints.lower,
+                      upper=constraints.upper, monotone=constraints.monotone)
+        fresh = kernel_set.project_candidates(x_original, candidates, **bounds)
+        buffer = np.empty_like(candidates)
+        into_buffer = kernel_set.project_candidates(x_original, candidates,
+                                                    out=buffer, **bounds)
+        in_place = candidates.copy()
+        into_self = kernel_set.project_candidates(x_original, in_place,
+                                                  out=in_place, **bounds)
+        assert into_buffer is buffer
+        assert into_self is in_place
+        for got in (fresh, buffer, in_place):
+            assert got.shape == candidates.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_originals_must_broadcast_to_the_candidates(self, kernel_set, rng):
+        constraints = _random_constraints(rng, 4)
+        with pytest.raises(ValueError):
+            kernel_set.project_candidates(
+                rng.normal(size=(3, 4)), rng.normal(size=4),
+                immutable=constraints.immutable, lower=constraints.lower,
+                upper=constraints.upper, monotone=constraints.monotone)
+
+
 # --------------------------------------------------------------------------
 # Resolution: one NumPy kernel set, no choice.
 # --------------------------------------------------------------------------

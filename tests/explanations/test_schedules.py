@@ -104,7 +104,7 @@ class TestGeometricParity:
             GrowingSpheresCounterfactual, train, model, constraints
         ).generate_batch_aligned(rejected)
         overridden = lockstep_candidate_search(
-            generator, rejected, generator._draw, len(generator.draw_schedule()),
+            generator, rejected, generator._offsets, len(generator.draw_schedule()),
             schedule=GeometricSchedule(),
         )
         for ref, got in zip(geometric_reference, overridden):
@@ -218,7 +218,7 @@ class TestAdaptiveSchedule:
         generator = GrowingSpheresCounterfactual(NeverHits(), train.X,
                                                  random_state=0)
         results = lockstep_candidate_search(
-            generator, rejected[:3], generator._draw,
+            generator, rejected[:3], generator._offsets,
             len(generator.draw_schedule()), schedule=StuckSchedule(),
         )
         assert results == [None, None, None]
