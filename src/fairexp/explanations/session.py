@@ -35,6 +35,7 @@ fit, or call :meth:`AuditSession.reset`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -48,6 +49,18 @@ from .schedules import resolve_schedule
 from .store import CounterfactualStore, population_fingerprint
 
 __all__ = ["AuditSession"]
+
+
+@dataclasses.dataclass
+class _Population:
+    """One population's session state: its cached rows (row index ->
+    counterfactual, ``None`` for a remembered-infeasible row), the generator
+    schedule they were searched under, and its store fingerprint (``None``
+    without a store or when the configuration has no reproducible one)."""
+
+    schedule: object
+    rows: dict[int, Counterfactual | None] = dataclasses.field(default_factory=dict)
+    fingerprint: str | None = None
 
 
 class AuditSession:
@@ -110,8 +123,8 @@ class AuditSession:
         directory path coerced into one) persisting each population's
         results across processes.  On the first touch of a population the
         session seeds its in-memory cache from the store; after every
-        engine pass it publishes the merged rows back.  ``None`` (default)
-        keeps sharing in-process only.
+        engine pass it publishes the whole cache (seeded rows plus new
+        ones) back.  ``None`` (default) keeps sharing in-process only.
     cache_predictions:
         When ``True`` (default), the adapter memoizes repeated predict
         matrices — audits scoring the same population only pay once.
@@ -119,11 +132,17 @@ class AuditSession:
         (an inherited adapter's memo is left alone — it may belong to a live
         shared session); refit workflows should call :meth:`reset_results`
         after each refit, which drops cached results and any memo.
+
+    Attributes
+    ----------
     max_populations:
         Bound on distinct populations whose results are kept; the oldest
         population is evicted beyond it (one audit sweep touches a handful,
-        so the default only matters for long-lived multi-population sessions).
+        so the class default only matters for long-lived multi-population
+        sessions).
     """
+
+    max_populations = 32
 
     # Fingerprint-safety declarations for lint rule FX006 (params never
     # stored as session attributes, each covered elsewhere or neutral):
@@ -142,8 +161,7 @@ class AuditSession:
 
     def __init__(self, generator=None, *, model=None, backend=None, n_jobs: int = 1,
                  executor: str = "auto", schedule=None, pool=None,
-                 store=None, cache_predictions: bool = True,
-                 max_populations: int = 32) -> None:
+                 store=None, cache_predictions: bool = True) -> None:
         if generator is None and model is None and backend is None:
             raise ValidationError(
                 "AuditSession needs a generator, a model or a backend"
@@ -155,7 +173,6 @@ class AuditSession:
                 "pass one or the other"
             )
         self.generator = generator
-        self.max_populations = max_populations
         self.n_jobs = n_jobs
         self.store = CounterfactualStore.ensure(store)
         # One lazily populated executor pool per session: every sharded
@@ -225,20 +242,8 @@ class AuditSession:
         # Predict calls attributable to engine generation passes (excludes
         # the audits' own scoring traffic) — 0 on a fully warm start.
         self.engine_predict_call_count = 0
-        # population key -> {row index -> Counterfactual | None (infeasible)}
-        self._results: dict[str, dict[int, Counterfactual | None]] = {}
-        # population key -> (schedule observed at compute time, fingerprint);
-        # cleared with the results, since a refit invalidates both.  The
-        # schedule rides along because another session sharing this
-        # generator can swap it mid-sweep (schedule=...), and a memoized
-        # fingerprint from before the swap would publish the new
-        # configuration's rows under the old configuration's store entry.
-        self._store_fingerprints: dict[str, tuple[object, str | None]] = {}
-        # Fingerprints this session has already published once: later
-        # publishes skip the disk read-back merge — the in-memory cache is a
-        # superset of this session's own last write (cross-process races
-        # stay last-writer-wins either way).
-        self._published_fingerprints: set[str] = set()
+        # population key -> its cached rows, schedule and store fingerprint
+        self._populations: dict[str, _Population] = {}
 
     @classmethod
     def ensure(cls, generator, session: "AuditSession | None"
@@ -403,25 +408,8 @@ class AuditSession:
                 f"of {n_rows} rows, got {out_of_range.tolist()}"
             )
         indices = np.where(indices < 0, indices + n_rows, indices)
-        key = self.population_key(X)
-        if key not in self._results and len(self._results) >= self.max_populations:
-            # Bound the result cache like the predict memo: evict the oldest
-            # population (audits of one sweep share a handful of populations;
-            # unbounded growth only hurts long-lived multi-population sessions).
-            evicted = next(iter(self._results))
-            self._results.pop(evicted)
-            memo = self._store_fingerprints.pop(evicted, None)
-            if memo is not None and memo[1] is not None:
-                # The published-fingerprint memo must fall with the results:
-                # after eviction the in-memory cache is no longer a superset
-                # of this session's own writes, so the next publish of a
-                # re-touched population has to do the disk read-back merge
-                # again or it would silently drop rows from the store entry.
-                self._published_fingerprints.discard(memo[1])
-        first_touch = key not in self._results
-        cache = self._results.setdefault(key, {})
-        if first_touch:
-            self._seed_from_store(key, X, cache)
+        population = self._population(X)
+        cache = population.rows
         # Dedupe while preserving order: a duplicated index must not trigger
         # (or pay for) two searches of the same row.
         distinct = list(dict.fromkeys(int(i) for i in indices))
@@ -434,49 +422,48 @@ class AuditSession:
             self.engine_predict_call_count += (
                 self._adapter.predict_call_count - calls_before
             )
-            self._publish_to_store(key, X, cache)
+            if population.fingerprint is not None:
+                # The cache holds every row the entry had (it was seeded
+                # from it), so publishing the cache replaces the entry with
+                # a superset.
+                self.store.save(population.fingerprint, cache,
+                                n_features=X.shape[1])
         return {
             int(i): cache[int(i)] for i in indices if cache[int(i)] is not None
         }
 
-    def _store_fingerprint(self, key: str, X: np.ndarray) -> str | None:
-        """Store fingerprint for a population, memoized per population key.
+    def _population(self, X: np.ndarray) -> _Population:
+        """The record of population ``X``, created (and seeded from the
+        store) on first touch.
 
-        The memo is invalidated when the generator's schedule object changed
-        since it was computed (a second session over the same generator can
-        install a different schedule), so rows searched under the new
-        configuration are never published under the old entry.
+        A record is only valid for the generator schedule its rows were
+        searched under: another session over the same generator can install
+        a different schedule (``schedule=...``), and serving — or publishing
+        under the new schedule's fingerprint — rows of the old one would
+        poison the new configuration's store entry.  So a schedule change
+        drops the record and starts over from the new configuration's entry.
         """
+        key = self.population_key(X)
         schedule = getattr(self.generator, "schedule", None)
-        memo = self._store_fingerprints.get(key)
-        if memo is None or memo[0] is not schedule:
-            memo = (schedule, population_fingerprint(self.generator, X))
-            self._store_fingerprints[key] = memo
-        return memo[1]
-
-    def _seed_from_store(self, key: str, X: np.ndarray,
-                         cache: dict[int, Counterfactual | None]) -> None:
-        """Warm a population's in-memory cache from the persistent store."""
-        if self.store is None:
-            return
-        fingerprint = self._store_fingerprint(key, X)
-        if fingerprint is None:
-            return
-        stored = self.store.load(fingerprint)
-        if stored:
-            cache.update(stored)
-            self.store_row_hits += len(stored)
-
-    def _publish_to_store(self, key: str, X: np.ndarray,
-                          cache: dict[int, Counterfactual | None]) -> None:
-        """Persist a population's results after an engine pass added rows."""
-        if self.store is None:
-            return
-        fingerprint = self._store_fingerprint(key, X)
-        if fingerprint is not None:
-            self.store.save(fingerprint, cache, n_features=X.shape[1],
-                            merge=fingerprint not in self._published_fingerprints)
-            self._published_fingerprints.add(fingerprint)
+        population = self._populations.get(key)
+        if population is not None and population.schedule is schedule:
+            return population
+        self._populations.pop(key, None)
+        if len(self._populations) >= self.max_populations:
+            # Bound the result cache like the predict memo: evict the oldest
+            # population (audits of one sweep share a handful of populations;
+            # unbounded growth only hurts long-lived multi-population sessions).
+            self._populations.pop(next(iter(self._populations)))
+        population = _Population(schedule)
+        if self.store is not None:
+            population.fingerprint = population_fingerprint(self.generator, X)
+        if population.fingerprint is not None:
+            stored = self.store.load(population.fingerprint)
+            if stored:
+                population.rows.update(stored)
+                self.store_row_hits += len(stored)
+        self._populations[key] = population
+        return population
 
     def precompute(self, X) -> int:
         """Warm the session for ``X``: one engine pass over every row not yet
@@ -500,12 +487,12 @@ class AuditSession:
     # ------------------------------------------------------------ accounting
     def stats(self) -> dict[str, int]:
         """Session-wide sharing statistics (for benchmarks and reports)."""
-        n_cached = sum(len(rows) for rows in self._results.values())
+        n_cached = sum(len(p.rows) for p in self._populations.values())
         n_infeasible = sum(
-            1 for rows in self._results.values() for r in rows.values() if r is None
+            1 for p in self._populations.values() for r in p.rows.values() if r is None
         )
         stats = {
-            "n_populations": len(self._results),
+            "n_populations": len(self._populations),
             "n_counterfactuals_cached": n_cached - n_infeasible,
             "n_infeasible_cached": n_infeasible,
             # Rows served from the result cache instead of a fresh engine
@@ -551,20 +538,16 @@ class AuditSession:
         Correctness wins; keep sweeps on one shared session to keep the memo
         warm.
         """
-        self._results.clear()
-        # Fingerprints fold in the fitted model state, so they are stale the
-        # moment a refit happens — recompute on next touch.  The persistent
+        # The records' fingerprints fold in the fitted model state, so they
+        # are stale the moment a refit happens — recompute on next touch.  The persistent
         # store itself needs no clearing: the refit model simply fingerprints
         # to different keys.
-        self._store_fingerprints.clear()
-        self._published_fingerprints.clear()
+        self._populations.clear()
         self._adapter.clear_memo()
 
     def reset(self) -> None:
         """Drop all shared results and zero the predict counters."""
-        self._results.clear()
-        self._store_fingerprints.clear()
-        self._published_fingerprints.clear()
+        self._populations.clear()
         self._adapter.reset_counts()
         if self.store is not None:
             self.store.reset_counts()

@@ -20,21 +20,22 @@ keyed by a :func:`population_fingerprint` — a SHA-256 digest folding together
 * the **engine config** (generator class, search parameters — the search
   schedule included — actionability constraints, background data, seed —
   via :func:`~fairexp.explanations.engine.generator_config`),
-* the **fingerprint and fairexp release versions**, so semantic key changes
-  and search-kernel changes retire old entries instead of serving them.
+* the **store format and fairexp release versions**, so format changes and
+  search-kernel changes retire old entries instead of serving them.
 
 On disk each entry is a compressed ``.npz`` payload (stacked counterfactual
 matrices and per-row metadata) plus a JSON manifest carrying the format
-version and the payload's checksum; payload-encoding evolution is read-
-compatible (version-1 uncompressed entries still load) rather than
-key-busting.  Writes are corruption-safe: payloads are
-content-named and published with an atomic ``os.replace`` before the
-manifest that references them, so concurrent writers of the same fingerprint
-cannot interleave — a reader either sees a complete earlier entry or a
-complete later one, and any torn or truncated state fails checksum
-validation and is treated as a miss (recompute, then overwrite).  The store
-directory is bounded: least-recently-used entries are evicted beyond
-``max_entries`` / ``max_bytes``, and orphaned payloads are swept.
+version and the payload's checksum.  There is one format: the manifest's
+version must equal :data:`STORE_FORMAT_VERSION`, which the fingerprint also
+folds, so an entry of another format is never even addressed.  Writes are
+corruption-safe: payloads are content-named and published with an atomic
+``os.replace`` before the manifest that references them, so concurrent
+writers of the same fingerprint cannot interleave — a reader either sees a
+complete earlier entry or a complete later one, and any torn or truncated
+state fails checksum validation and is treated as a miss (recompute, then
+overwrite).  The store directory is bounded: least-recently-used entries are
+evicted beyond ``max_entries`` / ``max_bytes``, and orphaned payloads are
+swept.
 
 Generators seeded with a shared :class:`numpy.random.Generator` instance —
 or not seeded at all (``random_state=None`` draws fresh OS entropy every
@@ -73,27 +74,10 @@ __all__ = [
     "population_fingerprint",
 ]
 
-#: Format version written into every new manifest.  Version 2 compresses
-#: payloads (``np.savez_compressed``); version 1 wrote them uncompressed.
+#: Format version written into every manifest, folded into every
+#: fingerprint and required (by equality) at read time.  Version 2 stores
+#: compressed payloads (``np.savez_compressed``).
 STORE_FORMAT_VERSION = 2
-
-#: Manifest versions this build can still read.  ``np.load`` handles zipped
-#: and plain ``.npz`` members transparently, so version-1 (uncompressed)
-#: entries remain readable at the format layer; anything newer than
-#: :data:`STORE_FORMAT_VERSION` is treated as corruption (recompute).
-#: Note the honest scope of this guarantee: *addressability* of old entries
-#: is governed by the fingerprint, which folds the package's source digest —
-#: so entries written by a different build are usually retired by key
-#: rotation before read-compat ever matters.  The readable set exists so the
-#: payload encoding itself never has to be the thing that invalidates data.
-_READABLE_FORMAT_VERSIONS = frozenset({1, STORE_FORMAT_VERSION})
-
-#: Version folded into population fingerprints.  Separate from
-#: :data:`STORE_FORMAT_VERSION` on purpose: a payload-encoding-only change
-#: (v1 uncompressed → v2 compressed) keeps addressing the same entries —
-#: that is what makes the read-compat set above meaningful — whereas a
-#: *semantic* change to what a fingerprint covers must bump this one.
-_FINGERPRINT_VERSION = 1
 
 #: What an entry's file stem looks like: a (possibly truncated) hex digest.
 #: Anything else in the directory — a sweep's ``SWEEP_JOURNAL.json``, editor
@@ -358,7 +342,7 @@ def population_fingerprint(generator, X) -> str | None:
     import fairexp
 
     digest = hashlib.sha256()
-    digest.update(f"format:{_FINGERPRINT_VERSION}:".encode())
+    digest.update(f"format:{STORE_FORMAT_VERSION}:".encode())
     # Results are produced by code, and fingerprints hash config + data, not
     # code — folding the release version AND the package's source digest in
     # retires every entry on upgrade or on any source change to the search
@@ -440,30 +424,31 @@ def _pack_results(results: dict[int, Counterfactual | None], n_features: int) ->
     return packed
 
 
-def _unpack_results(payload) -> dict[int, Counterfactual | None]:
-    """Rebuild the per-row result mapping from a loaded ``.npz`` payload."""
+def _unpack_results(arrays: dict[str, np.ndarray]) -> dict[int, Counterfactual | None]:
+    """Rebuild the per-row result mapping from a payload's loaded arrays.
+
+    ``arrays`` holds every ``.npz`` member already read into memory: an open
+    ``NpzFile`` re-inflates and re-parses a member on *every* index, so
+    unpacking row by row straight from it costs one full member read per
+    row per field.  Missing members surface as ``KeyError`` — corruption,
+    hence a miss and a recompute.
+    """
     results: dict[int, Counterfactual | None] = {}
-    indices = payload["indices"]
-    has_result = payload["has_result"]
-    for k, index in enumerate(indices):
-        if not has_result[k]:
-            results[int(index)] = None
+    for k, index in enumerate(arrays["indices"].tolist()):
+        if not arrays["has_result"][k]:
+            results[index] = None
             continue
-        # metas is absent from entries written before the field existed;
-        # missing-key errors surface as corruption -> recompute, so only the
-        # happy path is handled here.
-        meta = json.loads(str(payload["metas"][k])) if "metas" in payload else {}
-        results[int(index)] = Counterfactual(
-            original=np.array(payload["originals"][k], dtype=float),
-            counterfactual=np.array(payload["counterfactuals"][k], dtype=float),
-            original_prediction=int(payload["original_predictions"][k]),
-            counterfactual_prediction=int(payload["counterfactual_predictions"][k]),
+        results[index] = Counterfactual(
+            original=np.array(arrays["originals"][k], dtype=float),
+            counterfactual=np.array(arrays["counterfactuals"][k], dtype=float),
+            original_prediction=int(arrays["original_predictions"][k]),
+            counterfactual_prediction=int(arrays["counterfactual_predictions"][k]),
             changed_features=tuple(
-                int(j) for j in np.flatnonzero(payload["changed_masks"][k])
+                int(j) for j in np.flatnonzero(arrays["changed_masks"][k])
             ),
-            distance=float(payload["distances"][k]),
-            feasible=bool(payload["constraint_feasible"][k]),
-            meta=meta,
+            distance=float(arrays["distances"][k]),
+            feasible=bool(arrays["constraint_feasible"][k]),
+            meta=json.loads(str(arrays["metas"][k])),
         )
     return results
 
@@ -479,6 +464,9 @@ class CounterfactualStore:
     directory:
         Where entries live.  Created on first use; safe to share between
         concurrent processes (all publishes are atomic renames).
+
+    Attributes
+    ----------
     max_entries:
         Bound on the number of population entries kept; least-recently-used
         entries beyond it are evicted after every save.
@@ -486,10 +474,9 @@ class CounterfactualStore:
         Bound on the directory's total payload + manifest size, enforced the
         same way.  An entry larger than the bound on its own is still kept
         (evicting everything would just thrash); the bound then holds again
-        as soon as a smaller entry set returns.
-
-    Attributes
-    ----------
+        as soon as a smaller entry set returns.  Both bounds are class
+        constants; ``python -m fairexp store evict`` applies other bounds
+        on demand.
     hit_count, miss_count:
         Entry-level load outcomes for this process, surfaced through
         :meth:`AuditSession.stats` as the honest measure of warm starts.
@@ -499,12 +486,12 @@ class CounterfactualStore:
         ``BENCH_*`` trajectories alongside the hit counters.
     """
 
-    def __init__(self, directory, *, max_entries: int = 256,
-                 max_bytes: int = 512 * 1024 * 1024) -> None:
+    max_entries = 256
+    max_bytes = 512 * 1024 * 1024
+
+    def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
         self.hit_count = 0
         self.miss_count = 0
         self.bytes_read = 0
@@ -561,7 +548,8 @@ class CounterfactualStore:
         Each dict carries ``fingerprint``, ``n_rows``, ``n_features``,
         ``bytes`` (manifest + payload), ``age_seconds`` (since the last
         recency bump — the quantity LRU eviction orders on),
-        ``updated_at`` and ``format_version``.  Entries racing a concurrent
+        ``updated_at``, ``format_version`` and ``payload`` (the payload file
+        the manifest references).  Entries racing a concurrent
         writer are skipped rather than reported half-read; ordering is by
         age, oldest (next-to-evict) first.  This is what the
         ``python -m fairexp store inspect`` CLI prints.
@@ -572,7 +560,8 @@ class CounterfactualStore:
             try:
                 manifest = json.loads(manifest_path.read_text())
                 size = manifest_path.stat().st_size
-                payload_path = self.directory / str(manifest.get("payload", ""))
+                payload_name = str(manifest.get("payload", ""))
+                payload_path = self.directory / payload_name
                 if payload_path.exists():
                     size += payload_path.stat().st_size
                 age = max(0.0, now - manifest_path.stat().st_mtime)
@@ -586,6 +575,7 @@ class CounterfactualStore:
                 "age_seconds": float(age),
                 "updated_at": str(manifest.get("updated_at", "")),
                 "format_version": manifest.get("format_version"),
+                "payload": payload_name,
             })
         details.sort(key=lambda d: (-d["age_seconds"], d["fingerprint"]))
         return details
@@ -618,11 +608,23 @@ class CounterfactualStore:
                 removed += 1
         if max_entries is None and max_bytes is None:
             return removed
-        details = self.entry_details()  # oldest first
+        return removed + self._evict_oldest(self.entry_details(), max_entries,
+                                            max_bytes, keep_last=False)
+
+    def _evict_oldest(self, details: list[dict], max_entries: int | None,
+                      max_bytes: int | None, *, keep_last: bool) -> int:
+        """Discard entries oldest-first until ``details`` fits the bounds.
+
+        ``details`` is :meth:`entry_details` output (oldest first) and is
+        consumed.  With ``keep_last`` the byte bound never evicts the final
+        entry.  Returns how many entries were discarded.
+        """
         total_bytes = sum(d["bytes"] for d in details)
+        removed = 0
         while details and (
             (max_entries is not None and len(details) > max_entries)
-            or (max_bytes is not None and total_bytes > max_bytes)
+            or (max_bytes is not None and total_bytes > max_bytes
+                and not (keep_last and len(details) == 1))
         ):
             oldest = details.pop(0)
             self.discard(oldest["fingerprint"])
@@ -644,7 +646,7 @@ class CounterfactualStore:
             return None  # no entry published (or it was concurrently evicted)
         try:
             manifest = json.loads(manifest_text)
-            if manifest["format_version"] not in _READABLE_FORMAT_VERSIONS:
+            if manifest["format_version"] != STORE_FORMAT_VERSION:
                 raise ValueError(f"format version {manifest['format_version']}")
             if manifest["fingerprint"] != fingerprint:
                 raise ValueError("fingerprint mismatch")
@@ -656,8 +658,9 @@ class CounterfactualStore:
             blob = payload_path.read_bytes()
             if hashlib.sha256(blob).hexdigest() != manifest["payload_sha256"]:
                 raise ValueError("payload checksum mismatch")
-            with np.load(payload_path) as payload:
-                results = _unpack_results(payload)
+            with np.load(io.BytesIO(blob)) as payload:
+                arrays = {key: payload[key] for key in payload.files}
+            results = _unpack_results(arrays)
             if len(results) != int(manifest["n_rows"]):
                 raise ValueError("row count mismatch")
         except (OSError, KeyError, ValueError, TypeError, IndexError):
@@ -701,29 +704,22 @@ class CounterfactualStore:
 
     # ---------------------------------------------------------------- write
     def save(self, fingerprint: str, results: dict[int, Counterfactual | None],
-             *, n_features: int, merge: bool = True) -> None:
-        """Publish (or extend) one population entry atomically.
+             *, n_features: int) -> None:
+        """Publish one population entry atomically: exactly ``results``.
 
-        With ``merge`` (the default) rows already on disk are folded in
-        first, so sessions that explain a population incrementally — burden
-        first, a later audit adding rows — grow one entry instead of losing
-        the earlier rows.  The payload is written and ``os.replace``-d
+        The entry is replaced, not extended — a session grows an entry by
+        seeding its cache from the store on first touch and publishing the
+        whole cache back.  The payload is written and ``os.replace``-d
         before the manifest referencing it, so a concurrent reader never
         observes a half-written entry.
 
-        Concurrency contract: publishes are atomic but the read-merge-write
-        is not — when two *processes* extend the same fingerprint
-        simultaneously, the last complete publish wins and the other's fresh
-        rows may be absent from disk.  That is a cache miss, not corruption:
-        the losing rows are recomputed (and re-merged) on the next touch.
-        Within one process the session serializes its own saves.
+        Concurrency contract: when two *processes* extend the same
+        fingerprint simultaneously, the last complete publish wins and the
+        other's fresh rows may be absent from disk.  That is a cache miss,
+        not corruption: the losing rows are recomputed on the next touch.
         """
         if not results:
             return
-        if merge:
-            existing = self._read(fingerprint)
-            if existing:
-                results = {**existing, **results}
         try:
             packed = _pack_results(results, n_features)
         except (TypeError, ValueError):
@@ -823,27 +819,11 @@ class CounterfactualStore:
         # expensive full parse.
         if len(manifests) <= self.max_entries and quick_total <= self.max_bytes:
             return
-        entries: list[tuple[float, str, int]] = []  # (mtime, fingerprint, bytes)
-        referenced: set[str] = set()
-        for manifest_path in self._entry_manifests():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                payload_name = str(manifest.get("payload", ""))
-                referenced.add(payload_name)
-                size = manifest_path.stat().st_size
-                payload_path = self.directory / payload_name
-                if payload_path.exists():
-                    size += payload_path.stat().st_size
-                entries.append((manifest_path.stat().st_mtime, manifest_path.stem, size))
-            except (OSError, ValueError):
-                continue  # racing writer; the next sweep sees a settled state
-        entries.sort()  # oldest first
-        total = sum(size for _, _, size in entries)
-        while entries and (len(entries) > self.max_entries
-                           or (total > self.max_bytes and len(entries) > 1)):
-            _, fingerprint, size = entries.pop(0)
-            self.discard(fingerprint)
-            total -= size
+        details = self.entry_details()
+        referenced = {d["payload"] for d in details}
+        # Automatic enforcement keeps the last entry even when it alone
+        # exceeds the byte bound: evicting it would just thrash.
+        self._evict_oldest(details, self.max_entries, self.max_bytes, keep_last=True)
         now = time.time()
         # Orphans: payloads superseded by a concurrent writer, plus temp
         # files abandoned by a crashed one — both aged past the grace period.
@@ -901,5 +881,4 @@ class CounterfactualStore:
         }
 
     def __repr__(self) -> str:
-        return (f"CounterfactualStore({str(self.directory)!r}, "
-                f"max_entries={self.max_entries}, max_bytes={self.max_bytes})")
+        return f"CounterfactualStore({str(self.directory)!r})"

@@ -186,8 +186,8 @@ class TestAuditSessionSharing:
         session = AuditSession(
             _generator(GrowingSpheresCounterfactual, train, model,
                        loan_cf_generator.constraints),
-            max_populations=2,
         )
+        session.max_populations = 2
         for k in range(3):
             session.counterfactuals_for(test.X[:20] + 0.1 * k, np.arange(2))
         assert session.stats()["n_populations"] == 2
@@ -458,49 +458,71 @@ class TestSessionLifecycleAndEviction:
         with pytest.raises(ValidationError, match="AuditSession is closed"):
             session.precompute(test.X[:8])
 
-    def test_evicted_population_republishes_with_merge(self, workload,
-                                                       loan_cf_generator, tmp_path):
-        """Evict -> re-touch -> publish must merge with the store again.
-
-        After eviction the in-memory cache is rebuilt from scratch, so it is
-        no longer guaranteed to be a superset of this session's earlier
-        writes; a publish that skips the disk read-back merge (merge=False)
-        would silently drop rows from the store entry."""
+    def test_evicted_population_republishes_every_row(self, workload,
+                                                      loan_cf_generator, tmp_path):
+        """Evict -> re-touch -> publish must keep the rows published before
+        the eviction: the re-touch seeds the rebuilt cache from the store
+        entry, so the publish that replaces the entry carries them."""
         from fairexp.explanations import CounterfactualStore
 
         dataset, train, test, model, _ = workload
         store = CounterfactualStore(tmp_path)
-        merge_flags: list[bool] = []
-        original_save = store.save
-
-        def spying_save(fingerprint, rows, *, merge=True, **kwargs):
-            merge_flags.append(merge)
-            return original_save(fingerprint, rows, merge=merge, **kwargs)
-
-        store.save = spying_save
         session = AuditSession(
             _generator(GrowingSpheresCounterfactual, train, model,
                        loan_cf_generator.constraints),
-            store=store, max_populations=1,
+            store=store,
         )
+        session.max_populations = 1
         population_a = test.X[:20]
         population_b = test.X[20:40]
         session.counterfactuals_for(population_a, np.arange(3))   # publish #1 (A)
         session.counterfactuals_for(population_b, np.arange(3))   # evicts A
-        # Re-touch A with rows the first pass never searched: the publish
-        # must read the disk entry back and merge (merge=True), exactly as
-        # a first-ever publish would.
+        # Re-touch A with rows the first pass never searched.
         session.counterfactuals_for(population_a, np.arange(3, 6))
-        assert merge_flags[0] is True
-        assert merge_flags[-1] is True, (
-            "re-publish after eviction skipped the read-back merge"
-        )
         # All rows from both passes survived in the store entry.
         from fairexp.explanations import population_fingerprint
         fingerprint = population_fingerprint(session.generator, np.atleast_2d(
             np.asarray(population_a, dtype=float)))
         stored = store.load(fingerprint)
         assert set(stored) >= set(range(6))
+
+    def test_schedule_swap_does_not_poison_the_store(self, workload,
+                                                     loan_cf_generator, tmp_path):
+        """Rows searched under one schedule are never published under (or
+        served from) another schedule's store entry.
+
+        A second session over the same generator installs the adaptive
+        schedule while the first still caches geometric rows; the first
+        session's next publish must not file those rows under the adaptive
+        fingerprint, where a fresh adaptive session would warm-serve them."""
+        dataset, train, test, model, rejected_idx = workload
+        constraints = loan_cf_generator.constraints
+        first, second = rejected_idx[:4], rejected_idx[4:8]
+
+        def fresh_generator():
+            return _generator(GrowingSpheresCounterfactual, train, model, constraints)
+
+        generator = fresh_generator()
+        with AuditSession(generator, store=tmp_path) as session_a:
+            geometric = session_a.counterfactuals_for(test.X, first)
+            with AuditSession(generator, schedule="adaptive"):
+                pass  # swaps the shared generator's schedule
+            session_a.counterfactuals_for(test.X, second)
+
+        with AuditSession(fresh_generator(), schedule="adaptive") as reference:
+            cold = reference.counterfactuals_for(test.X, first)
+        # Precondition: the two schedules disagree on these rows, so serving
+        # geometric rows as adaptive ones would be visible below.
+        assert set(cold) != set(geometric) or any(
+            not np.array_equal(cold[i].counterfactual, geometric[i].counterfactual)
+            for i in cold
+        )
+        with AuditSession(fresh_generator(), schedule="adaptive",
+                          store=tmp_path) as warm:
+            served = warm.counterfactuals_for(test.X, first)
+        assert set(served) == set(cold)
+        for i in cold:
+            assert np.array_equal(served[i].counterfactual, cold[i].counterfactual)
 
     def test_backend_passthrough_routes_session_predicts(self, workload,
                                                          loan_cf_generator):

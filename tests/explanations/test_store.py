@@ -100,12 +100,12 @@ class TestRoundTrip:
         assert store.load("0" * 64) is None
         assert store.stats()["store_misses"] == 1
 
-    def test_merge_grows_an_entry_incrementally(self, tmp_path):
+    def test_save_replaces_the_entry(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         results = _some_results()
         store.save("a" * 64, {3: results[3]}, n_features=3)
         store.save("a" * 64, {7: None}, n_features=3)
-        assert set(store.load("a" * 64)) == {3, 7}
+        assert store.load("a" * 64) == {7: None}
 
     def test_empty_save_is_a_noop(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -492,6 +492,16 @@ class TestCorruptionFallback:
         # advertise a fingerprint that can never load.
         assert store.entries() == []
 
+    def test_older_format_version_is_a_miss(self, tmp_path):
+        """There is one format: a manifest of any other version is never
+        read, even one whose payload would still parse."""
+        store = self._store_with_entry(tmp_path)
+        manifest_path = store._manifest_path("c" * 64)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.load("c" * 64) is None
+
     def test_future_format_version_is_a_miss(self, tmp_path):
         store = self._store_with_entry(tmp_path)
         manifest_path = store._manifest_path("c" * 64)
@@ -532,7 +542,8 @@ class TestCorruptionFallback:
 
 class TestEviction:
     def test_entry_bound_evicts_least_recently_used(self, tmp_path):
-        store = CounterfactualStore(tmp_path, max_entries=2)
+        store = CounterfactualStore(tmp_path)
+        store.max_entries = 2
         fingerprints = ["1" * 64, "2" * 64, "3" * 64]
         for k, fingerprint in enumerate(fingerprints):
             store.save(fingerprint, _some_results(), n_features=3)
@@ -544,7 +555,8 @@ class TestEviction:
         assert "4" * 64 in kept
 
     def test_byte_bound_is_respected(self, tmp_path):
-        store = CounterfactualStore(tmp_path, max_bytes=1)
+        store = CounterfactualStore(tmp_path)
+        store.max_bytes = 1
         for k, fingerprint in enumerate(["5" * 64, "6" * 64]):
             store.save(fingerprint, _some_results(), n_features=3)
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
@@ -554,7 +566,8 @@ class TestEviction:
         assert store.entries() == ["6" * 64]
 
     def test_load_bumps_recency(self, tmp_path):
-        store = CounterfactualStore(tmp_path, max_entries=2)
+        store = CounterfactualStore(tmp_path)
+        store.max_entries = 2
         for k, fingerprint in enumerate(["7" * 64, "8" * 64]):
             store.save(fingerprint, _some_results(), n_features=3)
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
@@ -568,7 +581,8 @@ class TestEviction:
         list, count, evict or clear it as if it were a population entry."""
         journal = tmp_path / "SWEEP_JOURNAL.json"
         journal.write_text('{"version": 1, "cells": {}}')
-        store = CounterfactualStore(tmp_path, max_entries=1)
+        store = CounterfactualStore(tmp_path)
+        store.max_entries = 1
 
         assert store.entries() == []
         assert store.stats()["store_entries"] == 0
@@ -608,7 +622,7 @@ _WRITER_SCRIPT = textwrap.dedent("""
         for i in range(6)
     }
     for _ in range(repeats):
-        store.save("d" * 64, results, n_features=3, merge=False)
+        store.save("d" * 64, results, n_features=3)
 """)
 
 
@@ -668,6 +682,17 @@ class TestSessionIntegration:
         assert warm.store_row_hits > 0
         assert warm_burden.gap == cold_burden.gap
         assert warm_nawb.gap == cold_nawb.gap
+
+    def test_second_session_grows_entry_to_union(self, tmp_path, loan_workload):
+        """A later session over the same store seeds its cache from the
+        entry, so publishing its new rows keeps the earlier ones."""
+        _, train, subset, model, constraints = loan_workload
+        first = AuditSession(_generator(model, train, constraints), store=tmp_path)
+        first.counterfactuals_for(subset.X, np.arange(0, 4))
+        second = AuditSession(_generator(model, train, constraints), store=tmp_path)
+        second.counterfactuals_for(subset.X, np.arange(4, 8))
+        [fingerprint] = second.store.entries()
+        assert set(CounterfactualStore(tmp_path).load(fingerprint)) == set(range(8))
 
     def test_unfingerprintable_generator_skips_store(self, tmp_path, loan_workload):
         _, train, subset, model, constraints = loan_workload
@@ -730,48 +755,17 @@ class TestCompressionAndFormatCompat:
         assert set(loaded) == set(results)
         assert np.array_equal(loaded[0].counterfactual, results[0].counterfactual)
 
-    def test_v1_uncompressed_entries_still_read(self, tmp_path):
-        """An entry published by a version-1 (uncompressed npz) build loads."""
-        import hashlib
-        import io
-
-        from fairexp.explanations.store import _pack_results
-
-        store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        buffer = io.BytesIO()
-        np.savez(buffer, **_pack_results(results, 3))  # v1 wrote plain npz
-        blob = buffer.getvalue()
-        payload_path = store._payload_path("b" * 64, "deadbeef")
-        payload_path.write_bytes(blob)
-        store._manifest_path("b" * 64).write_text(json.dumps({
-            "format_version": 1,
-            "fingerprint": "b" * 64,
-            "payload": payload_path.name,
-            "payload_sha256": hashlib.sha256(blob).hexdigest(),
-            "n_rows": len(results),
-            "n_features": 3,
-            "updated_at": "2026-01-01T00:00:00+0000",
-        }))
-        loaded = store.load("b" * 64)
-        assert loaded is not None
-        assert loaded[7] is None
-        assert np.array_equal(loaded[3].counterfactual, results[3].counterfactual)
-
-    def test_payload_encoding_bump_does_not_bust_fingerprints(self, loan_workload):
-        """Fingerprints fold the fingerprint version, not the payload format
-        version — otherwise read-compat across the v1->v2 bump would be moot."""
+    def test_format_bump_busts_fingerprints(self, loan_workload, monkeypatch):
+        """The format version is folded into every fingerprint, so entries of
+        another format are never addressed."""
         from fairexp.explanations import store as store_module
 
         dataset, train, subset, model, constraints = loan_workload
         generator = _generator(model, train, constraints)
         before = population_fingerprint(generator, subset.X)
-        original = store_module.STORE_FORMAT_VERSION
-        try:
-            store_module.STORE_FORMAT_VERSION = original + 1
-            assert population_fingerprint(generator, subset.X) == before
-        finally:
-            store_module.STORE_FORMAT_VERSION = original
+        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION",
+                            store_module.STORE_FORMAT_VERSION + 1)
+        assert population_fingerprint(generator, subset.X) != before
 
 
 class TestStoreMetrics:
@@ -789,6 +783,36 @@ class TestStoreMetrics:
         assert store.stats()["store_bytes_read"] == store.bytes_read
         store.reset_counts()
         assert store.bytes_read == 0
+
+    def test_load_reads_each_payload_member_once(self, tmp_path, monkeypatch):
+        """An open NpzFile re-inflates a member on every index; unpacking
+        row by row from it made warm reads slower than recomputing."""
+        store = CounterfactualStore(tmp_path)
+        results = {
+            i: Counterfactual(
+                original=np.zeros(4), counterfactual=np.full(4, float(i)),
+                original_prediction=0, counterfactual_prediction=1,
+                changed_features=(0, 1, 2, 3), distance=float(i),
+            )
+            for i in range(64)
+        }
+        store.save("a" * 64, results, n_features=4)
+        manifest = json.loads(store._manifest_path("a" * 64).read_text())
+        with np.load(tmp_path / manifest["payload"]) as payload:
+            n_members = len(payload.files)
+
+        npz_type = np.lib.npyio.NpzFile
+        original_getitem = npz_type.__getitem__
+        calls = []
+
+        def counting_getitem(self, key):
+            calls.append(key)
+            return original_getitem(self, key)
+
+        monkeypatch.setattr(npz_type, "__getitem__", counting_getitem)
+        loaded = store.load("a" * 64)
+        assert loaded is not None and len(loaded) == 64
+        assert len(calls) <= n_members
 
     def test_stats_report_entry_ages(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -812,6 +836,7 @@ class TestStoreMetrics:
             assert detail["n_rows"] == 2
             assert detail["bytes"] > 0
             assert detail["format_version"] == 2
+            assert (tmp_path / detail["payload"]).exists()
 
     def test_session_stats_fold_in_bytes_read(self, tmp_path, loan_workload):
         dataset, train, subset, model, constraints = loan_workload
