@@ -4,8 +4,9 @@ The four kernels of :mod:`fairexp.explanations.kernels` replaced Python
 loops that dominated wall time at the 100x E1 scale point: the per-hit
 ``counterfactual_distance`` list comprehension, the broadcast/``np.where``
 projection cascade, ``greedy_sparsify_batch``'s per-feature ``trial.copy()``
-chain, and the per-row greedy feature ranking.  This module keeps verbatim
-copies of those pre-kernel implementations as the baseline, times both
+chains (one per instance per round), and the per-row greedy feature
+ranking.  This module keeps verbatim copies of those pre-kernel
+implementations as the baseline, times both
 sides on 100x-E1-shaped inputs, asserts the kernels are bitwise-equal to
 the loops, and records each kernel's timings and its own speedup
 (``<kernel>_speedup`` = legacy / kernel seconds) to ``BENCH_KERNELS.json``.
@@ -166,21 +167,20 @@ def test_kernels_vs_legacy_loops(benchmark):
         for k in range(N_SPARSIFY_ROWS) if orders[k]
     ]))
 
+    # The whole round in one call: every instance's chain from one rank
+    # matrix (features outside an order rank N_FEATURES, never reverted).
+    ranks = np.full((N_SPARSIFY_ROWS, N_FEATURES), N_FEATURES)
+    for k, order in enumerate(orders):
+        ranks[k, order] = np.arange(len(order))
+    lengths = np.asarray([len(order) for order in orders])
+
     def _kernel_prefix():
-        total = sum(len(order) for order in orders)
-        out = np.empty((total, N_FEATURES))
-        offset = 0
-        for k, order in enumerate(orders):
-            if not order:
-                continue
-            kernels.build_prefix_revert_trials(
-                sparse_candidates[k], X_sparse[k], np.asarray(order),
-                out=out[offset:offset + len(order)])
-            offset += len(order)
-        return out
+        return kernels.build_prefix_revert_trials(sparse_candidates, X_sparse, ranks, lengths)
 
     kernel_times["prefix_trials"], t_kernel = _best_of(3, _kernel_prefix)
     assert np.array_equal(t_legacy, t_kernel)
+    # The whole-round kernel must beat the per-feature chains it replaced.
+    assert legacy_times["prefix_trials"] / kernel_times["prefix_trials"] > 1.0
 
     # One timed pass through the full kernel side for pytest-benchmark stats.
     benchmark.pedantic(lambda: (

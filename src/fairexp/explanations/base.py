@@ -400,6 +400,40 @@ class Counterfactual:
     feasible: bool = True
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_columns(cls, originals, counterfactuals, original_predictions,
+                     counterfactual_predictions, changed, distances, feasible
+                     ) -> list["Counterfactual"]:
+        """One result per row of column-wise arrays, with Python scalar fields.
+
+        ``originals``, ``counterfactuals`` and the boolean ``changed`` mask
+        are ``(n, d)``; the other arguments are length-``n`` columns.  Each
+        scalar column is converted with one bulk ``tolist`` and every row's
+        ``changed_features`` comes from one ``np.nonzero`` over the mask.
+        The results' arrays are rows (views) of ``originals`` and
+        ``counterfactuals``, so pass matrices that nothing else holds.
+        """
+        original_predictions = np.asarray(original_predictions).astype(np.int64).tolist()
+        counterfactual_predictions = np.asarray(
+            counterfactual_predictions).astype(np.int64).tolist()
+        distances = np.asarray(distances, dtype=float).tolist()
+        feasible = np.asarray(feasible, dtype=bool).tolist()
+        changed = np.asarray(changed, dtype=bool)
+        columns = np.nonzero(changed)[1].tolist()
+        bounds = [0, *np.cumsum(changed.sum(axis=1)).tolist()]
+        return [
+            cls(
+                original=original,
+                counterfactual=counterfactual,
+                original_prediction=original_predictions[k],
+                counterfactual_prediction=counterfactual_predictions[k],
+                changed_features=tuple(columns[bounds[k]:bounds[k + 1]]),
+                distance=distances[k],
+                feasible=feasible[k],
+            )
+            for k, (original, counterfactual) in enumerate(zip(originals, counterfactuals))
+        ]
+
     def delta(self) -> np.ndarray:
         """Feature-wise change vector ``x' - x``."""
         return np.asarray(self.counterfactual, dtype=float) - np.asarray(self.original, dtype=float)

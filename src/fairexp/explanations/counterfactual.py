@@ -247,32 +247,26 @@ class BaseCounterfactualGenerator:
     def _make_results_batch(self, X_rows: np.ndarray, candidates: np.ndarray
                             ) -> list[Counterfactual]:
         """Build :class:`Counterfactual` results for many rows with two
-        predict calls (originals + counterfactuals) instead of two per row."""
-        X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
+        predict calls (originals + counterfactuals) instead of two per row.
+
+        Every field is computed for the whole batch at once
+        (:meth:`Counterfactual.from_columns`); each result's ``original`` and
+        ``counterfactual`` are rows of matrices this call allocates, so no
+        result shares memory with the caller's arrays or with another
+        result.
+        """
+        originals = np.array(np.atleast_2d(X_rows), dtype=float)
         candidates = self.constraints.project(
-            X_rows, np.atleast_2d(np.asarray(candidates, dtype=float)),
+            originals, np.atleast_2d(np.asarray(candidates, dtype=float)),
         )
-        original_predictions = self._predict(X_rows)
-        counterfactual_predictions = self._predict(candidates)
-        feasible = self.constraints.is_feasible(X_rows, candidates)
-        changed_matrix = ~np.isclose(candidates, X_rows)
-        distances = resolve_kernels().batch_counterfactual_distance(
-            X_rows, candidates, scale=self.scale_, metric=self.metric
+        return Counterfactual.from_columns(
+            originals, candidates,
+            self._predict(originals), self._predict(candidates),
+            ~np.isclose(candidates, originals),
+            resolve_kernels().batch_counterfactual_distance(
+                originals, candidates, scale=self.scale_, metric=self.metric),
+            self.constraints.is_feasible(originals, candidates),
         )
-        results = []
-        for k in range(X_rows.shape[0]):
-            x, candidate = X_rows[k], candidates[k]
-            changed = tuple(int(j) for j in np.flatnonzero(changed_matrix[k]))
-            results.append(Counterfactual(
-                original=x.copy(),
-                counterfactual=candidate.copy(),
-                original_prediction=int(original_predictions[k]),
-                counterfactual_prediction=int(counterfactual_predictions[k]),
-                changed_features=changed,
-                distance=float(distances[k]),
-                feasible=bool(feasible[k]),
-            ))
-        return results
 
     def _offsets(self, rng, step: int, n_features: int) -> np.ndarray:
         """Candidate offsets at rung ``step`` of :meth:`draw_schedule`.

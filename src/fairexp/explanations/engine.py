@@ -195,53 +195,49 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
     features.  Predict calls drop from (#changed features) per instance to
     (#rejected reverts + 1) rounds shared by the whole batch.
 
-    The greedy order and the trial chains run on the kernels of
-    :mod:`~fairexp.explanations.kernels`: ranking is computed
-    for the whole batch at once, and each instance's prefix chain is written
-    directly into the round's stacked trial matrix — one allocation per
-    round instead of one ``trial.copy()`` per feature per instance.
+    Each round works on whole arrays.  The greedy order lives in a padded
+    ``(n, d)`` rank-position matrix, scattered once from
+    :func:`~fairexp.explanations.kernels.rank_changed_features`; one
+    :func:`~fairexp.explanations.kernels.build_prefix_revert_trials` call
+    stacks every active instance's trial chain, one masked ``argmax`` finds
+    each instance's first rejected revert and one mask applies the accepted
+    ones.
     """
     kernel_set = resolve_kernels()
     X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float)).copy()
-    n_rows = candidates.shape[0]
-    n_features = candidates.shape[1] if candidates.ndim == 2 else 0
+    n_rows, n_features = candidates.shape
 
     # Greedy order per instance, fixed once from the initial candidate (as
-    # the per-feature greedy loop does).
-    orders: list[list[int]] = [
-        [int(j) for j in ranked]
-        for ranked in kernel_set.rank_changed_features(X_rows, candidates,
-                                                       generator.scale_)
-    ]
+    # the per-feature greedy loop does): position[k, j] is feature j's rank
+    # in instance k's order, n_features for a feature outside it.
+    orders = kernel_set.rank_changed_features(X_rows, candidates, generator.scale_)
+    lengths = np.asarray([len(order) for order in orders], dtype=np.intp)
+    position = np.full((n_rows, n_features), n_features, dtype=np.intp)
+    if lengths.sum():
+        owner = np.repeat(np.arange(n_rows), lengths)
+        position[owner, np.concatenate(orders)] = (
+            np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths))
 
-    active = [k for k in range(n_rows) if orders[k]]
-    while active:
-        spans = [(k, len(orders[k])) for k in active]
-        trials = np.empty((sum(length for _, length in spans), n_features))
-        offset = 0
-        for k, length in spans:
-            kernel_set.build_prefix_revert_trials(
-                candidates[k], X_rows[k], orders[k],
-                out=trials[offset:offset + length],
-            )
-            offset += length
-        predictions = generator._predict(trials)
-
-        offset = 0
-        next_active: list[int] = []
-        for k, length in spans:
-            block = predictions[offset:offset + length]
-            offset += length
-            order = orders[k]
-            failures = np.flatnonzero(block != generator.target_class)
-            accepted = order if failures.size == 0 else order[: int(failures[0])]
-            for column in accepted:
-                candidates[k, column] = X_rows[k, column]
-            orders[k] = [] if failures.size == 0 else order[int(failures[0]) + 1:]
-            if orders[k]:
-                next_active.append(k)
-        active = next_active
+    # start[k]: rank of instance k's first undecided feature.  Accepted
+    # reverts are already written into the candidate and rejected ones stay
+    # as drawn, so each round ranks only the features from start on.
+    start = np.zeros(n_rows, dtype=np.intp)
+    active = np.flatnonzero(lengths)
+    while active.size:
+        remaining = lengths[active] - start[active]
+        ranks = position[active] - start[active, None]
+        ranks[ranks < 0] = n_features
+        trials = kernel_set.build_prefix_revert_trials(
+            candidates[active], X_rows[active], ranks, remaining)
+        rejected = np.zeros((active.size, int(remaining.max())), dtype=bool)
+        rejected[np.arange(rejected.shape[1]) < remaining[:, None]] = (
+            generator._predict(trials) != generator.target_class)
+        accepted = np.where(rejected.any(axis=1), rejected.argmax(axis=1), remaining)
+        revert = ranks < accepted[:, None]
+        candidates[active] = np.where(revert, X_rows[active], candidates[active])
+        start[active] += accepted + 1
+        active = active[start[active] < lengths[active]]
     return candidates
 
 
@@ -364,7 +360,9 @@ def lockstep_candidate_search(
                 distances = wave_distances[bounds[k]:bounds[k + 1]]
                 pick = int(np.argmin(distances))
                 if i not in best or float(distances[pick]) < best[i][0]:
-                    best[i] = (float(distances[pick]), projected[k, hits[pick]])
+                    # A copy, not a view: a view would keep this whole
+                    # wave's candidate tensor alive until the search ends.
+                    best[i] = (float(distances[pick]), projected[k, hits[pick]].copy())
             cursor.observe(i, plan[i], int(hits.size), int(predictions.shape[1]))
         pending = [i for i in pending if i not in cursor.finished]
 

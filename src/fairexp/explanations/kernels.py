@@ -12,9 +12,10 @@ kernels:
   stacked candidate tensor, one in-place pass per constrained feature
   column instead of a chain of full-tensor passes (optionally into the
   candidate tensor itself);
-* :func:`build_prefix_revert_trials` — one instance's cumulative
-  prefix-revert trial matrix in a single allocation (replaces the
-  per-feature ``trial.copy()`` chain);
+* :func:`build_prefix_revert_trials` — one greedy round's cumulative
+  prefix-revert trials for every active instance at once, stacked in one
+  ``np.where`` over a rank-position matrix (replaces the per-feature
+  ``trial.copy()`` chain and the per-instance call);
 * :func:`rank_changed_features` — the sparsifier's greedy revert order for a
   whole batch of instances at once.
 
@@ -124,23 +125,26 @@ def project_candidates(x_original, candidates, *, immutable, lower, upper,
     return out
 
 
-def build_prefix_revert_trials(candidate, x_row, order, out=None) -> np.ndarray:
-    """One instance's cumulative prefix-revert trial matrix, one allocation.
+def build_prefix_revert_trials(candidates, X_rows, ranks, lengths) -> np.ndarray:
+    """Every instance's cumulative prefix-revert trials for one greedy round.
 
-    Row ``j`` is ``candidate`` with features ``order[:j + 1]`` reverted to
-    ``x_row``'s values — exactly the chain the per-feature greedy loop builds
-    with one ``trial.copy()`` per feature.  ``out`` (shape
-    ``(len(order), d)``) avoids even the single allocation when the caller
-    stacks trials itself.
+    ``ranks[k, j]`` is feature ``j``'s position in instance ``k``'s
+    remaining revert order; a feature outside that order carries a rank of
+    at least ``lengths[k]``, the order's length.  Instance ``k`` gets
+    ``lengths[k]`` trial rows, and its row ``t`` is ``candidates[k]`` with
+    every feature of rank ``<= t`` reverted to ``X_rows[k]``'s value —
+    exactly the chain the per-feature greedy loop builds with one
+    ``trial.copy()`` per feature.  The blocks are stacked in instance order
+    into one ``(sum(lengths), d)`` matrix, built by a single ``np.where``
+    over the gathered rows.
     """
-    candidate = np.asarray(candidate, dtype=float)
-    x_row = np.asarray(x_row, dtype=float)
-    if out is None:
-        out = np.empty((len(order), candidate.shape[0]), dtype=float)
-    out[:] = candidate
-    for j, column in enumerate(order):
-        out[j:, column] = x_row[column]
-    return out
+    candidates = np.asarray(candidates, dtype=float)
+    X_rows = np.asarray(X_rows, dtype=float)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    step = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    revert = np.asarray(ranks)[owner] <= step[:, None]
+    return np.where(revert, X_rows[owner], candidates[owner])
 
 
 def rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:

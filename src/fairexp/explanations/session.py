@@ -389,7 +389,9 @@ class AuditSession:
         index ``i`` names row ``i + n`` (and is returned, cached and stored
         under that key), and any index outside ``[-n, n)`` raises
         :class:`~fairexp.exceptions.ValidationError` before the cache or the
-        store is touched.
+        store is touched.  So does a requested row holding a NaN or infinite
+        feature: the error names those rows (non-negative) before the cache,
+        the store or the engine sees the request.
         """
         if self.engine is None:
             raise ValidationError(
@@ -408,6 +410,12 @@ class AuditSession:
                 f"of {n_rows} rows, got {out_of_range.tolist()}"
             )
         indices = np.where(indices < 0, indices + n_rows, indices)
+        non_finite = np.unique(indices[~np.isfinite(X[indices]).all(axis=1)])
+        if non_finite.size:
+            raise ValidationError(
+                f"rows {non_finite.tolist()} hold NaN or infinite features; a "
+                "counterfactual search needs finite rows"
+            )
         population = self._population(X)
         cache = population.rows
         # Dedupe while preserving order: a duplicated index must not trigger

@@ -24,8 +24,11 @@ keyed by a :func:`population_fingerprint` — a SHA-256 digest folding together
   search-kernel changes retire old entries instead of serving them.
 
 On disk each entry is a compressed ``.npz`` payload (stacked counterfactual
-matrices and per-row metadata) plus a JSON manifest carrying the format
-version and the payload's checksum.  There is one format: the manifest's
+matrices and one array per scalar field) plus a JSON manifest carrying the
+format version and the payload's checksum.  Rows carrying a non-empty
+``Counterfactual.meta`` are not persisted at all (the payload has no place
+for it): such a save is skipped, so a warm read is a miss, never a stripped
+``meta``.  There is one format: the manifest's
 version must equal :data:`STORE_FORMAT_VERSION`, which the fingerprint also
 folds, so an entry of another format is never even addressed.  Writes are
 corruption-safe: payloads are content-named and published with an atomic
@@ -48,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import pickle
@@ -75,9 +79,10 @@ __all__ = [
 ]
 
 #: Format version written into every manifest, folded into every
-#: fingerprint and required (by equality) at read time.  Version 2 stores
-#: compressed payloads (``np.savez_compressed``).
-STORE_FORMAT_VERSION = 2
+#: fingerprint and required (by equality) at read time.  Version 3 stores
+#: compressed payloads (``np.savez_compressed``) of per-field arrays only,
+#: with no per-row ``meta`` member.
+STORE_FORMAT_VERSION = 3
 
 #: What an entry's file stem looks like: a (possibly truncated) hex digest.
 #: Anything else in the directory — a sweep's ``SWEEP_JOURNAL.json``, editor
@@ -384,16 +389,17 @@ def population_fingerprint(generator, X) -> str | None:
 def _pack_results(results: dict[int, Counterfactual | None], n_features: int) -> dict:
     """Stack a per-row result mapping into the arrays one ``.npz`` holds.
 
-    Raises ``TypeError`` when some row's ``meta`` is not JSON-serializable —
-    persisting it would silently return different objects on the warm path,
-    so the caller skips the save instead (fidelity over persistence).
+    Each member is filled by one stacked assignment over the rows that have
+    a result; remembered-infeasible rows keep the fill values.
     """
     indices = np.asarray(sorted(results), dtype=np.int64)
+    rows = [results[index] for index in indices.tolist()]
+    has_result = np.asarray([row is not None for row in rows], dtype=bool)
+    present = [row for row in rows if row is not None]
     n = indices.size
-    metas = ["{}"] * n
     packed = {
         "indices": indices,
-        "has_result": np.zeros(n, dtype=bool),
+        "has_result": has_result,
         "originals": np.full((n, n_features), np.nan),
         "counterfactuals": np.full((n, n_features), np.nan),
         "original_predictions": np.zeros(n, dtype=np.int64),
@@ -402,25 +408,22 @@ def _pack_results(results: dict[int, Counterfactual | None], n_features: int) ->
         "constraint_feasible": np.zeros(n, dtype=bool),
         "changed_masks": np.zeros((n, n_features), dtype=bool),
     }
-    for k, index in enumerate(indices):
-        result = results[int(index)]
-        if result is None:  # remembered-infeasible row
-            continue
-        packed["has_result"][k] = True
-        packed["originals"][k] = np.asarray(result.original, dtype=float)
-        packed["counterfactuals"][k] = np.asarray(result.counterfactual, dtype=float)
-        packed["original_predictions"][k] = int(result.original_prediction)
-        packed["counterfactual_predictions"][k] = int(result.counterfactual_prediction)
-        packed["distances"][k] = float(result.distance)
-        packed["constraint_feasible"][k] = bool(result.feasible)
-        packed["changed_masks"][k, list(result.changed_features)] = True
-        encoded_meta = json.dumps(result.meta, sort_keys=True)
-        if json.loads(encoded_meta) != result.meta:
-            # JSON silently coerces e.g. int dict keys to strings; a warm
-            # load would then return different meta than the cold path.
-            raise ValueError("meta does not survive a JSON round trip")
-        metas[k] = encoded_meta
-    packed["metas"] = np.asarray(metas)
+    if not present:
+        return packed
+    packed["originals"][has_result] = np.stack([row.original for row in present])
+    packed["counterfactuals"][has_result] = np.stack(
+        [row.counterfactual for row in present])
+    packed["original_predictions"][has_result] = [
+        int(row.original_prediction) for row in present]
+    packed["counterfactual_predictions"][has_result] = [
+        int(row.counterfactual_prediction) for row in present]
+    packed["distances"][has_result] = [float(row.distance) for row in present]
+    packed["constraint_feasible"][has_result] = [bool(row.feasible) for row in present]
+    changed = [row.changed_features for row in present]
+    packed["changed_masks"][
+        np.repeat(np.flatnonzero(has_result), [len(features) for features in changed]),
+        np.fromiter(itertools.chain.from_iterable(changed), dtype=np.intp),
+    ] = True
     return packed
 
 
@@ -430,26 +433,26 @@ def _unpack_results(arrays: dict[str, np.ndarray]) -> dict[int, Counterfactual |
     ``arrays`` holds every ``.npz`` member already read into memory: an open
     ``NpzFile`` re-inflates and re-parses a member on *every* index, so
     unpacking row by row straight from it costs one full member read per
-    row per field.  Missing members surface as ``KeyError`` — corruption,
-    hence a miss and a recompute.
+    row per field.  Each field is gathered for every row that has a result
+    with one fancy index and the rows are built by
+    :meth:`~fairexp.explanations.base.Counterfactual.from_columns`.  Missing
+    members surface as ``KeyError`` — corruption, hence a miss and a
+    recompute.
     """
-    results: dict[int, Counterfactual | None] = {}
-    for k, index in enumerate(arrays["indices"].tolist()):
-        if not arrays["has_result"][k]:
-            results[index] = None
-            continue
-        results[index] = Counterfactual(
-            original=np.array(arrays["originals"][k], dtype=float),
-            counterfactual=np.array(arrays["counterfactuals"][k], dtype=float),
-            original_prediction=int(arrays["original_predictions"][k]),
-            counterfactual_prediction=int(arrays["counterfactual_predictions"][k]),
-            changed_features=tuple(
-                int(j) for j in np.flatnonzero(arrays["changed_masks"][k])
-            ),
-            distance=float(arrays["distances"][k]),
-            feasible=bool(arrays["constraint_feasible"][k]),
-            meta=json.loads(str(arrays["metas"][k])),
-        )
+    indices, has_result = arrays["indices"], arrays["has_result"]
+    if has_result.shape != indices.shape:
+        raise ValueError("has_result does not align with indices")
+    rows = np.flatnonzero(has_result)
+    results: dict[int, Counterfactual | None] = dict.fromkeys(indices.tolist())
+    results.update(zip(indices[rows].tolist(), Counterfactual.from_columns(
+        arrays["originals"][rows].astype(float, copy=False),
+        arrays["counterfactuals"][rows].astype(float, copy=False),
+        arrays["original_predictions"][rows],
+        arrays["counterfactual_predictions"][rows],
+        arrays["changed_masks"][rows],
+        arrays["distances"][rows],
+        arrays["constraint_feasible"][rows],
+    )))
     return results
 
 
@@ -720,13 +723,12 @@ class CounterfactualStore:
         """
         if not results:
             return
-        try:
-            packed = _pack_results(results, n_features)
-        except (TypeError, ValueError):
-            # Some row carries non-JSON-serializable meta: persisting it
-            # would hand the warm path different objects than the cold path
-            # returned.  Skip the save — a miss and recompute is always safe.
+        if any(result is not None and result.meta for result in results.values()):
+            # The payload has no meta member: persisting such a row would
+            # hand the warm path a stripped meta.  Skip the save — a miss
+            # and recompute is always safe.
             return
+        packed = _pack_results(results, n_features)
         token = os.urandom(4).hex()
         payload_path = self._payload_path(fingerprint, token)
         temp_payload = payload_path.with_suffix(f".tmp-{os.getpid()}-{token}")

@@ -1,5 +1,7 @@
 """Tests for the batched counterfactual engine, adapter and explainer registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from fairexp.explanations import (
     GrowingSpheresCounterfactual,
     RandomSearchCounterfactual,
 )
-from fairexp.explanations.engine import greedy_sparsify_batch
+from fairexp.explanations.engine import greedy_sparsify_batch, lockstep_candidate_search
 from fairexp.models import LogisticRegression
 from sequential_oracles import gradient_search, greedy_sparsify, ladder_search
 
@@ -157,6 +159,61 @@ class TestBatchParity:
         candidate = generator.constraints.project(x, x + 2.5 * generator.scale_)
         sparse = greedy_sparsify_batch(generator, x[None, :], candidate[None, :])[0]
         assert np.array_equal(sparse, greedy_sparsify(generator, x, candidate))
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40))
+    def test_sparsify_rounds_match_the_oracle_per_row(self, loan_workload, seed, n_rows):
+        """Whole-batch rounds over instances with different numbers of
+        changed features and rejected reverts: every row equals the
+        one-predict-per-feature greedy loop, and the batch issues one
+        predict per round (at most one more than the most rejections any
+        row meets)."""
+        model, background, constraints, rejected = loan_workload
+        generator = GrowingSpheresCounterfactual(BatchModelAdapter(model, cache=False),
+                                                 background, constraints=constraints)
+        rng = np.random.default_rng(seed)
+        X = rejected[rng.integers(0, len(rejected), n_rows)]
+        moved = X + rng.normal(0.0, 3.0, X.shape) * generator.scale_ * (
+            rng.random(X.shape) < 0.7)
+        candidates = generator.constraints.project(X, moved)
+        sparse = greedy_sparsify_batch(generator, X, candidates)
+        assert generator.model.predict_call_count <= X.shape[1] + 1
+        for x, candidate, got in zip(X, candidates, sparse):
+            assert np.array_equal(got, greedy_sparsify(generator, x, candidate))
+
+
+class TestLockstepMemory:
+    def test_search_frees_each_wave(self):
+        """A solved instance keeps a copy of its best candidate, not a view
+        into the wave tensor it came from, so a finished wave is freed: the
+        traced peak of a search whose instances solve across a dozen waves
+        stays within a small multiple of its largest wave tensor."""
+
+        class FirstFeaturePositive:
+            def predict(self, X):
+                return (np.asarray(X)[:, 0] > 0.0).astype(int)
+
+        rng = np.random.default_rng(0)
+        n_rows, n_features = 100, 6
+        generator = GrowingSpheresCounterfactual(
+            FirstFeaturePositive(), rng.normal(size=(200, n_features)), random_state=0)
+        X = rng.normal(size=(n_rows, n_features))
+        # Rows spread from just below the boundary to far from it solve
+        # across every shell of the ladder.
+        X[:, 0] = -generator.scale_[0] * np.geomspace(0.02, 6.0, n_rows)
+        largest_wave = n_rows * generator.n_samples_per_shell * n_features * 8
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            results = lockstep_candidate_search(generator, X, generator._offsets,
+                                                len(generator.draw_schedule()))
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert generator.search_step_count >= 10
+        assert sum(result is not None for result in results) >= n_rows - 5
+        assert peak < 3 * largest_wave
 
 
 LADDER_GENERATORS = [RandomSearchCounterfactual, GrowingSpheresCounterfactual]

@@ -73,6 +73,15 @@ def legacy_prefix_trials(candidate, x_row, order):
     return np.stack(rows)
 
 
+def rank_matrix(orders, d):
+    """The whole-round kernel's inputs for fresh orders: feature ranks
+    (``d`` for a feature outside the order) and order lengths."""
+    ranks = np.full((len(orders), d), d)
+    for k, order in enumerate(orders):
+        ranks[k, order] = np.arange(len(order))
+    return ranks, [len(order) for order in orders]
+
+
 def legacy_rank_changed(X_rows, candidates, scale):
     orders = []
     for k in range(candidates.shape[0]):
@@ -163,19 +172,18 @@ class TestLegacyParity:
         assert np.array_equal(got, expected)
 
     def test_prefix_trials_match_copy_chain(self, kernel_set, rng):
+        # One whole round: every instance's chain, stacked in instance order.
         for d in (1, 4, 9):
-            x_row = rng.normal(size=d)
-            candidate = x_row + rng.normal(size=d)
-            order = rng.permutation(d)[: max(1, d - 1)]
-            expected = legacy_prefix_trials(candidate, x_row, list(order))
-            got = kernel_set.build_prefix_revert_trials(candidate, x_row, order)
-            assert np.array_equal(got, expected)
-            # and into a caller-provided slab
-            out = np.empty((len(order), d))
-            returned = kernel_set.build_prefix_revert_trials(
-                candidate, x_row, order, out=out)
-            assert returned is out
-            assert np.array_equal(out, expected)
+            X_rows = rng.normal(size=(7, d))
+            candidates = X_rows + rng.normal(size=(7, d))
+            orders = [rng.permutation(d)[:rng.integers(0, d + 1)] for _ in range(7)]
+            ranks, lengths = rank_matrix(orders, d)
+            expected = [legacy_prefix_trials(candidates[k], X_rows[k], list(order))
+                        for k, order in enumerate(orders) if len(order)]
+            got = kernel_set.build_prefix_revert_trials(candidates, X_rows, ranks, lengths)
+            assert got.shape == (sum(lengths), d)
+            assert np.array_equal(got, np.vstack(expected) if expected
+                                  else np.empty((0, d)))
 
     def test_rank_matches_per_row_loop(self, kernel_set, rng):
         X_rows = rng.normal(size=(30, 6))
@@ -205,7 +213,7 @@ class TestEdgeCases:
         assert kernel_set.rank_changed_features(np.empty((0, 4)), empty,
                                                 np.ones(4)) == []
         trials = kernel_set.build_prefix_revert_trials(
-            np.zeros(4), np.ones(4), np.array([], dtype=int))
+            np.zeros((2, 4)), np.ones((2, 4)), np.full((2, 4), 4), [0, 0])
         assert trials.shape == (0, 4)
 
     def test_all_immutable_returns_originals(self, kernel_set, rng):

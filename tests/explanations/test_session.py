@@ -600,3 +600,18 @@ class TestSessionInputContract:
             assert session.stats()["n_populations"] == 0
             assert session.store.entries() == []
             assert session.predict_call_count == 0
+
+    def test_non_finite_rows_raise_before_any_state(self, population, tmp_path):
+        generator, X = population
+        X = X.copy()
+        X[3, 1] = np.nan
+        X[7, 0] = -np.inf
+        with AuditSession(generator, store=tmp_path) as session:
+            with pytest.raises(ValidationError, match=r"rows \[3, 7\] hold NaN or infinite"):
+                session.counterfactuals_for(X, [0, -43, 3, 12, 3])
+            assert session.stats()["n_populations"] == 0
+            assert session.store.stats()["store_misses"] == 0
+            assert session.store.entries() == []
+            assert session.predict_call_count == 0
+            # Finite rows of the same population are still served.
+            assert set(session.counterfactuals_for(X, [0, 12])) <= {0, 12}

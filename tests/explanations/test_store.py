@@ -112,21 +112,16 @@ class TestRoundTrip:
         store.save("b" * 64, {}, n_features=3)
         assert store.entries() == []
 
-    def test_meta_survives_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("meta", [
+        {"search_steps": 4}, {"trace": object()}, {7: "int-keyed"},
+    ], ids=["json", "unserializable", "int-keyed"])
+    def test_non_empty_meta_is_a_miss_never_stripped(self, tmp_path, meta):
+        """The payload has no meta member, so a row carrying meta must not be
+        persisted at all: a miss-and-recompute is safe, a silently stripped
+        meta isn't."""
         store = CounterfactualStore(tmp_path)
         results = _some_results()
-        results[3].meta["search_steps"] = 4
-        store.save("e" * 64, results, n_features=3)
-        loaded = store.load("e" * 64)
-        assert loaded[3].meta == {"search_steps": 4}
-        assert loaded[7] is None
-
-    def test_unserializable_meta_skips_persistence(self, tmp_path):
-        """Meta the store cannot round-trip faithfully must not be persisted
-        at all: a miss-and-recompute is safe, a silently stripped meta isn't."""
-        store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        results[3].meta["trace"] = object()
+        results[3].meta.update(meta)
         store.save("f0" * 32, results, n_features=3)
         assert store.entries() == []
         assert store.load("f0" * 32) is None
@@ -146,14 +141,46 @@ class TestRoundTrip:
         store.save("aa" * 32, _some_results(), n_features=3)  # must not raise
         assert store.entries() == []
 
-    def test_meta_with_nonstring_keys_skips_persistence(self, tmp_path):
-        """json.dumps coerces int keys to strings without raising; meta that
-        would come back changed must not be persisted either."""
+
+class TestFieldFidelity:
+    """Cold results and store round-trips are built column by column; each
+    result still carries plain Python scalars and arrays that no other
+    result, and not the caller's population, shares."""
+
+    @staticmethod
+    def _assert_plain_and_unaliased(results, X):
+        arrays = []
+        for result in results:
+            assert type(result.original_prediction) is int
+            assert type(result.counterfactual_prediction) is int
+            assert type(result.distance) is float
+            assert type(result.feasible) is bool
+            assert type(result.changed_features) is tuple
+            assert all(type(j) is int for j in result.changed_features)
+            arrays += [result.original, result.counterfactual]
+        for k, array in enumerate(arrays):
+            assert not np.shares_memory(array, X)
+            assert not any(np.shares_memory(array, other) for other in arrays[k + 1:])
+
+    def test_cold_results_and_round_trip(self, tmp_path, loan_workload):
+        _, train, subset, model, constraints = loan_workload
+        X = subset.X.copy()
+        cold = _generator(model, train, constraints).generate_batch_aligned(X)
+        solved = [result for result in cold if result is not None]
+        assert len(solved) > 10
+        self._assert_plain_and_unaliased(solved, X)
         store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        results[3].meta[7] = "int-keyed"
-        store.save("f1" * 32, results, n_features=3)
-        assert store.entries() == []
+        store.save("c" * 64, dict(enumerate(cold)), n_features=X.shape[1])
+        loaded = store.load("c" * 64)
+        warm = [loaded[i] for i, result in enumerate(cold) if result is not None]
+        self._assert_plain_and_unaliased(warm, X)
+        for a, b in zip(solved, warm):
+            assert np.array_equal(a.original, b.original)
+            assert np.array_equal(a.counterfactual, b.counterfactual)
+            assert (a.original_prediction, a.counterfactual_prediction, a.changed_features,
+                    a.distance, a.feasible, a.meta) == (
+                b.original_prediction, b.counterfactual_prediction, b.changed_features,
+                b.distance, b.feasible, b.meta)
 
 
 class TestFingerprint:
@@ -741,7 +768,7 @@ class TestCompressionAndFormatCompat:
         }
         store.save("a" * 64, results, n_features=16)
         manifest = json.loads(store._manifest_path("a" * 64).read_text())
-        assert manifest["format_version"] == STORE_FORMAT_VERSION == 2
+        assert manifest["format_version"] == STORE_FORMAT_VERSION == 3
         import io
 
         packed = _pack_results(results, 16)
@@ -835,7 +862,7 @@ class TestStoreMetrics:
         for detail in details:
             assert detail["n_rows"] == 2
             assert detail["bytes"] > 0
-            assert detail["format_version"] == 2
+            assert detail["format_version"] == 3
             assert (tmp_path / detail["payload"]).exists()
 
     def test_session_stats_fold_in_bytes_read(self, tmp_path, loan_workload):
