@@ -45,14 +45,13 @@ def build_workload(n_samples: int = 500, audit_size: int = 80):
 
 
 def build_session(store_dir, *, n_samples: int = 500, audit_size: int = 80,
-                  n_jobs: int = 1, executor: str = "auto"):
+                  n_jobs: int = 1):
     """A store-backed :class:`AuditSession` over the fixed workload."""
     dataset, train, subset, model = build_workload(n_samples, audit_size)
     constraints = ActionabilityConstraints.from_feature_specs(dataset.features)
     generator = GrowingSpheresCounterfactual(model, train.X, constraints=constraints,
                                              random_state=0)
-    session = AuditSession(generator, store=store_dir, n_jobs=n_jobs,
-                           executor=executor)
+    session = AuditSession(generator, store=store_dir, n_jobs=n_jobs)
     return session, dataset, subset
 
 

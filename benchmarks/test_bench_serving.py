@@ -1,6 +1,6 @@
 """Serving-layer acceptance benchmarks (BENCH_SERVING.json trajectory).
 
-Three claims from the serving PR are asserted here:
+Two claims about the serving layer are asserted here:
 
 * **Coalescing**: N = 4 concurrent sessions scoring through ONE shared
   :class:`~fairexp.explanations.CoalescingScoringClient` issue strictly
@@ -9,11 +9,7 @@ Three claims from the serving PR are asserted here:
   shared ``POST /score`` calls;
 * **Accounting**: per-session predict-row accounting is untouched by the
   stacking — each coalescing session reports exactly the rows its
-  independent twin reports, and the totals match;
-* **Shared pool**: the same 4 concurrent sessions on
-  ``pool="shared"`` with ``executor="process"`` construct exactly ONE
-  ``ProcessPoolExecutor`` between them (counted via an injected factory
-  double).
+  independent twin reports, and the totals match.
 
 Everything runs against a real loopback HTTP scoring server over the
 exported compute graph — the identical serving path
@@ -22,7 +18,6 @@ variant via ``benchmarks/serving_workload.py``).
 """
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,7 +28,6 @@ from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
     CoalescingScoringClient,
-    ExecutorPool,
     GrowingSpheresCounterfactual,
     RemoteScoringBackend,
     serve_model,
@@ -157,71 +151,3 @@ def test_coalescing_sessions_issue_fewer_wire_calls(benchmark):
         "rows_per_session": coalesced_rows,
     }, experiment="SERVING")
 
-
-class _CountingProcessFactory:
-    """ProcessPoolExecutor factory double counting constructions."""
-
-    def __init__(self):
-        self.constructed = 0
-
-    def __call__(self, *args, **kwargs):
-        self.constructed += 1
-        return ProcessPoolExecutor(*args, **kwargs)
-
-
-def test_shared_pool_constructs_one_process_executor_across_sessions(benchmark):
-    """Four concurrent process-sharded sessions on pool="shared" build ONE
-    ProcessPoolExecutor between them — the shared-pool acceptance criterion."""
-    train, model, constraints, populations = _workload()
-    factory = _CountingProcessFactory()
-    shared = ExecutorPool.shared(max_workers=2, process_factory=factory)
-    try:
-        reference = {}
-        for k in range(N_SESSIONS):
-            with AuditSession(_generator(train, model, constraints)) as session:
-                reference[k] = session.counterfactuals_for(
-                    populations[k], np.arange(len(populations[k])))
-
-        def concurrent_sessions():
-            outputs = [None] * N_SESSIONS
-            barrier = threading.Barrier(N_SESSIONS)
-
-            def run(k):
-                barrier.wait(timeout=30)
-                with AuditSession(_generator(train, model, constraints),
-                                  n_jobs=2, executor="process",
-                                  pool="shared") as session:
-                    outputs[k] = session.counterfactuals_for(
-                        populations[k], np.arange(len(populations[k])))
-
-            threads = [threading.Thread(target=run, args=(k,))
-                       for k in range(N_SESSIONS)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=300)
-            return outputs
-
-        outputs = benchmark.pedantic(concurrent_sessions, rounds=1, iterations=1)
-
-        assert factory.constructed == 1, (
-            f"{factory.constructed} ProcessPoolExecutors constructed across "
-            f"{N_SESSIONS} concurrent shared-pool sessions"
-        )
-        assert shared.created_counts["process"] == 1
-        # Session closes released their references; ours is the only holder
-        # left, and the workers are still alive for it.
-        assert shared.refcount == 1
-        for k in range(N_SESSIONS):
-            assert set(outputs[k]) == set(reference[k])
-            for i in reference[k]:
-                assert np.array_equal(outputs[k][i].counterfactual,
-                                      reference[k][i].counterfactual)
-        stats = shared.stats()["process"]
-        record(benchmark, {
-            "n_sessions": N_SESSIONS,
-            "process_executors_created": factory.constructed,
-            "shared_pool_workers": stats["workers"],
-        }, experiment="SERVING_POOL")
-    finally:
-        shared.shutdown()

@@ -6,11 +6,12 @@ Two claims are asserted here:
   **fresh process** performs **0 engine predict calls** — every population's
   counterfactual matrix is served from the on-disk store a cold process
   published, and the audit numbers are identical;
-* ``executor="process"`` sharding produces **bitwise-identical**
-  counterfactual matrices to the sequential path under fixed seeds (the
-  shard specs rebuild the generator in each worker, and with an int seed a
-  row's candidate offsets depend only on the seed, the draws it has consumed
-  and its rung — never on which other rows share its shard).
+* process sharding (what a GIL-holding predict backend selects) produces
+  **bitwise-identical** counterfactual matrices to the sequential path
+  under fixed seeds (the shard specs rebuild the generator in each worker,
+  and with an int seed a row's candidate offsets depend only on the seed,
+  the draws it has consumed and its rung — never on which other rows share
+  its shard).
 
 Cold and warm wall times are recorded into ``BENCH_STORE.json``, and the
 warm sweep must beat the cold one: a store that reads back slower than the
@@ -27,7 +28,13 @@ import numpy as np
 
 from conftest import record
 
-from fairexp.explanations import CounterfactualEngine, CounterfactualStore
+from fairexp.explanations import (
+    AuditSession,
+    CallablePredictBackend,
+    CounterfactualEngine,
+    CounterfactualStore,
+    GrowingSpheresCounterfactual,
+)
 
 from store_workload import build_session, run_sweep, timed_sweep
 
@@ -122,10 +129,16 @@ def test_process_executor_sharding_bitwise_equal(benchmark, tmp_path):
     rejected = subset.X[session_seq.predict(subset.X) == 0]
     sequential = session_seq.engine.generate_aligned(rejected)
 
-    session_proc, _, _ = build_session(tmp_path / "s2", n_jobs=2, executor="process")
+    # A pure-Python predict callable holds the GIL, so n_jobs=2 picks processes.
+    model, reference = session_seq.adapter.model, session_seq.generator
+    generator = GrowingSpheresCounterfactual(
+        model, reference.background, constraints=reference.constraints, random_state=0)
+    session_proc = AuditSession(generator, store=tmp_path / "s2", n_jobs=2,
+                                backend=CallablePredictBackend(model.predict))
     sharded = benchmark.pedantic(
         lambda: session_proc.engine.generate_aligned(rejected), rounds=1, iterations=1,
     )
+    assert session_proc.pool.created_counts["process"] == 1
 
     assert len(sharded) == len(sequential)
     for seq, par in zip(sequential, sharded):

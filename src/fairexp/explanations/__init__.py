@@ -52,7 +52,7 @@ from .kernels import (
     rank_changed_features,
     resolve_kernels,
 )
-from .pool import ExecutorPool, SharedExecutorPool
+from .pool import ExecutorPool
 from .serving import (
     CoalescingScoringClient,
     ComputeGraph,
@@ -127,7 +127,6 @@ __all__ = [
     "CallablePredictBackend",
     "MemoizingPredictBackend",
     "ensure_backend",
-    "SharedExecutorPool",
     "ComputeGraph",
     "export_model",
     "OnnxExportBackend",

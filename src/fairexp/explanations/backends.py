@@ -85,8 +85,8 @@ class NumpyPredictBackend:
     is_predict_backend = True
     name = "numpy"
     # Vectorized NumPy predict spends its time in BLAS/ufunc loops, which
-    # release the GIL — thread-sharding scales, so the engine's "auto"
-    # executor keeps the cheap thread pool.
+    # release the GIL — thread-sharding scales, so the engine keeps the
+    # cheap thread pool.
     releases_gil = True
 
     def __init__(self, model) -> None:
@@ -152,8 +152,8 @@ class CallablePredictBackend(NumpyPredictBackend):
     releases_gil:
         Whether ``fn`` releases the GIL while it runs.  Defaults to
         ``False`` — an arbitrary Python callable holds the GIL, so
-        thread-sharding it would serialize; the engine's ``executor="auto"``
-        responds by sharding across processes instead.  Set ``True`` for
+        thread-sharding it would serialize; the engine responds by
+        sharding across processes instead.  Set ``True`` for
         callables that genuinely drop the GIL (ONNX runtime sessions,
         network-bound remote scorers).
     """

@@ -15,8 +15,10 @@ the two pieces that coalesce that work into large vectorized predict batches:
 * :class:`CounterfactualEngine` — drives a generator's cross-instance
   ``generate_batch_aligned`` kernel — optionally sharded across a worker
   pool (``n_jobs``) with bitwise-identical merged results — and maps results
-  back onto caller indices, which is what the core fairness explainers
+  back onto caller order, which is what the core fairness explainers
   (:class:`~fairexp.core.burden.BurdenExplainer` and friends) build on.
+  The backend alone picks the shard workers: processes when it declares
+  ``releases_gil=False``, threads otherwise.
 
 One layer up, :class:`~fairexp.explanations.session.AuditSession` owns one
 adapter + engine pair and shares each population's counterfactual matrix
@@ -462,47 +464,32 @@ def effective_backend(model):
 def _process_shard_spec(generator) -> dict | None:
     """Picklable recipe rebuilding ``generator`` inside a worker process.
 
-    The recipe preserves the *effective predict dispatch*, not just the
-    model object: a generator driven through a
-    :class:`~fairexp.explanations.backends.CallablePredictBackend` (ONNX
-    export, remote scorer) ships the callable, so workers score candidates
-    against the same decision boundary the sequential pass would — never
-    silently against the bare model's.
+    Only a backend that holds the GIL reaches the process path, and the
+    recipe ships the effective predict dispatch, not just the model object:
+    a plain :class:`~fairexp.explanations.backends.CallablePredictBackend`
+    ships its callable, so workers score candidates against the same
+    decision boundary the sequential pass would — never silently against
+    the bare model's.  The model rides along for attribute passthrough.
 
-    Returns ``None`` when no faithful recipe exists — an unrecognized
-    third-party backend, a closure that refuses to pickle, a shared random
-    stream — in which case the engine falls back to thread-sharding against
-    the shared backend rather than risking a divergent (or failed) audit.
+    Returns ``None`` when no faithful recipe exists — a backend subclass
+    with unknown dispatch semantics, a closure that refuses to pickle, a
+    lossy generator config — in which case the engine falls back to
+    thread-sharding against the shared backend rather than risking a
+    divergent (or failed) audit.
     """
     if not generator_config_is_faithful(generator):
         return None  # a lossy rebuild would silently diverge; stay on threads
-    model = generator.model
-    backend = effective_backend(model)
-    if isinstance(model, BatchModelAdapter):
-        model = model.model
+    backend = effective_backend(generator.model)
+    if type(backend) is not CallablePredictBackend:
+        return None  # unknown dispatch semantics: keep the shared backend
     spec = {
         "cls": type(generator),
-        "model": model,
-        "fn": None,
-        "fn_name": None,
+        "model": generator.model.model,
+        "fn": backend.fn,
+        "fn_name": backend.name,
         "background": np.asarray(generator.background, dtype=float),
         "params": generator_config(generator),
     }
-    if backend is None or type(backend) is NumpyPredictBackend:
-        if model is None:
-            return None
-    elif (type(backend) is CallablePredictBackend
-          or getattr(backend, "ships_fn_to_workers", False)):
-        # Plain callable backends ship their fn; serving backends opt in
-        # explicitly — OnnxExportBackend ships its (picklable, model-free)
-        # compute graph, while RemoteScoringBackend declines (its coalescing
-        # client's locks and sockets cannot cross a process boundary).
-        spec["fn"] = backend.fn
-        spec["fn_name"] = backend.name
-    else:
-        return None  # unknown dispatch semantics: keep the shared backend
-    if isinstance(spec["params"].get("random_state"), np.random.Generator):
-        return None  # one shared stream cannot be split across processes
     try:
         pickle.dumps(spec)
     except Exception:
@@ -514,9 +501,8 @@ def _run_process_shard(spec: dict, X_shard: np.ndarray
                        ) -> tuple[list[Counterfactual | None], int, int, int, int]:
     """Worker entry point: rebuild the generator, run one shard, report counts.
 
-    The worker wraps the rebuilt dispatch (bare model, or the shipped
-    callable backend) in a fresh counting adapter so the parent can fold the
-    shard's predict work back into its own backend
+    The worker wraps the shipped callable in a fresh counting adapter so the
+    parent can fold the shard's predict work back into its own backend
     (:meth:`~fairexp.explanations.backends.NumpyPredictBackend.add_counts`);
     the shard's schedule step/draw totals ride along the same way.  An
     integer seed gives every instance the same stream, so an instance's
@@ -524,11 +510,8 @@ def _run_process_shard(spec: dict, X_shard: np.ndarray
     the shard's results are bitwise-identical to the rows it would produce
     inside the sequential pass.
     """
-    if spec["fn"] is not None:
-        backend = CallablePredictBackend(spec["fn"], name=spec["fn_name"] or "callable")
-        adapter = BatchModelAdapter(spec["model"], backend=backend, cache=False)
-    else:
-        adapter = BatchModelAdapter(spec["model"], cache=False)
+    backend = CallablePredictBackend(spec["fn"], name=spec["fn_name"])
+    adapter = BatchModelAdapter(spec["model"], backend=backend, cache=False)
     generator = spec["cls"](adapter, spec["background"], **spec["params"])
     results = generator.generate_batch_aligned(X_shard)
     return (results, adapter.predict_call_count, adapter.predict_row_count,
@@ -558,21 +541,19 @@ class CounterfactualEngine:
         (:func:`shard_indices`) and an instance's candidate offsets depend
         only on the seed and its own (draws consumed, rung), so the merged
         results are bitwise-identical to ``n_jobs=1`` — only the predict
-        batching (and hence the call count) changes.  Backends are
-        thread-safe, so shards may share one adapter.
+        batching (and hence the call count) changes.
         Generators seeded with a shared ``np.random.Generator`` instance
         always run the sequential pass (one stream cannot be sharded).
-    executor:
-        How sharded work runs: ``"thread"`` (a thread pool against the
-        shared backend — right when predict releases the GIL),
-        ``"process"`` (a process pool; each worker rebuilds the generator
-        from a picklable shard spec and its predict counts are folded back
-        into the parent backend — right when predict holds the GIL), or
-        ``"auto"`` (the default: consult the backend's ``releases_gil``
-        declaration and pick processes exactly when it is ``False``).
-        Process sharding quietly falls back to threads when no picklable
-        shard spec exists (no reachable bare model, or unpicklable
-        constructor arguments).
+
+        The backend picks how shards run.  One that declares
+        ``releases_gil=False`` (a pure-Python
+        :class:`~fairexp.explanations.backends.CallablePredictBackend`)
+        runs them on processes: each worker rebuilds the generator from a
+        picklable shard spec and its predict counts are folded back into
+        the parent backend.  Every other backend runs them on threads
+        against the shared (thread-safe) backend.  Process sharding quietly
+        falls back to threads when no picklable shard spec exists or the
+        process pool breaks.
     pool:
         An :class:`~fairexp.explanations.pool.ExecutorPool` supplying the
         worker pools sharded passes run on.  With a pool injected the
@@ -581,9 +562,9 @@ class CounterfactualEngine:
         the pool, once, and reused across every call (this is how an
         :class:`~fairexp.explanations.session.AuditSession` amortizes
         process-pool startup across a whole sweep).  ``None`` (the default)
-        keeps the historical per-call pools.  Pooled and per-call execution
-        are bitwise-identical — shards are deterministic and instances own
-        their random streams.
+        runs each sharded pass on a pool of its own.  Pooled and per-call
+        execution are bitwise-identical — shards are deterministic and
+        instances own their random streams.
     """
 
     # Fingerprint-safety declarations for lint rule FX006 (params never
@@ -593,18 +574,13 @@ class CounterfactualEngine:
     FINGERPRINT_INVARIANT = ("adapt_model",)
 
     def __init__(self, generator, *, adapt_model: bool = True, n_jobs: int = 1,
-                 executor: str = "auto", pool: ExecutorPool | None = None) -> None:
-        if executor not in ("auto", "thread", "process"):
-            raise ValidationError(
-                f"executor must be 'auto', 'thread' or 'process', got {executor!r}"
-            )
+                 pool: ExecutorPool | None = None) -> None:
         if pool is not None and not isinstance(pool, ExecutorPool):
             raise ValidationError(
                 f"pool must be an ExecutorPool or None, got {type(pool).__name__}"
             )
         self.generator = generator
         self.n_jobs = n_jobs
-        self.executor = executor
         self.pool = pool
         if adapt_model and not isinstance(generator.model, BatchModelAdapter):
             generator.model = BatchModelAdapter(generator.model, cache=False)
@@ -649,47 +625,47 @@ class CounterfactualEngine:
         return max(1, min(int(n_jobs), int(n_rows))) if n_rows else 1
 
     def _resolve_executor(self) -> str:
-        """``"thread"`` or ``"process"`` for this engine's sharded passes."""
-        if self.executor != "auto":
-            return self.executor
+        """``"process"`` exactly when the backend declares it holds the GIL,
+        else ``"thread"``."""
         adapter = self.adapter
         backend = adapter.backend if adapter is not None else None
-        releases_gil = getattr(backend, "releases_gil", True)
-        return "thread" if releases_gil else "process"
+        return "thread" if getattr(backend, "releases_gil", True) else "process"
+
+    def _map(self, kind: str, fn, *iterables) -> list:
+        """``fn`` over ``zip(*iterables)`` on the injected pool's ``kind``
+        executor, or on a pool of this call's own (FX001: executors only
+        come from :class:`~fairexp.explanations.pool.ExecutorPool`).
+
+        Either way the pass is generation-tracked: a concurrent ``reset()``
+        cannot shut the executor down under it, and the pool's
+        busy-worker/queue-depth stats see every shard.
+        """
+        if self.pool is not None:
+            return self.pool.map(kind, fn, *iterables)
+        with ExecutorPool(max_workers=len(iterables[0])) as pool:
+            return pool.map(kind, fn, *iterables)
 
     def generate_aligned(self, X) -> list[Counterfactual | None]:
         """Counterfactuals for every row of ``X`` (``None`` where infeasible).
 
         With ``n_jobs > 1`` the work-list is split into deterministic shards
-        executed on a worker pool — threads against the shared (thread-safe)
-        backend, or processes rebuilding the generator from a picklable
-        shard spec (see the ``executor`` parameter) — and the aligned
-        per-shard results are merged back into caller order.
+        executed on a worker pool — processes when the backend holds the
+        GIL, threads otherwise (see the ``n_jobs`` parameter) — and the
+        aligned per-shard results are merged back into caller order.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n_jobs = self._resolve_n_jobs(X.shape[0])
         if n_jobs == 1:
             return self.generator.generate_batch_aligned(X)
         shards = shard_indices(X.shape[0], n_jobs)
+        parts = None
         if self._resolve_executor() == "process":
             parts = self._run_shards_in_processes(X, shards)
-        else:
-            parts = None
         if parts is None:
             def run_shard(shard):
                 return self.generator.generate_batch_aligned(X[shard])
 
-            if self.pool is not None:
-                # Generation-tracked pool pass: a concurrent reset() cannot
-                # shut the executor down under this map, and the pool's
-                # busy-worker/queue-depth stats see every shard.
-                parts = self.pool.map("thread", run_shard, shards)
-            else:
-                # Ephemeral, engine-owned pool (FX001: executors only come
-                # from ExecutorPool); same in-order results + first-error
-                # re-raise semantics as a raw executor map.
-                with ExecutorPool(max_workers=len(shards)) as pool:
-                    parts = pool.map("thread", run_shard, shards)
+            parts = self._map("thread", run_shard, shards)
         results: list[Counterfactual | None] = [None] * X.shape[0]
         for shard, part in zip(shards, parts):
             for i, result in zip(shard, part):
@@ -708,13 +684,9 @@ class CounterfactualEngine:
         spec = _process_shard_spec(self.generator)
         if spec is None:
             return None
-        specs, shard_X = [spec] * len(shards), [X[shard] for shard in shards]
         try:
-            if self.pool is not None:
-                outcomes = self.pool.map("process", _run_process_shard, specs, shard_X)
-            else:
-                with ExecutorPool(max_workers=len(shards)) as pool:
-                    outcomes = pool.map("process", _run_process_shard, specs, shard_X)
+            outcomes = self._map("process", _run_process_shard, [spec] * len(shards),
+                                 [X[shard] for shard in shards])
         except Exception:
             # The parent-side pickle check can pass while workers still fail
             # to rebuild the spec — e.g. classes defined in __main__ under
@@ -725,34 +697,9 @@ class CounterfactualEngine:
             if self.pool is not None:
                 self.pool.reset("process")
             return None
-        parts = [outcome[0] for outcome in outcomes]
-        adapter = self.adapter
-        backend = adapter.backend if adapter is not None else None
-        if backend is not None and hasattr(backend, "add_counts"):
-            backend.add_counts(sum(o[1] for o in outcomes), sum(o[2] for o in outcomes))
+        self.adapter.backend.add_counts(sum(o[1] for o in outcomes),
+                                        sum(o[2] for o in outcomes))
         record = getattr(self.generator, "add_search_counts", None)
         if record is not None:
             record(sum(o[3] for o in outcomes), sum(o[4] for o in outcomes))
-        return parts
-
-    def generate_for(self, X, indices) -> dict[int, Counterfactual]:
-        """Counterfactuals for ``X[indices]``, keyed by the original row index.
-
-        Rows whose search exhausts its budget are simply absent from the
-        result, mirroring the ``try/except InfeasibleRecourseError`` pattern
-        the per-instance loops used.
-
-        Duplicate indices are deduped (preserving first-occurrence order,
-        exactly as :meth:`AuditSession.counterfactuals_for` does) so a
-        repeated index never pays for — or runs — a second search of the
-        same row.
-        """
-        X = np.asarray(X, dtype=float)
-        indices = np.asarray(indices, dtype=int)
-        if indices.size == 0:
-            return {}
-        distinct = list(dict.fromkeys(int(i) for i in indices))
-        results = self.generate_aligned(X[distinct])
-        return {
-            i: result for i, result in zip(distinct, results) if result is not None
-        }
+        return [outcome[0] for outcome in outcomes]

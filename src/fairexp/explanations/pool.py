@@ -1,4 +1,4 @@
-"""Persistent executor pools for sharded search — per session or process-wide.
+"""Persistent executor pools for sharded search, one per session.
 
 Before this module existed, every sharded
 :meth:`~fairexp.explanations.engine.CounterfactualEngine.generate_aligned`
@@ -13,50 +13,38 @@ runs.
 executor per kind (``"thread"`` / ``"process"``), created lazily on first
 use and reused by every subsequent sharded pass — an
 :class:`~fairexp.explanations.session.AuditSession` builds one pool and
-threads it into every engine call, so a whole sweep with
-``executor="process"`` constructs exactly **one** ``ProcessPoolExecutor``
-(asserted via a counting factory double in
-``tests/explanations/test_pool.py``).  Shard *results* are unaffected:
-shards are deterministic and an instance's candidate offsets depend only on
-the seed and its own (draws consumed, rung) — never on which shard or batch
-it lands in — so pooled and per-call execution are bitwise-identical.
+threads it into every engine call, so a whole sweep over a GIL-holding
+backend constructs exactly **one** ``ProcessPoolExecutor`` (asserted via a
+counting factory double in ``tests/explanations/test_pool.py``).  Shard
+*results* are unaffected: shards are deterministic and an instance's
+candidate offsets depend only on the seed and its own (draws consumed,
+rung) — never on which shard or batch it lands in — so pooled and per-call
+execution are bitwise-identical.
 
-Two features make one pool safe to share across **concurrent** sessions of
-one process (the ROADMAP's pool follow-on):
-
-* **Generation tracking** — every executor lives in a generation record
-  that counts in-flight :meth:`~ExecutorPool.map` passes.  ``reset()``
-  retires the record (the next request builds a fresh executor) but defers
-  the actual ``shutdown`` until the last in-flight pass drains, so one
-  session observing a broken process pool can never shut an executor out
-  from under another session's running ``map``.
-* :meth:`ExecutorPool.shared` — a refcounted process-wide pool:  every
-  acquisition returns the same :class:`SharedExecutorPool` and bumps its
-  refcount; :meth:`~SharedExecutorPool.shutdown` (what a session's
-  ``close()`` calls) releases one reference, and only the last release
-  tears the workers down.  N concurrent process-sharded sessions therefore
-  construct exactly one ``ProcessPoolExecutor`` between them (asserted in
-  ``benchmarks/test_bench_serving.py``).
+Every executor lives in a generation record that counts in-flight
+:meth:`~ExecutorPool.map` passes.  ``reset()`` retires the record (the next
+request builds a fresh executor) but defers the actual ``shutdown`` until
+the last in-flight pass drains, so a reset can never shut an executor out
+from under a running ``map``.
 
 Shutdown is deterministic: pools are context managers, and the session's
-own context-manager exit closes (or, for the shared pool, releases) the
-pool it created.  A broken process pool (e.g. a worker killed mid-sweep) is
-:meth:`~ExecutorPool.reset` by the engine, which then falls back to thread
-sharding for that call; the next process-sharded call lazily builds a fresh
-pool.  :meth:`~ExecutorPool.stats` exposes utilization — busy workers and
-queue depth per kind — which sessions fold into their own ``stats()``.
+own context-manager exit closes the pool it created.  A broken process pool
+(e.g. a worker killed mid-sweep) is :meth:`~ExecutorPool.reset` by the
+engine, which then falls back to thread sharding for that call; the next
+process-sharded call lazily builds a fresh pool.
+:meth:`~ExecutorPool.stats` exposes utilization — busy workers and queue
+depth per kind — which sessions fold into their own ``stats()``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from ..exceptions import ValidationError
 from ..lint.tsan import guard_counters, make_lock
 
-__all__ = ["ExecutorPool", "SharedExecutorPool"]
+__all__ = ["ExecutorPool"]
 
 _KINDS = ("thread", "process")
 
@@ -125,50 +113,6 @@ class ExecutorPool:
         self._generation = 0
         self._lock = make_lock()
         self._closed = False
-
-    @staticmethod
-    def ensure(pool) -> "ExecutorPool":
-        """Coerce ``pool`` (an :class:`ExecutorPool`, ``"shared"`` or
-        ``None``) to a pool.
-
-        ``None`` builds a fresh private pool; the string ``"shared"``
-        acquires (a reference on) the process-wide :meth:`shared` pool.
-        """
-        if pool is None:
-            return ExecutorPool()
-        if pool == "shared":
-            return ExecutorPool.shared()
-        if not isinstance(pool, ExecutorPool):
-            raise ValidationError(
-                f"pool must be an ExecutorPool, 'shared' or None, "
-                f"got {type(pool).__name__}"
-            )
-        return pool
-
-    @classmethod
-    def shared(cls, **kwargs) -> "SharedExecutorPool":
-        """Acquire the process-wide refcounted pool (see
-        :class:`SharedExecutorPool`).
-
-        Keyword arguments (``max_workers`` and the factories) configure the
-        pool only when this acquisition *creates* it; passing configuration
-        while the shared pool is already alive raises instead of silently
-        ignoring it.  Every successful call must be balanced by one
-        :meth:`~SharedExecutorPool.shutdown` (or ``release``) — sessions
-        built with ``pool="shared"`` do this from their own ``close()``.
-        """
-        with _shared_lock:
-            global _shared_pool
-            if _shared_pool is None:
-                _shared_pool = SharedExecutorPool(**kwargs)
-            elif kwargs:
-                raise ValidationError(
-                    "the shared ExecutorPool is already running; its "
-                    "configuration cannot be changed until every holder "
-                    "has released it"
-                )
-            _shared_pool._refcount += 1
-            return _shared_pool
 
     # ------------------------------------------------------------ executors
     def _record(self, kind: str, *, lease: bool = False) -> _ExecutorRecord:
@@ -262,21 +206,6 @@ class ExecutorPool:
         with self._lock:
             return sorted(self._records)
 
-    def pending(self, kind: str) -> int:
-        """Submitted-but-unfinished tasks on the ``kind`` executor right now.
-
-        This is the instantaneous load gauge (busy workers + queued tasks)
-        that admission-control callers — e.g. a
-        :class:`~fairexp.explanations.serving.ScoringServer` running its
-        scorers on an attached pool — compare against their shed bound.
-        ``0`` when the kind has no live executor.
-        """
-        if kind not in _KINDS:
-            raise ValidationError(f"executor kind must be one of {_KINDS}, got {kind!r}")
-        with self._lock:
-            record = self._records.get(kind)
-            return record.pending if record is not None else 0
-
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-kind pool utilization: executors created over the pool's
         lifetime, configured workers, busy workers and queue depth.
@@ -312,7 +241,7 @@ class ExecutorPool:
         record is forgotten immediately (new requests get a new generation)
         but the dead executor is only shut down once every in-flight
         :meth:`map` pass on it has drained — a reset can never yank an
-        executor out from under another session's running pass.
+        executor out from under another thread's running pass.
         """
         with self._lock:
             record = self._records.pop(kind, None)
@@ -355,48 +284,3 @@ class ExecutorPool:
         state = "closed" if self._closed else ",".join(self.active_kinds()) or "idle"
         return f"ExecutorPool(max_workers={self.max_workers}, {state})"
 
-
-class SharedExecutorPool(ExecutorPool):
-    """The process-wide refcounted pool behind :meth:`ExecutorPool.shared`.
-
-    Behaves exactly like an :class:`ExecutorPool` except for teardown:
-    :meth:`shutdown` releases one reference, and only the release that
-    drops the refcount to zero actually stops the executors (and clears the
-    process-wide slot so the next :meth:`~ExecutorPool.shared` acquisition
-    builds a fresh pool).  This is what lets N concurrent sessions pass
-    ``pool="shared"``, each ``close()`` their session normally, and still
-    construct exactly one ``ProcessPoolExecutor`` between them.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._refcount = 0
-
-    @property
-    def refcount(self) -> int:
-        """Live references (acquisitions not yet released)."""
-        with _shared_lock:
-            return self._refcount
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Release one reference; the last release shuts the workers down."""
-        with _shared_lock:
-            global _shared_pool
-            if self._refcount > 0:
-                self._refcount -= 1
-            if self._refcount > 0:
-                return
-            if _shared_pool is self:
-                _shared_pool = None
-        super().shutdown(wait=wait)
-
-    release = shutdown
-
-    def __repr__(self) -> str:
-        return super().__repr__().replace(
-            "ExecutorPool(", f"SharedExecutorPool(refcount={self._refcount}, ", 1
-        )
-
-
-_shared_pool: SharedExecutorPool | None = None
-_shared_lock = threading.Lock()

@@ -10,9 +10,9 @@ the two real out-of-process backends the ROADMAP asks for:
   fitted linear / MLP / tree / forest model is compiled to a serializable
   list of NumPy ops (``standardize``, ``matvec``, ``matmul``, ``relu``,
   ``softmax``, ``forest`` …) that reproduces ``model.predict`` **bitwise**
-  without importing :mod:`fairexp.models`.  Graphs pickle into process-shard
-  specs and :meth:`~ComputeGraph.save` to ``.npz`` files a scoring server in
-  another process can load.
+  without importing :mod:`fairexp.models`.  Graphs
+  :meth:`~ComputeGraph.save` to ``.npz`` files a scoring server in another
+  process can load.
 * :class:`OnnxExportBackend` — a
   :class:`~fairexp.explanations.backends.CallablePredictBackend` over an
   exported graph (``releases_gil=True``: the graph is pure vectorized
@@ -364,9 +364,8 @@ class OnnxExportBackend(CallablePredictBackend):
 
     Scoring never touches the training class: the graph is pure NumPy, so
     the backend declares ``releases_gil=True`` (BLAS/ufunc loops drop the
-    GIL and thread-sharding scales), and the graph ships whole into
-    process-shard specs — workers and remote processes score without
-    importing :mod:`fairexp.models`.
+    GIL and thread-sharding scales), and the graph ships whole to remote
+    processes, which score without importing :mod:`fairexp.models`.
 
     Parameters
     ----------
@@ -379,10 +378,6 @@ class OnnxExportBackend(CallablePredictBackend):
         fails fast instead of silently skewing an audit.  Requires a model
         (ignored for pre-built graphs).
     """
-
-    # The engine may rebuild this backend inside process-shard workers by
-    # shipping ``fn`` (the picklable graph) — see engine._process_shard_spec.
-    ships_fn_to_workers = True
 
     def __init__(self, model_or_graph, *, name: str = "onnx",
                  verify_on=None) -> None:
@@ -447,15 +442,6 @@ class ScoringServer:
     sustained overload into higher latency rather than unbounded server
     memory growth.  ``None`` (the default) disables shedding.
 
-    With ``pool=`` (an :class:`~fairexp.explanations.pool.ExecutorPool`)
-    scorer evaluation runs on the pool's thread executor instead of the
-    request thread, so busy-worker / queue-depth numbers show up in the
-    pool's (and this server's) stats.  The load checked against
-    ``max_inflight`` is then the larger of the batches this server admitted
-    and the pool's thread queue depth (:meth:`ExecutorPool.pending`), which
-    also counts work other holders of a shared pool submitted — a saturated
-    scorer pool sheds even when few requests are formally in flight.
-
     ``python -m fairexp serve --graph a.npz --graph b.npz`` wraps this
     class around :class:`ComputeGraph` archives, which is how a scoring
     process serves a model fleet without importing (or even having) the
@@ -466,9 +452,8 @@ class ScoringServer:
     retry_after = 0.05
 
     def __init__(self, scorer, *, host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int | None = None, pool=None) -> None:
+                 max_inflight: int | None = None) -> None:
         self.max_inflight = None if max_inflight is None else int(max_inflight)
-        self.pool = pool
         self.request_count = 0
         self.row_count = 0
         self.shed_count = 0
@@ -549,7 +534,7 @@ class ScoringServer:
                     try:
                         length = int(self.headers.get("Content-Length", "0"))
                         X = _decode_array(self.rfile.read(length))
-                        labels = np.asarray(server._score(key, X))
+                        labels = np.asarray(server._scorers[key](X))
                     except Exception as error:  # noqa: BLE001 - wire boundary
                         self._reply(400, str(error).encode(), "text/plain")
                         return
@@ -620,20 +605,12 @@ class ScoringServer:
     # -------------------------------------------------------------- admission
     def _admit(self, key: str) -> bool:
         """Admit one batch, or book a shed (global and per graph) when the
-        load has reached ``max_inflight``.
-
-        The load is this server's admitted-batch gauge or, with an attached
-        pool, the larger of that and the pool's thread queue depth.
-        """
+        batches in flight have reached ``max_inflight``."""
         with self._lock:
-            if self.max_inflight is not None:
-                load = self._inflight
-                if self.pool is not None:
-                    load = max(load, self.pool.pending("thread"))
-                if load >= self.max_inflight:
-                    self.shed_count += 1
-                    self._graph_stats[key]["shed"] += 1
-                    return False
+            if self.max_inflight is not None and self._inflight >= self.max_inflight:
+                self.shed_count += 1
+                self._graph_stats[key]["shed"] += 1
+                return False
             self._inflight += 1
             self.peak_inflight = max(self.peak_inflight, self._inflight)
             return True
@@ -641,12 +618,6 @@ class ScoringServer:
     def _leave(self) -> None:
         with self._lock:
             self._inflight -= 1
-
-    def _score(self, key: str, X: np.ndarray) -> np.ndarray:
-        scorer = self._scorers[key]
-        if self.pool is not None:
-            return self.pool.map("thread", scorer, [X])[0]
-        return scorer(X)
 
     def _count(self, key: str, rows: int, batches_header: str | None,
                window_header: str | None) -> None:
@@ -680,8 +651,7 @@ class ScoringServer:
         client-reported dispatch ``window``.  Globals keep the legacy
         ``requests`` / ``rows`` names, plus ``shed`` (every refusal),
         ``inflight`` / ``peak_inflight`` and the configured
-        ``max_inflight``.  With an attached pool, its per-kind utilization
-        rides along under ``pool``.
+        ``max_inflight``.
         """
         with self._lock:
             graphs = {}
@@ -702,8 +672,6 @@ class ScoringServer:
                 "max_inflight": self.max_inflight,
                 "graphs": graphs,
             }
-        if self.pool is not None:
-            payload["pool"] = self.pool.stats()
         return payload
 
     # -------------------------------------------------------------- lifecycle
@@ -767,7 +735,7 @@ def serve_model(model, *, host: str = "127.0.0.1", port: int = 0,
 
 
 def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
-                max_inflight: int | None = None, pool=None) -> ScoringServer:
+                max_inflight: int | None = None) -> ScoringServer:
     """Start one loopback :class:`ScoringServer` hosting a whole model fleet.
 
     Each element of ``models_or_graphs`` is a fitted model (compiled via
@@ -777,8 +745,7 @@ def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
     """
     graphs = [graph if isinstance(graph, ComputeGraph) else export_model(graph)
               for graph in models_or_graphs]
-    return ScoringServer(graphs, host=host, port=port,
-                         max_inflight=max_inflight, pool=pool)
+    return ScoringServer(graphs, host=host, port=port, max_inflight=max_inflight)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,8 +1058,6 @@ class RemoteScoringBackend(NumpyPredictBackend):
     socket, so thread-sharding across it scales (and is what lets the
     batches of several shards coalesce at all).
     """
-
-    ships_fn_to_workers = False  # the client's locks must not cross processes
 
     def __init__(self, url_or_client, *, name: str = "remote", graph=None,
                  window=CoalescingScoringClient.DEFAULT_WINDOW,

@@ -15,6 +15,10 @@ independently, each audit pays for its own engine pass.
   audit to request rows triggers a (optionally sharded, ``n_jobs``) engine
   pass, later audits requesting overlapping rows are served from the
   session's result cache, including rows whose search was infeasible;
+* the session owns **one** lazily populated
+  :class:`~fairexp.explanations.pool.ExecutorPool`, so every sharded pass of
+  the sweep reuses the same workers (threads, or processes when the backend
+  holds the GIL) and :meth:`AuditSession.close` shuts them down;
 * predict-call accounting is session-wide, which is what the benchmarks
   assert on: a burden+NAWB+PreCoF sweep through one session issues strictly
   fewer predict calls than three independent audits.
@@ -90,11 +94,12 @@ class AuditSession:
         gradients, probabilities — only ``predict`` routing changes.
     n_jobs:
         Workers for sharded counterfactual generation (forwarded to
-        :class:`~fairexp.explanations.engine.CounterfactualEngine`).
-    executor:
-        Sharded execution strategy, forwarded to the engine: ``"thread"``,
-        ``"process"``, or ``"auto"`` (pick processes when the predict
-        backend declares it holds the GIL).
+        :class:`~fairexp.explanations.engine.CounterfactualEngine`, where
+        the backend picks threads or processes).  Shards run on the
+        session's own :class:`~fairexp.explanations.pool.ExecutorPool`
+        (:attr:`pool`), populated lazily so a sequential sweep never spawns
+        workers; use the session as a context manager (or call
+        :meth:`close`) to tear workers down deterministically.
     schedule:
         A :class:`~fairexp.explanations.schedules.SearchSchedule` (or its
         name, ``"geometric"`` / ``"adaptive"``) installed on the session's
@@ -103,21 +108,6 @@ class AuditSession:
         generator's own schedule.  Because the schedule is part of the
         generator's search configuration it also keys the persistent store:
         geometric and adaptive results never alias.
-    pool:
-        An :class:`~fairexp.explanations.pool.ExecutorPool` the engine runs
-        every sharded pass on.  ``None`` (default) makes the session create
-        its own — lazily populated, so a sequential sweep never spawns
-        workers — and the session then owns its shutdown: use the session
-        as a context manager (or call :meth:`close`) to tear workers down
-        deterministically.  A sweep with ``executor="process"`` thereby
-        constructs exactly one ``ProcessPoolExecutor``, reused across all
-        audits, instead of one per engine call.  The string ``"shared"``
-        acquires the process-wide refcounted pool instead
-        (:meth:`ExecutorPool.shared`): concurrent sessions of one process
-        then share a single set of workers — N process-sharded sessions
-        construct exactly one ``ProcessPoolExecutor`` between them — and
-        each session's :meth:`close` releases its reference, the last one
-        stopping the workers.
     store:
         A :class:`~fairexp.explanations.store.CounterfactualStore` (or a
         directory path coerced into one) persisting each population's
@@ -135,6 +125,10 @@ class AuditSession:
 
     Attributes
     ----------
+    pool:
+        The session's :class:`~fairexp.explanations.pool.ExecutorPool`;
+        its ``created_counts`` and ``stats()`` show the workers the sweep
+        built.
     max_populations:
         Bound on distinct populations whose results are kept; the oldest
         population is evicted beyond it (one audit sweep touches a handful,
@@ -149,19 +143,14 @@ class AuditSession:
     # - backend only rewires the adapter's dispatch; graph-backed remote
     #   backends contribute their dispatch token to the population
     #   fingerprint through the store instead.
-    # - executor picks thread vs process sharding; shard outputs are
-    #   bitwise-equal under the engine's parity contract.
     # - schedule is installed onto the generator in __init__, so
     #   generator_config carries it (the population memo additionally keys
     #   on the schedule).
     # - cache_predictions toggles the predict memo only; labels unchanged.
-    FINGERPRINT_INVARIANT = (
-        "backend", "executor", "schedule", "cache_predictions",
-    )
+    FINGERPRINT_INVARIANT = ("backend", "schedule", "cache_predictions")
 
     def __init__(self, generator=None, *, model=None, backend=None, n_jobs: int = 1,
-                 executor: str = "auto", schedule=None, pool=None,
-                 store=None, cache_predictions: bool = True) -> None:
+                 schedule=None, store=None, cache_predictions: bool = True) -> None:
         if generator is None and model is None and backend is None:
             raise ValidationError(
                 "AuditSession needs a generator, a model or a backend"
@@ -175,31 +164,10 @@ class AuditSession:
         self.generator = generator
         self.n_jobs = n_jobs
         self.store = CounterfactualStore.ensure(store)
-        # One lazily populated executor pool per session: every sharded
-        # engine pass of the sweep reuses its workers, and close() (or the
-        # context-manager exit) shuts them down deterministically.  An
-        # injected pool is shared, not owned — its creator shuts it down.
-        # pool="shared" acquires a reference on the process-wide refcounted
-        # pool; the session "owns" (and on close releases) that reference,
-        # while the workers live until the last concurrent holder releases.
-        self._owns_pool = pool is None or pool == "shared"
-        self.pool = ExecutorPool.ensure(pool)
+        # Populated lazily: a sequential sweep (or a validation failure
+        # below) never spawns workers.
+        self.pool = ExecutorPool()
         self._closed = False
-        try:
-            self._finish_init(generator, model, backend, n_jobs, executor,
-                              schedule, cache_predictions)
-        except BaseException:
-            # A validation failure below must not leak the pool this
-            # half-built session would have owned — in particular a
-            # pool="shared" acquisition, whose reference nobody could ever
-            # release (the caller never receives the session to close()).
-            if self._owns_pool:
-                self.pool.shutdown()
-            raise
-
-    def _finish_init(self, generator, model, backend, n_jobs, executor,
-                     schedule, cache_predictions) -> None:
-        """Everything of ``__init__`` that may raise after the pool exists."""
         if backend is not None:
             backend = ensure_backend(backend)
         if generator is not None:
@@ -218,8 +186,7 @@ class AuditSession:
                 generator.model = BatchModelAdapter(generator.model,
                                                     cache=cache_predictions)
             self._adapter = generator.model
-            self.engine = CounterfactualEngine(generator, n_jobs=n_jobs,
-                                               executor=executor, pool=self.pool)
+            self.engine = CounterfactualEngine(generator, n_jobs=n_jobs, pool=self.pool)
         else:
             if schedule is not None:
                 # A model-only session runs no candidate search; silently
@@ -348,15 +315,13 @@ class AuditSession:
     def close(self) -> None:
         """Shut down the session's executor pool (idempotent).
 
-        Only a pool the session created itself is shut down; an injected
-        pool is left running for its owner.  Results and counters survive —
-        ``close`` only releases worker threads/processes.
+        Results and counters survive — ``close`` only releases worker
+        threads/processes.
         """
         if self._closed:
             return
         self._closed = True
-        if self._owns_pool:
-            self.pool.shutdown()
+        self.pool.shutdown()
 
     def __enter__(self) -> "AuditSession":
         """Use the session as a context manager for deterministic pool shutdown."""
@@ -382,8 +347,7 @@ class AuditSession:
         whose search exhausted its budget, which are remembered as
         infeasible and never retried.  Only genuinely new rows trigger an
         engine pass.  Rows without a feasible counterfactual are absent from
-        the returned mapping, mirroring
-        :meth:`~fairexp.explanations.engine.CounterfactualEngine.generate_for`.
+        the returned mapping.
 
         Indices follow NumPy's convention over ``n = len(X)``: a negative
         index ``i`` names row ``i + n`` (and is returned, cached and stored

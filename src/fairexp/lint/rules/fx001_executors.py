@@ -1,10 +1,9 @@
 """FX001 — executors are constructed only inside ``explanations/pool.py``.
 
-PR 7 centralised executor lifecycles in :class:`ExecutorPool` (reuse,
-generation-tagged leases, shared-pool refcounting); ad-hoc
+:class:`ExecutorPool` owns every executor's lifecycle (lazy reuse,
+generation-tagged leases, the broken-pool reset, utilization stats); ad-hoc
 ``ThreadPoolExecutor``/``ProcessPoolExecutor``/``multiprocessing.Pool``
-construction elsewhere silently bypasses the pool's bookkeeping and the
-serving backpressure that sits on top of it.
+construction elsewhere silently bypasses that bookkeeping.
 """
 
 from __future__ import annotations

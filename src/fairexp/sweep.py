@@ -22,7 +22,7 @@ elsewhere in the package instead of re-implementing them:
   carries the reasons it was dropped — nothing disappears silently.
 * **Execution** — :func:`run_sweep` executes emitted cells sequentially
   or over an :class:`~fairexp.explanations.pool.ExecutorPool` (``jobs >
-  1``; pass ``pool="shared"`` for the process-wide refcounted pool).
+  1``).
   Cells whose runner takes a ``backend`` factor level of ``"remote"``
   score against a loopback fleet server exactly like ``python -m fairexp
   serve``.  Every :class:`~fairexp.explanations.session.AuditSession` a
@@ -816,7 +816,7 @@ def sweep_plan(specs=None, *, where=None, overrides=None) -> SweepPlan:
 
 
 def run_sweep(specs=None, *, where=None, overrides=None, store=None,
-              journal=None, resume: bool = False, jobs: int = 1, pool=None,
+              journal=None, resume: bool = False, jobs: int = 1,
               on_cell: Callable[[CellResult, int, int], None] | None = None
               ) -> SweepResult:
     """Plan and execute a sweep; returns the full :class:`SweepResult`.
@@ -840,11 +840,9 @@ def run_sweep(specs=None, *, where=None, overrides=None, store=None,
         engine predict calls — and their metric (non-accounting) results
         are verified against the journal; a mismatch marks the cell
         ``"diverged"``.  Cells not journaled run normally.
-    jobs, pool:
-        ``jobs > 1`` distributes cells over an
-        :class:`~fairexp.explanations.pool.ExecutorPool`'s thread executor
-        (``pool="shared"`` uses the process-wide refcounted pool; a pool
-        instance is used as-is and left running for its owner).
+    jobs:
+        ``jobs > 1`` distributes cells over the thread executor of an
+        :class:`~fairexp.explanations.pool.ExecutorPool` the sweep owns.
     on_cell:
         Callback ``(cell_result, n_done, n_total)`` after every completed
         cell — progress reporting, or crash-injection in tests.
@@ -896,14 +894,8 @@ def run_sweep(specs=None, *, where=None, overrides=None, store=None,
         return result
 
     if jobs > 1 and total > 1:
-        owns_pool = pool is None or pool == "shared"
-        executor_pool = (ExecutorPool(max_workers=jobs) if pool is None
-                         else ExecutorPool.ensure(pool))
-        try:
+        with ExecutorPool(max_workers=jobs) as executor_pool:
             cells = executor_pool.map("thread", run_one, plan.emitted)
-        finally:
-            if owns_pool:
-                executor_pool.shutdown()
     else:
         cells = [run_one(cell) for cell in plan.emitted]
 

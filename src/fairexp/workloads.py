@@ -219,7 +219,7 @@ def _experiment_store():
 
 
 def _session_for(dataset, train, model, *, seed=0, name="growing_spheres", n_jobs=1,
-                 schedule=None, executor="auto", predict_backend=None):
+                 schedule=None, predict_backend=None):
     """One shared-pass :class:`AuditSession` per workload: every audit of the
     workload draws counterfactuals and predictions from the same engine +
     backend, so overlapping populations are explained once — and, with
@@ -231,8 +231,7 @@ def _session_for(dataset, train, model, *, seed=0, name="growing_spheres", n_job
     reuse the session's executor pool."""
     return track_session(
         AuditSession(_generator_for(dataset, train, model, seed=seed, name=name),
-                     n_jobs=n_jobs, schedule=schedule, executor=executor,
-                     backend=predict_backend,
+                     n_jobs=n_jobs, schedule=schedule, backend=predict_backend,
                      store=_experiment_store())
     )
 

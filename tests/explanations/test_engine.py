@@ -12,6 +12,7 @@ from fairexp.exceptions import InfeasibleRecourseError
 from fairexp.explanations import (
     ActionabilityConstraints,
     BatchModelAdapter,
+    CallablePredictBackend,
     CounterfactualEngine,
     ExplainerRegistry,
     GradientCounterfactual,
@@ -304,56 +305,12 @@ class TestCounterfactualEngine:
         engine.generate_aligned(rejected[:4])
         assert engine.predict_call_count > 0
 
-    def test_generate_for_keys_results_by_row_index(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        generator = GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                                 random_state=0)
-        engine = CounterfactualEngine(generator)
-        indices = np.array([3, 7, 11])
-        results = engine.generate_for(rejected, indices)
-        assert set(results) <= set(int(i) for i in indices)
-        for i, counterfactual in results.items():
-            assert np.array_equal(counterfactual.original, rejected[i])
 
-    def test_generate_for_dedupes_duplicate_indices(self, loan_workload):
-        """A duplicated index must trigger (and pay for) exactly one search
-        of that row — matching AuditSession.counterfactuals_for, which
-        already dedupes while preserving order."""
-        model, background, constraints, rejected = loan_workload
-        generator = GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                                 random_state=0)
-        engine = CounterfactualEngine(generator)
-        searched_rows: list[int] = []
-        original = engine.generate_aligned
-
-        def spying_generate_aligned(X):
-            searched_rows.append(np.atleast_2d(X).shape[0])
-            return original(X)
-
-        engine.generate_aligned = spying_generate_aligned
-        duplicated = engine.generate_for(rejected, np.array([3, 7, 3, 11, 7, 3]))
-        assert searched_rows == [3]  # one search per DISTINCT row
-        engine.generate_aligned = original
-        reference = engine.generate_for(rejected, np.array([3, 7, 11]))
-        assert set(duplicated) == set(reference)
-        for i in reference:
-            assert np.array_equal(duplicated[i].counterfactual,
-                                  reference[i].counterfactual)
-
-    def test_generate_for_empty_indices(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        generator = GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                                 random_state=0)
-        assert CounterfactualEngine(generator).generate_for(rejected, np.array([], int)) == {}
-
-    def test_invalid_executor_rejected(self, loan_workload):
-        from fairexp.exceptions import ValidationError
-
-        model, background, constraints, _ = loan_workload
-        generator = GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                                 random_state=0)
-        with pytest.raises(ValidationError):
-            CounterfactualEngine(generator, executor="fibers")
+def _gil_holding(model):
+    """``model`` behind a backend declaring ``releases_gil=False``: with
+    ``n_jobs > 1`` the engine shards it on processes instead of threads."""
+    return BatchModelAdapter(model, backend=CallablePredictBackend(model.predict),
+                             cache=False)
 
 
 def _assert_same_results(sequential, other):
@@ -369,55 +326,77 @@ def _assert_same_results(sequential, other):
 
 class TestProcessExecutor:
     """Process-based sharding: picklable shard specs, bitwise merges,
-    GIL-aware auto-selection, and graceful fallbacks."""
+    GIL-aware selection by the backend, and graceful fallbacks."""
 
     def test_process_shards_bitwise_equal_to_sequential(self, loan_workload):
         model, background, constraints, rejected = loan_workload
-        make = lambda: GrowingSpheresCounterfactual(  # noqa: E731
+        make = lambda model: GrowingSpheresCounterfactual(  # noqa: E731
             model, background, constraints=constraints, random_state=0
         )
-        sequential = CounterfactualEngine(make(), n_jobs=1).generate_aligned(rejected)
-        engine = CounterfactualEngine(make(), n_jobs=2, executor="process")
+        sequential = CounterfactualEngine(make(model), n_jobs=1).generate_aligned(rejected)
+        engine = CounterfactualEngine(make(_gil_holding(model)), n_jobs=2)
+        assert engine._resolve_executor() == "process"
         _assert_same_results(sequential, engine.generate_aligned(rejected))
 
     def test_process_shards_absorb_worker_predict_counts(self, loan_workload):
         model, background, constraints, rejected = loan_workload
-        generator = GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                                 random_state=0)
-        engine = CounterfactualEngine(generator, n_jobs=2, executor="process")
-        engine.generate_aligned(rejected[:8])
-        assert engine.predict_call_count > 0
+        engines = [
+            CounterfactualEngine(GrowingSpheresCounterfactual(
+                _gil_holding(model), background, constraints=constraints,
+                random_state=0), n_jobs=n_jobs)
+            for n_jobs in (1, 2)
+        ]
+        for engine in engines:
+            engine.generate_aligned(rejected[:8])
+        sequential, sharded = engines
+        assert sharded.predict_call_count > 0
+        assert sharded.adapter.predict_row_count == sequential.adapter.predict_row_count
+        assert sharded.search_draw_count == sequential.search_draw_count
 
-    def test_auto_uses_threads_for_gil_releasing_backends(self, loan_workload):
+    @pytest.mark.parametrize("backend_name", ["numpy", "onnx", "remote"])
+    def test_auto_uses_threads_for_gil_releasing_backends(self, loan_workload,
+                                                          backend_name):
+        from contextlib import ExitStack
+
+        from fairexp.explanations import (
+            NumpyPredictBackend,
+            OnnxExportBackend,
+            RemoteScoringBackend,
+            serve_model,
+        )
+
         model, background, constraints, _ = loan_workload
-        generator = GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                                 random_state=0)
-        engine = CounterfactualEngine(generator, n_jobs=2)
-        assert engine._resolve_executor() == "thread"
+        with ExitStack() as stack:
+            if backend_name == "remote":
+                server = stack.enter_context(serve_model(model))
+                backend = RemoteScoringBackend(server.url)
+                stack.callback(backend.close)
+            elif backend_name == "onnx":
+                backend = OnnxExportBackend(model)
+            else:
+                backend = NumpyPredictBackend(model)
+            adapted = BatchModelAdapter(model, backend=backend, cache=False)
+            generator = GrowingSpheresCounterfactual(adapted, background,
+                                                     constraints=constraints,
+                                                     random_state=0)
+            engine = CounterfactualEngine(generator, n_jobs=2)
+            assert engine._resolve_executor() == "thread"
 
     def test_auto_uses_processes_for_gil_holding_backends(self, loan_workload):
-        from fairexp.explanations import CallablePredictBackend
-
         model, background, constraints, _ = loan_workload
-        backend = CallablePredictBackend(model.predict)  # releases_gil=False
-        adapted = BatchModelAdapter(model, backend=backend, cache=False)
-        generator = GrowingSpheresCounterfactual(adapted, background,
+        generator = GrowingSpheresCounterfactual(_gil_holding(model), background,
                                                  constraints=constraints, random_state=0)
         engine = CounterfactualEngine(generator, n_jobs=2)
         assert engine._resolve_executor() == "process"
 
     def test_gil_holding_backend_process_run_matches_sequential(self, loan_workload):
-        from fairexp.explanations import CallablePredictBackend
-
         model, background, constraints, rejected = loan_workload
         sequential = CounterfactualEngine(
             GrowingSpheresCounterfactual(model, background, constraints=constraints,
                                          random_state=0),
             n_jobs=1,
         ).generate_aligned(rejected[:10])
-        backend = CallablePredictBackend(model.predict)
-        adapted = BatchModelAdapter(model, backend=backend, cache=False)
-        generator = GrowingSpheresCounterfactual(adapted, background,
+        generator = GrowingSpheresCounterfactual(_gil_holding(model), background,
                                                  constraints=constraints, random_state=0)
         engine = CounterfactualEngine(generator, n_jobs=2)  # auto -> process
         _assert_same_results(sequential, engine.generate_aligned(rejected[:10]))
@@ -428,7 +407,6 @@ class TestProcessExecutor:
         model version skew), the process-sharded results must match the
         sequential results under the SAME callable."""
         from fairexp.datasets import make_loan_dataset
-        from fairexp.explanations import CallablePredictBackend
         from fairexp.models import LogisticRegression
 
         model, background, constraints, rejected = loan_workload
@@ -440,16 +418,16 @@ class TestProcessExecutor:
         )
         assert not np.array_equal(model.predict(rejected), other_model.predict(rejected))
 
-        def build(n_jobs, executor):
+        def build(n_jobs):
             backend = CallablePredictBackend(other_model.predict)
             adapted = BatchModelAdapter(model, backend=backend, cache=False)
             generator = GrowingSpheresCounterfactual(
                 adapted, background, constraints=constraints, random_state=0
             )
-            return CounterfactualEngine(generator, n_jobs=n_jobs, executor=executor)
+            return CounterfactualEngine(generator, n_jobs=n_jobs)
 
-        sequential = build(1, "thread").generate_aligned(rejected[:10])
-        sharded = build(2, "process").generate_aligned(rejected[:10])
+        sequential = build(1).generate_aligned(rejected[:10])
+        sharded = build(2).generate_aligned(rejected[:10])
         _assert_same_results(sequential, sharded)
         # And every counterfactual flips the class under the CALLABLE.
         found = [r for r in sharded if r is not None]
@@ -458,7 +436,7 @@ class TestProcessExecutor:
             assert int(other_model.predict(result.counterfactual[None, :])[0]) == 1
 
     def test_unpicklable_spec_falls_back_to_threads(self, loan_workload):
-        from fairexp.explanations import CallablePredictBackend
+        from fairexp.explanations.engine import _process_shard_spec
 
         model, background, constraints, rejected = loan_workload
         # A closure-based backend with no reachable bare model cannot be
@@ -467,7 +445,9 @@ class TestProcessExecutor:
         adapted = BatchModelAdapter(backend=backend, cache=False)
         generator = GrowingSpheresCounterfactual(adapted, background,
                                                  constraints=constraints, random_state=0)
-        engine = CounterfactualEngine(generator, n_jobs=2, executor="process")
+        engine = CounterfactualEngine(generator, n_jobs=2)
+        assert engine._resolve_executor() == "process"
+        assert _process_shard_spec(generator) is None
         sequential = CounterfactualEngine(
             GrowingSpheresCounterfactual(model, background, constraints=constraints,
                                          random_state=0),
@@ -497,19 +477,19 @@ class TestProcessExecutor:
             n_jobs=1,
         ).generate_aligned(rejected[:6])
         engine = CounterfactualEngine(
-            GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                         random_state=0),
-            n_jobs=2, executor="process",
+            GrowingSpheresCounterfactual(_gil_holding(model), background,
+                                         constraints=constraints, random_state=0),
+            n_jobs=2,
         )
         _assert_same_results(sequential, engine.generate_aligned(rejected[:6]))
 
     def test_shared_stream_generator_stays_sequential(self, loan_workload):
         model, background, constraints, rejected = loan_workload
         generator = GrowingSpheresCounterfactual(
-            model, background, constraints=constraints,
+            _gil_holding(model), background, constraints=constraints,
             random_state=np.random.default_rng(0),
         )
-        engine = CounterfactualEngine(generator, n_jobs=4, executor="process")
+        engine = CounterfactualEngine(generator, n_jobs=4)
         assert engine._resolve_n_jobs(rejected.shape[0]) == 1
 
 

@@ -13,6 +13,8 @@ from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
+    BatchModelAdapter,
+    CallablePredictBackend,
     CounterfactualEngine,
     GrowingSpheresCounterfactual,
     KernelSet,
@@ -397,10 +399,13 @@ class TestIntegration:
             GrowingSpheresCounterfactual(model, background,
                                          constraints=constraints, random_state=0),
         ).generate_aligned(rejected)
+        # A backend that holds the GIL makes n_jobs=2 shard on processes.
+        gil_holding = BatchModelAdapter(
+            model, backend=CallablePredictBackend(model.predict), cache=False)
         sharded = CounterfactualEngine(
-            GrowingSpheresCounterfactual(model, background,
+            GrowingSpheresCounterfactual(gil_holding, background,
                                          constraints=constraints, random_state=0),
-            n_jobs=2, executor="process",
+            n_jobs=2,
         ).generate_aligned(rejected)
         for a, b in zip(sequential, sharded):
             if a is None or b is None:

@@ -1,6 +1,6 @@
 """Tests for the session-scoped persistent executor pool."""
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ import pytest
 from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     AuditSession,
+    BatchModelAdapter,
+    CallablePredictBackend,
     CounterfactualEngine,
     ExecutorPool,
     GrowingSpheresCounterfactual,
@@ -24,6 +26,14 @@ def workload(loan_data, loan_model, loan_cf_generator):
 def _generator(train, model, constraints):
     return GrowingSpheresCounterfactual(model, train.X, constraints=constraints,
                                         random_state=0)
+
+
+def _gil_holding_generator(train, model, constraints):
+    """A generator whose predict backend declares ``releases_gil=False``, so
+    ``n_jobs > 1`` shards on processes."""
+    adapted = BatchModelAdapter(model, backend=CallablePredictBackend(model.predict),
+                                cache=False)
+    return _generator(train, adapted, constraints)
 
 
 class _CountingFactory:
@@ -72,13 +82,6 @@ class TestExecutorPool:
             with pytest.raises(ValidationError):
                 pool.executor("fiber")
 
-    def test_ensure(self):
-        pool = ExecutorPool()
-        assert ExecutorPool.ensure(pool) is pool
-        assert isinstance(ExecutorPool.ensure(None), ExecutorPool)
-        with pytest.raises(ValidationError):
-            ExecutorPool.ensure(ThreadPoolExecutor(max_workers=1))
-
 
 class TestEnginePooling:
     def test_pooled_thread_shards_bitwise_equal_to_per_call(self, workload):
@@ -120,8 +123,8 @@ class TestEnginePooling:
 
         factory = _CountingFactory(ExplodingExecutor)
         with ExecutorPool(process_factory=factory) as pool:
-            engine = CounterfactualEngine(_generator(train, model, constraints),
-                                          n_jobs=2, executor="process", pool=pool)
+            engine = CounterfactualEngine(_gil_holding_generator(train, model, constraints),
+                                          n_jobs=2, pool=pool)
             results = engine.generate_aligned(rejected)  # thread fallback
             assert all(result is not None for result in results)
             assert factory.constructed == 1
@@ -130,24 +133,22 @@ class TestEnginePooling:
 
 class TestSessionPooling:
     def test_process_sweep_constructs_exactly_one_process_pool(self, workload):
-        """The PR's acceptance criterion: a session-scoped sweep with
-        executor="process" constructs exactly one ProcessPoolExecutor, with
-        results bitwise-equal to per-call pools."""
+        """A session-scoped sweep over a GIL-holding backend constructs
+        exactly one ProcessPoolExecutor, with results bitwise-equal to
+        per-call pools."""
         train, model, constraints, rejected = workload
         per_call = CounterfactualEngine(
-            _generator(train, model, constraints), n_jobs=2, executor="process"
+            _gil_holding_generator(train, model, constraints), n_jobs=2
         ).generate_aligned(rejected)
 
-        factory = _CountingFactory(ProcessPoolExecutor)
-        pool = ExecutorPool(max_workers=2, process_factory=factory)
         with AuditSession(_generator(train, model, constraints), n_jobs=2,
-                          executor="process", pool=pool) as session:
+                          backend=CallablePredictBackend(model.predict)) as session:
             # Three audits over three distinct populations: three sharded
             # engine passes, one worker pool.
             first = session.counterfactuals_for(rejected, np.arange(len(rejected)))
             session.counterfactuals_for(rejected + 0.25, np.arange(8))
             session.counterfactuals_for(rejected + 0.5, np.arange(8))
-        assert factory.constructed == 1
+            assert session.pool.created_counts == {"thread": 0, "process": 1}
         assert set(first) == {i for i, r in enumerate(per_call) if r is not None}
         for i, reference in enumerate(per_call):
             if reference is not None:
@@ -163,15 +164,6 @@ class TestSessionPooling:
         with pytest.raises(ValidationError):
             pool.executor("thread")  # closed deterministically on exit
         session.close()  # idempotent
-
-    def test_injected_pool_is_shared_not_owned(self, workload):
-        train, model, constraints, rejected = workload
-        with ExecutorPool(max_workers=2) as shared:
-            with AuditSession(_generator(train, model, constraints), n_jobs=2,
-                              pool=shared) as session:
-                session.counterfactuals_for(rejected, np.arange(4))
-            # The session exit must NOT shut the injected pool down.
-            shared.executor("thread").submit(lambda: None).result()
 
     def test_sequential_session_never_spawns_workers(self, workload):
         train, model, constraints, rejected = workload
@@ -213,9 +205,9 @@ class TestPoolInstrumentation:
             assert drained["busy_workers"] == 0 and drained["queue_depth"] == 0
 
     def test_pending_gauge_and_peak_high_water_mark(self):
-        """pending() is the instantaneous admission-control gauge;
-        peak_pending in stats() keeps the lifetime high-water mark after
-        the load drains."""
+        """Busy workers plus queue depth gauge the tasks pending right now;
+        peak_pending keeps the lifetime high-water mark after the load
+        drains."""
         import threading
         import time
 
@@ -225,20 +217,22 @@ class TestPoolInstrumentation:
             release.wait(timeout=10)
             return True
 
+        def pending(pool):
+            stats = pool.stats()["thread"]
+            return stats["busy_workers"] + stats["queue_depth"]
+
         with ExecutorPool(max_workers=2) as pool:
-            assert pool.pending("thread") == 0      # no live executor yet
-            with pytest.raises(ValidationError, match="executor kind"):
-                pool.pending("tractor")
+            assert pending(pool) == 0      # no live executor yet
             runner = threading.Thread(
                 target=lambda: pool.map("thread", blocked_task, range(4)))
             runner.start()
             deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and pool.pending("thread") < 4:
+            while time.monotonic() < deadline and pending(pool) < 4:
                 time.sleep(0.01)
-            assert pool.pending("thread") == 4
+            assert pending(pool) == 4
             release.set()
             runner.join(timeout=10)
-            assert pool.pending("thread") == 0
+            assert pending(pool) == 0
             assert pool.stats()["thread"]["peak_pending"] == 4
 
     def test_map_preserves_order_and_raises_first_error(self):
@@ -310,87 +304,3 @@ class TestPoolInstrumentation:
             assert not thread.is_alive(), "stress thread deadlocked"
         assert errors == []
 
-
-class TestSharedExecutorPool:
-    def test_shared_is_refcounted_singleton(self):
-        from fairexp.explanations import SharedExecutorPool
-
-        first = ExecutorPool.shared(max_workers=1)
-        try:
-            assert isinstance(first, SharedExecutorPool)
-            second = ExecutorPool.shared()
-            assert second is first
-            assert first.refcount == 2
-            first.executor("thread")
-            second.shutdown()               # one release: still alive
-            assert first.refcount == 1
-            first.executor("thread").submit(lambda: None).result()
-        finally:
-            first.shutdown()                # last release: workers stop
-        with pytest.raises(ValidationError):
-            first.executor("thread")
-        fresh = ExecutorPool.shared(max_workers=1)  # next acquisition: new pool
-        try:
-            assert fresh is not first
-        finally:
-            fresh.shutdown()
-
-    def test_shared_rejects_reconfiguration_while_alive(self):
-        pool = ExecutorPool.shared(max_workers=1)
-        try:
-            with pytest.raises(ValidationError):
-                ExecutorPool.shared(max_workers=4)
-        finally:
-            pool.shutdown()
-
-    def test_ensure_accepts_shared_marker(self):
-        from fairexp.explanations import SharedExecutorPool
-
-        pool = ExecutorPool.ensure("shared")
-        try:
-            assert isinstance(pool, SharedExecutorPool)
-            assert pool.refcount >= 1
-            assert ExecutorPool.ensure("shared") is pool
-            pool.shutdown()  # release the second acquisition
-        finally:
-            pool.shutdown()
-
-    def test_sessions_with_shared_pool_build_one_executor_set(self, workload):
-        """Concurrent sessions on pool="shared" construct ONE thread executor
-        between them, and each close() releases without killing the others."""
-        train, model, constraints, rejected = workload
-        factory = _CountingFactory(ThreadPoolExecutor)
-        shared = ExecutorPool.shared(max_workers=2, thread_factory=factory)
-        try:
-            sessions = [
-                AuditSession(_generator(train, model, constraints), n_jobs=2,
-                             pool="shared")
-                for _ in range(3)
-            ]
-            assert all(s.pool is shared for s in sessions)
-            for offset, session in enumerate(sessions):
-                session.counterfactuals_for(rejected + 0.1 * offset, np.arange(4))
-            assert factory.constructed == 1
-            sessions[0].close()
-            # Remaining holders keep working after one session closes.
-            sessions[1].counterfactuals_for(rejected + 0.9, np.arange(2))
-            for session in sessions[1:]:
-                session.close()
-            assert shared.refcount == 1  # only our own acquisition remains
-        finally:
-            shared.shutdown()
-
-    def test_failed_session_construction_releases_shared_reference(self, loan_model):
-        """A session whose __init__ raises AFTER acquiring pool="shared" must
-        release its reference — a leaked refcount would pin the process-wide
-        pool (and its configuration) forever."""
-        with pytest.raises(ValidationError):
-            # schedule= without a generator is rejected after pool acquisition.
-            AuditSession(model=loan_model, schedule="adaptive", pool="shared")
-        # The shared slot is free again: acquiring WITH configuration succeeds,
-        # which the leaked reference would have turned into a ValidationError.
-        pool = ExecutorPool.shared(max_workers=1)
-        try:
-            assert pool.refcount == 1
-        finally:
-            pool.shutdown()

@@ -8,6 +8,7 @@ from fairexp.explanations import (
     AdaptiveSchedule,
     AuditSession,
     BatchModelAdapter,
+    CallablePredictBackend,
     CounterfactualEngine,
     GeometricSchedule,
     GrowingSpheresCounterfactual,
@@ -29,6 +30,23 @@ def workload(loan_data, loan_model, loan_cf_generator):
 def _generator(generator_cls, train, model, constraints, **kwargs):
     return generator_cls(model, train.X, constraints=constraints, random_state=0,
                          **kwargs)
+
+
+def _gil_holding(model):
+    """``model`` behind a backend declaring ``releases_gil=False``: with
+    ``n_jobs > 1`` the engine shards it on processes instead of threads."""
+    return BatchModelAdapter(model, backend=CallablePredictBackend(model.predict),
+                             cache=False)
+
+
+# The backend picks the sharding path: NumPy shards on threads, a
+# GIL-holding callable on processes.  The ids name the path exercised.
+SHARDING_BACKENDS = pytest.mark.parametrize(
+    "backend", ["numpy", "callable"], ids=["thread", "process"])
+
+
+def _with_backend(model, backend):
+    return _gil_holding(model) if backend == "callable" else model
 
 
 class TestResolveSchedule:
@@ -74,8 +92,8 @@ class TestGeometricParity:
             assert seq.changed_features == bat.changed_features
             assert seq.distance == bat.distance
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_geometric_parity_across_executors(self, executor, workload):
+    @SHARDING_BACKENDS
+    def test_geometric_parity_across_executors(self, backend, workload):
         """Sharded geometric runs (threads AND processes) stay bitwise-equal
         to the sequential n_jobs=1 pass."""
         train, model, constraints, rejected = workload
@@ -84,8 +102,9 @@ class TestGeometricParity:
             n_jobs=1,
         ).generate_aligned(rejected)
         sharded = CounterfactualEngine(
-            _generator(GrowingSpheresCounterfactual, train, model, constraints),
-            n_jobs=3, executor=executor,
+            _generator(GrowingSpheresCounterfactual, train,
+                       _with_backend(model, backend), constraints),
+            n_jobs=3,
         ).generate_aligned(rejected)
         for seq, par in zip(reference, sharded):
             assert (seq is None) == (par is None)
@@ -244,20 +263,20 @@ class TestAdaptiveSchedule:
         crowded = drive(AdaptiveSchedule().begin(12), 0, companions=(7, 8))
         assert alone == crowded == [11, 5, 2]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_adaptive_sharded_bitwise_equal_to_sequential(self, executor,
+    @SHARDING_BACKENDS
+    def test_adaptive_sharded_bitwise_equal_to_sequential(self, backend,
                                                           workload):
         """Per-instance-only cursor state makes sharded adaptive runs
         bitwise-identical to the sequential pass (like geometric)."""
         train, model, constraints, rejected = workload
 
-        def build():
+        def build(model):
             return _generator(GrowingSpheresCounterfactual, train, model,
                               constraints, schedule=AdaptiveSchedule())
 
-        sequential = CounterfactualEngine(build(), n_jobs=1).generate_aligned(rejected)
-        sharded = CounterfactualEngine(build(), n_jobs=3,
-                                       executor=executor).generate_aligned(rejected)
+        sequential = CounterfactualEngine(build(model), n_jobs=1).generate_aligned(rejected)
+        sharded = CounterfactualEngine(build(_with_backend(model, backend)),
+                                       n_jobs=3).generate_aligned(rejected)
         for seq, par in zip(sequential, sharded):
             assert (seq is None) == (par is None)
             if seq is not None:
@@ -282,9 +301,11 @@ class TestScheduleAccounting:
         train, model, constraints, rejected = workload
         sequential = _generator(GrowingSpheresCounterfactual, train, model, constraints)
         CounterfactualEngine(sequential, n_jobs=1).generate_aligned(rejected)
-        sharded = _generator(GrowingSpheresCounterfactual, train, model, constraints)
-        CounterfactualEngine(sharded, n_jobs=2,
-                             executor="process").generate_aligned(rejected)
+        sharded = _generator(GrowingSpheresCounterfactual, train, _gil_holding(model),
+                             constraints)
+        engine = CounterfactualEngine(sharded, n_jobs=2)
+        assert engine._resolve_executor() == "process"
+        engine.generate_aligned(rejected)
         assert sharded.search_step_count > 0
         assert sharded.search_draw_count == sequential.search_draw_count
 

@@ -11,11 +11,8 @@ import pytest
 from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     AuditSession,
-    BatchModelAdapter,
     CoalescingScoringClient,
     ComputeGraph,
-    CounterfactualEngine,
-    ExecutorPool,
     GrowingSpheresCounterfactual,
     OnnxExportBackend,
     RemoteScoringBackend,
@@ -146,33 +143,6 @@ class TestOnnxExportBackend:
         with pytest.raises(ValidationError, match="diverges"):
             OnnxExportBackend(lying, verify_on=test.X)
         assert backend.predict(test.X).shape == (test.X.shape[0],)
-
-    def test_engine_process_shards_ship_the_graph(self, zoo, loan_cf_generator):
-        """The ONNX backend opts into process sharding: workers rebuild the
-        (picklable, model-free) graph and their predict counts fold back."""
-        models, train, test = zoo
-        model = models["logistic"]
-        rejected = test.X[model.predict(test.X) == 0][:8]
-        constraints = loan_cf_generator.constraints
-
-        sequential = CounterfactualEngine(
-            GrowingSpheresCounterfactual(model, train.X, constraints=constraints,
-                                         random_state=0)
-        ).generate_aligned(rejected)
-
-        backend = OnnxExportBackend(model)
-        adapter = BatchModelAdapter(model, backend=backend, cache=False)
-        generator = GrowingSpheresCounterfactual(adapter, train.X,
-                                                 constraints=constraints,
-                                                 random_state=0)
-        engine = CounterfactualEngine(generator, n_jobs=2, executor="process")
-        sharded = engine.generate_aligned(rejected)
-        assert backend.row_count > 0  # workers' rows folded back via add_counts
-        for seq, par in zip(sequential, sharded):
-            assert (seq is None) == (par is None)
-            if seq is not None:
-                assert np.array_equal(seq.counterfactual, par.counterfactual)
-
 
 class TestScoringServer:
     def test_serves_graph_over_loopback(self, zoo):
@@ -500,61 +470,6 @@ class TestAdmissionControl:
             assert stats["inflight"] == 0
             assert stats["shed"] == 0
 
-    def test_pool_queue_depth_counts_against_max_inflight(self, zoo):
-        """With an attached pool, work another holder queued on it counts
-        toward the one admission bound: the server sheds while the pool is
-        saturated, though none of its own batches is in flight, and admits
-        again once the queue drains."""
-        models, _, test = zoo
-        model = models["logistic"]
-        pool = ExecutorPool(max_workers=2)
-        release = threading.Event()
-        try:
-            with serve_fleet([export_model(model)], pool=pool,
-                             max_inflight=4) as server:
-                holder = threading.Thread(target=lambda: pool.map(
-                    "thread", lambda _: release.wait(timeout=10), range(4)))
-                holder.start()
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline and pool.pending("thread") < 4:
-                    time.sleep(0.01)
-                backend = RemoteScoringBackend(server.url, window=0.0,
-                                               max_retries=2, backoff=0.001)
-                with pytest.raises(ValidationError, match="shed"):
-                    backend.predict(test.X[:8])
-                stats = server.stats()
-                assert stats["shed"] == 3            # initial + 2 retries
-                assert stats["requests"] == 0        # nothing was admitted
-                assert stats["peak_inflight"] == 0
-                assert backend.call_count == 0
-                assert backend.row_count == 0
-                release.set()
-                holder.join(timeout=10)
-                out = backend.predict(test.X[:8])
-                assert np.array_equal(out, model.predict(test.X[:8]))
-                assert server.stats()["requests"] == 1
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_pool_bound_admits_when_queue_is_shallow(self, zoo):
-        models, _, test = zoo
-        model = models["logistic"]
-        pool = ExecutorPool(max_workers=2)
-        try:
-            with serve_fleet([export_model(model)], pool=pool,
-                             max_inflight=8) as server:
-                backend = RemoteScoringBackend(server.url, window=0.0)
-                out = backend.predict(test.X[:6])
-                assert np.array_equal(out, model.predict(test.X[:6]))
-                stats = server.stats()
-                assert stats["max_inflight"] == 8
-                assert stats["shed"] == 0
-                assert stats["requests"] == 1
-        finally:
-            pool.shutdown()
-
-
 class TestServerLifecycle:
     def test_context_manager_leaves_no_live_thread(self, zoo):
         """The satellite close() fix: after the context exits, the request
@@ -668,22 +583,6 @@ class TestStatsEndpoint:
             assert entry["client_batches"] == 3
             assert entry["coalescing_factor"] == 3.0
             assert entry["window"] == 1.0
-
-    def test_attached_pool_utilization_rides_along(self, zoo):
-        models, _, test = zoo
-        pool = ExecutorPool(max_workers=2)
-        try:
-            with serve_fleet([export_model(models["logistic"])],
-                             pool=pool) as server:
-                backend = RemoteScoringBackend(server.url, window=0.0)
-                backend.predict(test.X[:6])
-                stats = server.stats()
-                assert stats["pool"]["thread"]["executors_created"] == 1
-                assert stats["pool"]["thread"]["peak_pending"] >= 1
-                assert pool.pending("thread") == 0
-        finally:
-            pool.shutdown()
-
 
 class TestServeCLI:
     """``python -m fairexp serve`` fleet flags and the /stats pretty-printer

@@ -83,9 +83,11 @@ class TestShardMergeParity:
                                                         loan_cf_generator):
         dataset, train, test, model, rejected_idx = workload
         constraints = loan_cf_generator.constraints
-        direct = CounterfactualEngine(
+        aligned = CounterfactualEngine(
             _generator(GrowingSpheresCounterfactual, train, model, constraints)
-        ).generate_for(test.X, rejected_idx)
+        ).generate_aligned(test.X[rejected_idx])
+        direct = {int(i): result for i, result in zip(rejected_idx, aligned)
+                  if result is not None}
         session = AuditSession(
             _generator(GrowingSpheresCounterfactual, train, model, constraints), n_jobs=4
         )
@@ -589,6 +591,44 @@ class TestSessionInputContract:
         assert stored
         assert all(row >= 0 for rows in stored for row in rows)
         assert all(set(rows) == {49} for rows in stored)
+
+    def test_results_keyed_by_row_index(self, population):
+        generator, X = population
+        with AuditSession(generator) as session:
+            results = session.counterfactuals_for(X, np.array([3, 7, 11]))
+        assert set(results) <= {3, 7, 11}
+        for i, counterfactual in results.items():
+            assert np.array_equal(counterfactual.original, X[i])
+
+    def test_duplicate_indices_search_once(self, population):
+        """A duplicated index must trigger (and pay for) exactly one search
+        of that row."""
+        generator, X = population
+        with AuditSession(generator) as session:
+            searched_rows: list[int] = []
+            original = session.engine.generate_aligned
+
+            def spying_generate_aligned(rows):
+                searched_rows.append(np.atleast_2d(rows).shape[0])
+                return original(rows)
+
+            session.engine.generate_aligned = spying_generate_aligned
+            duplicated = session.counterfactuals_for(X, np.array([3, 7, 3, 11, 7, 3]))
+            assert searched_rows == [3]  # one search per DISTINCT row
+            assert session.result_reuse_count == 0
+        with AuditSession(generator) as fresh:
+            reference = fresh.counterfactuals_for(X, np.array([3, 7, 11]))
+        assert set(duplicated) == set(reference)
+        for i in reference:
+            assert np.array_equal(duplicated[i].counterfactual,
+                                  reference[i].counterfactual)
+
+    def test_empty_indices_touch_no_state(self, population):
+        generator, X = population
+        with AuditSession(generator) as session:
+            assert session.counterfactuals_for(X, np.array([], dtype=int)) == {}
+            assert session.stats()["n_populations"] == 0
+            assert session.predict_call_count == 0
 
     @pytest.mark.parametrize("bad", [[55], [50], [-51], [3, 55]])
     def test_out_of_range_index_raises_before_any_state(self, population, tmp_path,
