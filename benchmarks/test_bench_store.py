@@ -162,12 +162,12 @@ def test_store_population_results_survive_round_trip(tmp_path):
     run_sweep(session, dataset, subset)
     [fingerprint] = CounterfactualStore(tmp_path / "store").entries()
     reloaded = CounterfactualStore(tmp_path / "store").load(fingerprint)
-    original = session._populations[session.population_key(subset.X)].rows
-    assert set(reloaded) == set(original)
-    for index, result in original.items():
+    original = session._populations[session.population_key(subset.X)].batch
+    assert np.array_equal(reloaded.indices, original.indices)
+    for warm, result in zip(reloaded, original):
         if result is None:
-            assert reloaded[index] is None
+            assert warm is None
             continue
-        assert np.array_equal(reloaded[index].counterfactual, result.counterfactual)
-        assert reloaded[index].distance == result.distance
-        assert reloaded[index].changed_features == result.changed_features
+        assert np.array_equal(warm.counterfactual, result.counterfactual)
+        assert warm.distance == result.distance
+        assert warm.changed_features == result.changed_features

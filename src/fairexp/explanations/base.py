@@ -24,6 +24,7 @@ __all__ = [
     "ExplainerRegistry",
     "FeatureAttribution",
     "Counterfactual",
+    "CounterfactualBatch",
     "RuleExplanation",
     "ExampleExplanation",
 ]
@@ -451,6 +452,109 @@ class Counterfactual:
             name = feature_names[j] if feature_names is not None else f"x{j}"
             lines.append(f"{name}: {original[j]:.4g} -> {counterfactual[j]:.4g}")
         return lines
+
+
+#: Column name -> (dtype, fill value of an unsolved row).  The names are also
+#: the member names of a store payload.
+_BATCH_COLUMNS = {
+    "indices": (np.int64, 0), "has_result": (bool, False),
+    "originals": (float, np.nan), "counterfactuals": (float, np.nan),
+    "original_predictions": (np.int64, 0), "counterfactual_predictions": (np.int64, 0),
+    "distances": (float, np.nan), "constraint_feasible": (bool, False),
+    "changed_masks": (bool, False),
+}
+_BATCH_MATRICES = ("originals", "counterfactuals", "changed_masks")
+
+
+@dataclass
+class CounterfactualBatch:
+    """Counterfactual results for rows ``indices`` of one population, by column.
+
+    The :class:`Counterfactual` fields are columns; ``originals``,
+    ``counterfactuals`` and ``changed_masks`` are ``(n, n_features)``.  A row
+    with ``has_result[k] == False`` found nothing and holds fill values (NaN
+    floats, zero predictions, ``False`` flags).  The constructor coerces each
+    column's dtype and raises ``ValueError`` unless every column has one row
+    per index and the matrices share one width.
+    """
+
+    indices: np.ndarray
+    has_result: np.ndarray
+    originals: np.ndarray
+    counterfactuals: np.ndarray
+    original_predictions: np.ndarray
+    counterfactual_predictions: np.ndarray
+    distances: np.ndarray
+    constraint_feasible: np.ndarray
+    changed_masks: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, (dtype, _) in _BATCH_COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if self.originals.ndim != 2:
+            raise ValueError("originals must be a matrix")
+        for name in _BATCH_COLUMNS:
+            expected = self.originals.shape if name in _BATCH_MATRICES else (len(self.originals),)
+            if getattr(self, name).shape != expected:
+                raise ValueError(f"column {name!r} has shape "
+                                 f"{getattr(self, name).shape}, expected {expected}")
+
+    @classmethod
+    def unsolved(cls, indices, n_features: int) -> "CounterfactualBatch":
+        """A batch in which no row of ``indices`` has a counterfactual."""
+        n_rows = len(indices)
+        return cls(indices, **{
+            name: np.full((n_rows, n_features) if name in _BATCH_MATRICES else n_rows,
+                          fill, dtype=dtype)
+            for name, (dtype, fill) in _BATCH_COLUMNS.items() if name != "indices"
+        })
+
+    @classmethod
+    def merge(cls, *batches: "CounterfactualBatch") -> "CounterfactualBatch":
+        """Every row of ``batches`` (disjoint indices) in one batch, sorted by index."""
+        columns = {name: np.concatenate([batch.columns[name] for batch in batches])
+                   for name in _BATCH_COLUMNS}
+        order = np.argsort(columns["indices"], kind="stable")
+        return cls(**{name: column[order] for name, column in columns.items()})
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every column by name: exactly the members of a store payload."""
+        return {name: getattr(self, name) for name in _BATCH_COLUMNS}
+
+    @property
+    def n_features(self) -> int:
+        """Width of the matrix columns."""
+        return self.originals.shape[1]
+
+    def take(self, positions) -> "CounterfactualBatch":
+        """A new batch of the rows at ``positions``, copied, in that order."""
+        return CounterfactualBatch(**{name: column[positions]
+                                      for name, column in self.columns.items()})
+
+    def _counterfactuals(self) -> list[Counterfactual]:
+        # Fancy indexing copies, so no result shares memory with the batch.
+        rows = np.flatnonzero(self.has_result)
+        return Counterfactual.from_columns(
+            self.originals[rows], self.counterfactuals[rows],
+            self.original_predictions[rows], self.counterfactual_predictions[rows],
+            self.changed_masks[rows], self.distances[rows], self.constraint_feasible[rows])
+
+    def solved(self) -> dict[int, Counterfactual]:
+        """The solved rows as ``{index: Counterfactual}``, in row order."""
+        return dict(zip(self.indices[self.has_result].tolist(), self._counterfactuals()))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, position: int) -> Counterfactual | None:
+        """Row ``position`` as one :class:`Counterfactual` (``None`` if unsolved)."""
+        return next(iter(self.take([position])))
+
+    def __iter__(self):
+        """Each row as a :class:`Counterfactual`, or ``None`` where unsolved."""
+        solved = iter(self._counterfactuals())
+        return iter([next(solved) if has else None for has in self.has_result.tolist()])
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..datasets.schema import FeatureSpec
 from ..exceptions import InfeasibleRecourseError, ValidationError
-from .base import Counterfactual, ExplainerInfo, ExplainerRegistry
+from .base import Counterfactual, CounterfactualBatch, ExplainerInfo, ExplainerRegistry
 from .engine import greedy_sparsify_batch, lockstep_candidate_search
 from .kernels import resolve_kernels
 from .schedules import resolve_schedule
@@ -244,28 +244,26 @@ class BaseCounterfactualGenerator:
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.model.predict(np.atleast_2d(X)))
 
-    def _make_results_batch(self, X_rows: np.ndarray, candidates: np.ndarray
-                            ) -> list[Counterfactual]:
-        """Build :class:`Counterfactual` results for many rows with two
-        predict calls (originals + counterfactuals) instead of two per row.
+    def _make_results_batch(self, indices, X_rows: np.ndarray, candidates: np.ndarray
+                            ) -> CounterfactualBatch:
+        """Solved results for population rows ``indices`` with two predict
+        calls (originals + counterfactuals) instead of two per row.
 
-        Every field is computed for the whole batch at once
-        (:meth:`Counterfactual.from_columns`); each result's ``original`` and
-        ``counterfactual`` are rows of matrices this call allocates, so no
-        result shares memory with the caller's arrays or with another
-        result.
+        ``candidates`` are projected onto the feasible set first; every
+        column is computed for the whole batch at once, into matrices this
+        call allocates.
         """
         originals = np.array(np.atleast_2d(X_rows), dtype=float)
         candidates = self.constraints.project(
             originals, np.atleast_2d(np.asarray(candidates, dtype=float)),
         )
-        return Counterfactual.from_columns(
-            originals, candidates,
+        return CounterfactualBatch(
+            indices, np.ones(len(originals), dtype=bool), originals, candidates,
             self._predict(originals), self._predict(candidates),
-            ~np.isclose(candidates, originals),
             resolve_kernels().batch_counterfactual_distance(
                 originals, candidates, scale=self.scale_, metric=self.metric),
             self.constraints.is_feasible(originals, candidates),
+            ~np.isclose(candidates, originals),
         )
 
     def _offsets(self, rng, step: int, n_features: int) -> np.ndarray:
@@ -294,10 +292,10 @@ class BaseCounterfactualGenerator:
             )
         return result
 
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
-        """Counterfactuals for every row of ``X``, aligned with the rows.
+    def generate_batch_aligned(self, X: np.ndarray) -> CounterfactualBatch:
+        """Counterfactuals for every row of ``X``, as a batch with indices 0..n-1.
 
-        Rows whose search budget is exhausted map to ``None``.  The default
+        Rows whose search budget is exhausted are unsolved.  The default
         is the cross-instance lockstep search over the :meth:`draw_schedule`
         ladder, probing rungs in the order this generator's ``schedule``
         plans; generators without a ladder override it.
@@ -313,20 +311,16 @@ class BaseCounterfactualGenerator:
         ``skip_failures`` infeasible instances are dropped instead of raising.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        predictions = self._predict(X)
-        pending = np.flatnonzero(predictions != self.target_class)
-        aligned = self.generate_batch_aligned(X[pending]) if pending.size else []
-        results = []
-        for row, result in zip(pending, aligned):
-            if result is None:
-                if not skip_failures:
-                    raise InfeasibleRecourseError(
-                        f"no counterfactual found for instance {int(row)} "
-                        "within the search budget"
-                    )
-                continue
-            results.append(result)
-        return results
+        pending = np.flatnonzero(self._predict(X) != self.target_class)
+        if not pending.size:
+            return []
+        batch = self.generate_batch_aligned(X[pending])
+        if not skip_failures and not batch.has_result.all():
+            raise InfeasibleRecourseError(
+                f"no counterfactual found for instance {int(pending[~batch.has_result][0])} "
+                "within the search budget"
+            )
+        return list(batch.solved().values())
 
 
 @ExplainerRegistry.register("random_search", capabilities=("counterfactual-generator",),
@@ -420,7 +414,7 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
         target_rows = self.background[background_predictions == self.target_class]
         return target_rows.mean(axis=0) if target_rows.shape[0] else self.background.mean(axis=0)
 
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
+    def generate_batch_aligned(self, X: np.ndarray) -> CounterfactualBatch:
         """Cross-instance gradient ascent: all still-unsolved instances share
         one predict and one ``gradient_input`` call per iteration."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -429,15 +423,15 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
         sign = 1.0 if self.target_class == 1 else -1.0
         anchor = self._anchor()
         unsolved = np.arange(n_instances)
-        solved: dict[int, np.ndarray] = {}     # crossed mid-loop -> sparsified
-        exhausted: dict[int, np.ndarray] = {}  # crossed only at the budget check
+        # A crossed row's candidate stops moving; only mid-loop crossings
+        # are sparsified.
+        crossed_in_loop = np.zeros(n_instances, dtype=bool)
         for _ in range(self.max_iter):
             if unsolved.size == 0:
                 break
             predictions = self._predict(candidates[unsolved])
             crossed = predictions == self.target_class
-            for i in unsolved[crossed]:
-                solved[int(i)] = candidates[i].copy()
+            crossed_in_loop[unsolved[crossed]] = True
             unsolved = unsolved[~crossed]
             if unsolved.size == 0:
                 break
@@ -448,20 +442,17 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
             candidates[unsolved] = self.constraints.project(
                 X[unsolved], candidates[unsolved] + steps
             )
+        exhausted = unsolved[:0]
         if unsolved.size:
-            predictions = self._predict(candidates[unsolved])
-            for i in unsolved[predictions == self.target_class]:
-                exhausted[int(i)] = candidates[i].copy()
+            crossed = self._predict(candidates[unsolved]) == self.target_class
+            exhausted, unsolved = unsolved[crossed], unsolved[~crossed]
 
-        results: list[Counterfactual | None] = [None] * n_instances
-        if solved:
-            rows = sorted(solved)
-            sparse = greedy_sparsify_batch(self, X[rows], np.stack([solved[i] for i in rows]))
-            for i, result in zip(rows, self._make_results_batch(X[rows], sparse)):
-                results[i] = result
-        if exhausted:
-            rows = sorted(exhausted)
-            made = self._make_results_batch(X[rows], np.stack([exhausted[i] for i in rows]))
-            for i, result in zip(rows, made):
-                results[i] = result
-        return results
+        parts = [CounterfactualBatch.unsolved(unsolved, X.shape[1])]
+        solved = np.flatnonzero(crossed_in_loop)
+        if solved.size:
+            sparse = greedy_sparsify_batch(self, X[solved], candidates[solved])
+            parts.append(self._make_results_batch(solved, X[solved], sparse))
+        if exhausted.size:
+            parts.append(self._make_results_batch(exhausted, X[exhausted],
+                                                  candidates[exhausted]))
+        return CounterfactualBatch.merge(*parts)

@@ -38,6 +38,7 @@ long gradient trajectory amplifies to ~1e-13).
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import os
 import pickle
@@ -52,7 +53,7 @@ from .backends import (
     NumpyPredictBackend,
     ensure_backend,
 )
-from .base import Counterfactual
+from .base import CounterfactualBatch
 from .kernels import resolve_kernels
 from .pool import ExecutorPool
 from .schedules import GeometricSchedule, SearchSchedule
@@ -249,7 +250,7 @@ def lockstep_candidate_search(
     offsets: Callable[[np.random.Generator, int, int], np.ndarray],
     n_steps: int,
     schedule: SearchSchedule | None = None,
-) -> list[Counterfactual | None]:
+) -> CounterfactualBatch:
     """Cross-instance rejection-sampling search over a pluggable rung schedule.
 
     All instances advance through the radius/shell ladder in lockstep: one
@@ -301,7 +302,10 @@ def lockstep_candidate_search(
         positions = [streams[0].bit_generator.state]
     consumed = [0] * n_instances
     pending = list(range(n_instances))
-    best: dict[int, tuple[float, np.ndarray]] = {}  # (distance, candidate)
+    # Each instance's minimum-distance hit so far, copied out of its wave.
+    found = np.zeros(n_instances, dtype=bool)
+    best_distance = np.zeros(n_instances)
+    best_candidate = np.zeros((n_instances, n_features))
     cursor = schedule.begin(n_steps)
     steps_taken = 0
     draws_issued = 0
@@ -361,24 +365,22 @@ def lockstep_candidate_search(
             if hits.size:
                 distances = wave_distances[bounds[k]:bounds[k + 1]]
                 pick = int(np.argmin(distances))
-                if i not in best or float(distances[pick]) < best[i][0]:
-                    # A copy, not a view: a view would keep this whole
-                    # wave's candidate tensor alive until the search ends.
-                    best[i] = (float(distances[pick]), projected[k, hits[pick]].copy())
+                if not found[i] or distances[pick] < best_distance[i]:
+                    found[i] = True
+                    best_distance[i] = distances[pick]
+                    best_candidate[i] = projected[k, hits[pick]]
             cursor.observe(i, plan[i], int(hits.size), int(predictions.shape[1]))
         pending = [i for i in pending if i not in cursor.finished]
 
     record = getattr(generator, "add_search_counts", None)
     if record is not None:
         record(steps_taken, draws_issued)
-    results: list[Counterfactual | None] = [None] * n_instances
-    solved = sorted(best)
-    if solved:
-        sparse = greedy_sparsify_batch(generator, X[solved],
-                                       np.stack([best[i][1] for i in solved]))
-        for i, result in zip(solved, generator._make_results_batch(X[solved], sparse)):
-            results[i] = result
-    return results
+    solved = np.flatnonzero(found)
+    parts = [CounterfactualBatch.unsolved(np.flatnonzero(~found), n_features)]
+    if solved.size:
+        sparse = greedy_sparsify_batch(generator, X[solved], best_candidate[solved])
+        parts.append(generator._make_results_batch(solved, X[solved], sparse))
+    return CounterfactualBatch.merge(*parts)
 
 
 def shard_indices(n_items: int, n_shards: int) -> list[np.ndarray]:
@@ -498,7 +500,7 @@ def _process_shard_spec(generator) -> dict | None:
 
 
 def _run_process_shard(spec: dict, X_shard: np.ndarray
-                       ) -> tuple[list[Counterfactual | None], int, int, int, int]:
+                       ) -> tuple[CounterfactualBatch, int, int, int, int]:
     """Worker entry point: rebuild the generator, run one shard, report counts.
 
     The worker wraps the shipped callable in a fresh counting adapter so the
@@ -645,13 +647,13 @@ class CounterfactualEngine:
         with ExecutorPool(max_workers=len(iterables[0])) as pool:
             return pool.map(kind, fn, *iterables)
 
-    def generate_aligned(self, X) -> list[Counterfactual | None]:
-        """Counterfactuals for every row of ``X`` (``None`` where infeasible).
+    def generate_aligned(self, X) -> CounterfactualBatch:
+        """Counterfactuals for every row of ``X``, as a batch with indices 0..n-1.
 
         With ``n_jobs > 1`` the work-list is split into deterministic shards
         executed on a worker pool — processes when the backend holds the
         GIL, threads otherwise (see the ``n_jobs`` parameter) — and the
-        aligned per-shard results are merged back into caller order.
+        shards' batches are concatenated in caller order.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n_jobs = self._resolve_n_jobs(X.shape[0])
@@ -666,14 +668,11 @@ class CounterfactualEngine:
                 return self.generator.generate_batch_aligned(X[shard])
 
             parts = self._map("thread", run_shard, shards)
-        results: list[Counterfactual | None] = [None] * X.shape[0]
-        for shard, part in zip(shards, parts):
-            for i, result in zip(shard, part):
-                results[int(i)] = result
-        return results
+        return CounterfactualBatch.merge(*(
+            dataclasses.replace(part, indices=shard) for shard, part in zip(shards, parts)))
 
     def _run_shards_in_processes(self, X: np.ndarray, shards: list[np.ndarray]
-                                 ) -> list[list[Counterfactual | None]] | None:
+                                 ) -> list[CounterfactualBatch] | None:
         """Run shards on a process pool; ``None`` means fall back to threads.
 
         Each worker rebuilds the generator from the shard spec, so the

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from .backends import MemoizingPredictBackend, ensure_backend
-from .base import Counterfactual
+from .base import Counterfactual, CounterfactualBatch
 from .engine import BatchModelAdapter, CounterfactualEngine
 from .pool import ExecutorPool
 from .schedules import resolve_schedule
@@ -57,13 +57,13 @@ __all__ = ["AuditSession"]
 
 @dataclasses.dataclass
 class _Population:
-    """One population's session state: its cached rows (row index ->
-    counterfactual, ``None`` for a remembered-infeasible row), the generator
-    schedule they were searched under, and its store fingerprint (``None``
-    without a store or when the configuration has no reproducible one)."""
+    """One population's session state: its cached rows (one batch sorted by
+    index, unsolved rows remembered as infeasible), the generator schedule
+    they were searched under, and its store fingerprint (``None`` without a
+    store or when the configuration has no reproducible one)."""
 
     schedule: object
-    rows: dict[int, Counterfactual | None] = dataclasses.field(default_factory=dict)
+    batch: CounterfactualBatch
     fingerprint: str | None = None
 
 
@@ -381,28 +381,27 @@ class AuditSession:
                 "counterfactual search needs finite rows"
             )
         population = self._population(X)
-        cache = population.rows
-        # Dedupe while preserving order: a duplicated index must not trigger
-        # (or pay for) two searches of the same row.
-        distinct = list(dict.fromkeys(int(i) for i in indices))
-        missing = np.asarray([i for i in distinct if i not in cache], dtype=int)
-        self.result_reuse_count += len(distinct) - int(missing.size)
+        # Dedupe while preserving request order: a duplicated index must not
+        # trigger (or pay for) two searches of the same row.
+        _, first = np.unique(indices, return_index=True)
+        distinct = indices[np.sort(first)]
+        missing = distinct[~np.isin(distinct, population.batch.indices)]
+        self.result_reuse_count += int(distinct.size - missing.size)
         if missing.size:
             calls_before = self._adapter.predict_call_count
-            for i, result in zip(missing, self.engine.generate_aligned(X[missing])):
-                cache[int(i)] = result
+            searched = self.engine.generate_aligned(X[missing])
             self.engine_predict_call_count += (
                 self._adapter.predict_call_count - calls_before
             )
+            population.batch = CounterfactualBatch.merge(
+                population.batch, dataclasses.replace(searched, indices=missing))
             if population.fingerprint is not None:
-                # The cache holds every row the entry had (it was seeded
-                # from it), so publishing the cache replaces the entry with
-                # a superset.
-                self.store.save(population.fingerprint, cache,
-                                n_features=X.shape[1])
-        return {
-            int(i): cache[int(i)] for i in indices if cache[int(i)] is not None
-        }
+                # The batch holds every row the entry had (it was seeded
+                # from it), so publishing it replaces the entry with a
+                # superset.
+                self.store.save(population.fingerprint, population.batch)
+        positions = np.searchsorted(population.batch.indices, distinct)
+        return population.batch.take(positions).solved()
 
     def _population(self, X: np.ndarray) -> _Population:
         """The record of population ``X``, created (and seeded from the
@@ -426,13 +425,13 @@ class AuditSession:
             # population (audits of one sweep share a handful of populations;
             # unbounded growth only hurts long-lived multi-population sessions).
             self._populations.pop(next(iter(self._populations)))
-        population = _Population(schedule)
+        population = _Population(schedule, CounterfactualBatch.unsolved([], X.shape[1]))
         if self.store is not None:
             population.fingerprint = population_fingerprint(self.generator, X)
         if population.fingerprint is not None:
             stored = self.store.load(population.fingerprint)
-            if stored:
-                population.rows.update(stored)
+            if stored is not None:
+                population.batch = CounterfactualBatch.merge(stored)  # sorted for lookups
                 self.store_row_hits += len(stored)
         self._populations[key] = population
         return population
@@ -459,9 +458,9 @@ class AuditSession:
     # ------------------------------------------------------------ accounting
     def stats(self) -> dict[str, int]:
         """Session-wide sharing statistics (for benchmarks and reports)."""
-        n_cached = sum(len(p.rows) for p in self._populations.values())
+        n_cached = sum(len(p.batch) for p in self._populations.values())
         n_infeasible = sum(
-            1 for p in self._populations.values() for r in p.rows.values() if r is None
+            int(np.count_nonzero(~p.batch.has_result)) for p in self._populations.values()
         )
         stats = {
             "n_populations": len(self._populations),

@@ -23,12 +23,10 @@ keyed by a :func:`population_fingerprint` — a SHA-256 digest folding together
 * the **store format and fairexp release versions**, so format changes and
   search-kernel changes retire old entries instead of serving them.
 
-On disk each entry is a compressed ``.npz`` payload (stacked counterfactual
-matrices and one array per scalar field) plus a JSON manifest carrying the
-format version and the payload's checksum.  Rows carrying a non-empty
-``Counterfactual.meta`` are not persisted at all (the payload has no place
-for it): such a save is skipped, so a warm read is a miss, never a stripped
-``meta``.  There is one format: the manifest's
+On disk each entry is a compressed ``.npz`` payload holding the columns of
+one :class:`~fairexp.explanations.base.CounterfactualBatch`, one member per
+column, plus a JSON manifest carrying the format version, the payload's
+checksum and its row count and width.  There is one format: the manifest's
 version must equal :data:`STORE_FORMAT_VERSION`, which the fingerprint also
 folds, so an entry of another format is never even addressed.  Writes are
 corruption-safe: payloads are content-named and published with an atomic
@@ -51,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import os
 import pickle
@@ -63,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import CallablePredictBackend, NumpyPredictBackend
-from .base import Counterfactual
+from .base import CounterfactualBatch
 from .engine import (
     BatchModelAdapter,
     effective_backend,
@@ -384,79 +381,6 @@ def population_fingerprint(generator, X) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-def _pack_results(results: dict[int, Counterfactual | None], n_features: int) -> dict:
-    """Stack a per-row result mapping into the arrays one ``.npz`` holds.
-
-    Each member is filled by one stacked assignment over the rows that have
-    a result; remembered-infeasible rows keep the fill values.
-    """
-    indices = np.asarray(sorted(results), dtype=np.int64)
-    rows = [results[index] for index in indices.tolist()]
-    has_result = np.asarray([row is not None for row in rows], dtype=bool)
-    present = [row for row in rows if row is not None]
-    n = indices.size
-    packed = {
-        "indices": indices,
-        "has_result": has_result,
-        "originals": np.full((n, n_features), np.nan),
-        "counterfactuals": np.full((n, n_features), np.nan),
-        "original_predictions": np.zeros(n, dtype=np.int64),
-        "counterfactual_predictions": np.zeros(n, dtype=np.int64),
-        "distances": np.full(n, np.nan),
-        "constraint_feasible": np.zeros(n, dtype=bool),
-        "changed_masks": np.zeros((n, n_features), dtype=bool),
-    }
-    if not present:
-        return packed
-    packed["originals"][has_result] = np.stack([row.original for row in present])
-    packed["counterfactuals"][has_result] = np.stack(
-        [row.counterfactual for row in present])
-    packed["original_predictions"][has_result] = [
-        int(row.original_prediction) for row in present]
-    packed["counterfactual_predictions"][has_result] = [
-        int(row.counterfactual_prediction) for row in present]
-    packed["distances"][has_result] = [float(row.distance) for row in present]
-    packed["constraint_feasible"][has_result] = [bool(row.feasible) for row in present]
-    changed = [row.changed_features for row in present]
-    packed["changed_masks"][
-        np.repeat(np.flatnonzero(has_result), [len(features) for features in changed]),
-        np.fromiter(itertools.chain.from_iterable(changed), dtype=np.intp),
-    ] = True
-    return packed
-
-
-def _unpack_results(arrays: dict[str, np.ndarray]) -> dict[int, Counterfactual | None]:
-    """Rebuild the per-row result mapping from a payload's loaded arrays.
-
-    ``arrays`` holds every ``.npz`` member already read into memory: an open
-    ``NpzFile`` re-inflates and re-parses a member on *every* index, so
-    unpacking row by row straight from it costs one full member read per
-    row per field.  Each field is gathered for every row that has a result
-    with one fancy index and the rows are built by
-    :meth:`~fairexp.explanations.base.Counterfactual.from_columns`.  Missing
-    members surface as ``KeyError`` — corruption, hence a miss and a
-    recompute.
-    """
-    indices, has_result = arrays["indices"], arrays["has_result"]
-    if has_result.shape != indices.shape:
-        raise ValueError("has_result does not align with indices")
-    rows = np.flatnonzero(has_result)
-    results: dict[int, Counterfactual | None] = dict.fromkeys(indices.tolist())
-    results.update(zip(indices[rows].tolist(), Counterfactual.from_columns(
-        arrays["originals"][rows].astype(float, copy=False),
-        arrays["counterfactuals"][rows].astype(float, copy=False),
-        arrays["original_predictions"][rows],
-        arrays["counterfactual_predictions"][rows],
-        arrays["changed_masks"][rows],
-        arrays["distances"][rows],
-        arrays["constraint_feasible"][rows],
-    )))
-    return results
-
-
-# --------------------------------------------------------------------------
 # The store
 # --------------------------------------------------------------------------
 class CounterfactualStore:
@@ -636,11 +560,12 @@ class CounterfactualStore:
         return removed
 
     # ----------------------------------------------------------------- read
-    def _read(self, fingerprint: str) -> dict[int, Counterfactual | None] | None:
+    def _read(self, fingerprint: str) -> CounterfactualBatch | None:
         """Validated read of one entry; ``None`` on absence or corruption.
 
         Corrupt state (unparsable manifest, missing payload, checksum or
-        version mismatch) is discarded so the next save republishes cleanly.
+        version mismatch, a payload that is no valid batch of the manifest's
+        shape) is discarded so the next save republishes cleanly.
         """
         manifest_path = self._manifest_path(fingerprint)
         try:
@@ -661,16 +586,18 @@ class CounterfactualStore:
             blob = payload_path.read_bytes()
             if hashlib.sha256(blob).hexdigest() != manifest["payload_sha256"]:
                 raise ValueError("payload checksum mismatch")
+            # Each member is read into memory once: an open NpzFile
+            # re-inflates a member on every index.
             with np.load(io.BytesIO(blob)) as payload:
-                arrays = {key: payload[key] for key in payload.files}
-            results = _unpack_results(arrays)
-            if len(results) != int(manifest["n_rows"]):
-                raise ValueError("row count mismatch")
-        except (OSError, KeyError, ValueError, TypeError, IndexError):
+                batch = CounterfactualBatch(**{key: payload[key] for key in payload.files})
+            if (len(batch), batch.n_features) != (int(manifest["n_rows"]),
+                                                  int(manifest["n_features"])):
+                raise ValueError("payload shape differs from the manifest")
+        except (OSError, KeyError, ValueError, TypeError):
             self._discard_if_unchanged(fingerprint, manifest_text)
             return None
         self.bytes_read += len(blob)
-        return results
+        return batch
 
     def _discard_if_unchanged(self, fingerprint: str, observed_text: str) -> None:
         """Discard a corrupt entry — unless it was republished meanwhile.
@@ -688,14 +615,14 @@ class CounterfactualStore:
         if current_text == observed_text:
             self.discard(fingerprint)
 
-    def load(self, fingerprint: str) -> dict[int, Counterfactual | None] | None:
-        """Results for one fingerprint, or ``None`` on a miss.
+    def load(self, fingerprint: str) -> CounterfactualBatch | None:
+        """The batch published under one fingerprint, or ``None`` on a miss.
 
         A hit bumps the entry's recency (manifest mtime), which is what the
         LRU eviction orders on.
         """
-        results = self._read(fingerprint)
-        if results is None:
+        batch = self._read(fingerprint)
+        if batch is None:
             self.miss_count += 1
             return None
         self.hit_count += 1
@@ -703,12 +630,11 @@ class CounterfactualStore:
             os.utime(self._manifest_path(fingerprint))
         except OSError:
             pass  # entry may have been evicted by a concurrent process
-        return results
+        return batch
 
     # ---------------------------------------------------------------- write
-    def save(self, fingerprint: str, results: dict[int, Counterfactual | None],
-             *, n_features: int) -> None:
-        """Publish one population entry atomically: exactly ``results``.
+    def save(self, fingerprint: str, batch: CounterfactualBatch) -> None:
+        """Publish one population entry atomically: exactly ``batch``.
 
         The entry is replaced, not extended — a session grows an entry by
         seeding its cache from the store on first touch and publishing the
@@ -721,14 +647,8 @@ class CounterfactualStore:
         other's fresh rows may be absent from disk.  That is a cache miss,
         not corruption: the losing rows are recomputed on the next touch.
         """
-        if not results:
+        if not len(batch):
             return
-        if any(result is not None and result.meta for result in results.values()):
-            # The payload has no meta member: persisting such a row would
-            # hand the warm path a stripped meta.  Skip the save — a miss
-            # and recompute is always safe.
-            return
-        packed = _pack_results(results, n_features)
         token = os.urandom(4).hex()
         payload_path = self._payload_path(fingerprint, token)
         temp_payload = payload_path.with_suffix(f".tmp-{os.getpid()}-{token}")
@@ -737,15 +657,15 @@ class CounterfactualStore:
         # mostly-unchanged copies of their originals plus boolean masks, so
         # deflate routinely halves the bytes on disk (the saving is recorded
         # in BENCH_STORE.json by benchmarks/test_bench_store.py).
-        np.savez_compressed(buffer, **packed)
+        np.savez_compressed(buffer, **batch.columns)
         blob = buffer.getvalue()  # checksummed in memory, written once
         manifest = {
             "format_version": STORE_FORMAT_VERSION,
             "fingerprint": fingerprint,
             "payload": payload_path.name,
             "payload_sha256": hashlib.sha256(blob).hexdigest(),
-            "n_rows": len(results),
-            "n_features": int(n_features),
+            "n_rows": len(batch),
+            "n_features": batch.n_features,
             "updated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         temp_manifest = self._manifest_path(fingerprint).with_suffix(

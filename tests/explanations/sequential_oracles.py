@@ -38,7 +38,7 @@ def greedy_sparsify(generator, x, candidate):
 
 
 def _result(generator, x, candidate):
-    return generator._make_results_batch(x[None, :], candidate[None, :])[0]
+    return generator._make_results_batch([0], x[None, :], candidate[None, :])[0]
 
 
 def draw(generator, rng, x, step):

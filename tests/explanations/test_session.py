@@ -26,6 +26,14 @@ def _generator(generator_cls, train, model, constraints=None):
     return generator_cls(model, train.X, constraints=constraints, random_state=0)
 
 
+def _fields(counterfactual):
+    """Every field of a counterfactual, arrays as bytes, for exact comparison."""
+    return (counterfactual.original.tobytes(), counterfactual.counterfactual.tobytes(),
+            counterfactual.original_prediction, counterfactual.counterfactual_prediction,
+            counterfactual.changed_features, counterfactual.distance,
+            counterfactual.feasible, counterfactual.meta)
+
+
 class TestShardIndices:
     def test_contiguous_and_complete(self):
         shards = shard_indices(10, 3)
@@ -109,8 +117,36 @@ class TestAuditSessionSharing:
         calls_after_first = session.predict_call_count
         again = session.counterfactuals_for(test.X, rejected_idx[:10])
         assert session.predict_call_count == calls_after_first
+        assert set(again) <= set(first)
         for i in again:
-            assert again[i] is first[i]
+            assert _fields(again[i]) == _fields(first[i])
+
+    def test_split_requests_match_one_request(self, workload, loan_cf_generator,
+                                              tmp_path):
+        """Two requests over disjoint, shuffled rows (one with a repeated
+        index) leave the same population batch, and publish the same payload,
+        as one request over their union: sorted by index, no duplicates."""
+        dataset, train, test, model, rejected_idx = workload
+        rows = np.random.default_rng(0).permutation(rejected_idx)
+
+        def audit(requests, directory):
+            generator = _generator(GrowingSpheresCounterfactual, train, model,
+                                   loan_cf_generator.constraints)
+            with AuditSession(generator, store=directory) as session:
+                for request in requests:
+                    session.counterfactuals_for(test.X, request)
+                [population] = session._populations.values()
+                [fingerprint] = session.store.entries()
+                return population.batch, session.store.load(fingerprint)
+
+        split, split_published = audit(
+            [np.concatenate([rows[:15], rows[:3]]), rows[15:]], tmp_path / "split")
+        whole, whole_published = audit([rows], tmp_path / "whole")
+        assert whole.indices.tolist() == sorted(set(rows.tolist()))
+        for name, column in whole.columns.items():
+            for other in (split, split_published, whole_published):
+                assert other.columns[name].dtype == column.dtype
+                assert np.array_equal(other.columns[name], column, equal_nan=True)
 
     def test_infeasible_rows_are_not_retried(self, workload):
         dataset, train, test, model, _ = workload
@@ -486,7 +522,7 @@ class TestSessionLifecycleAndEviction:
         fingerprint = population_fingerprint(session.generator, np.atleast_2d(
             np.asarray(population_a, dtype=float)))
         stored = store.load(fingerprint)
-        assert set(stored) >= set(range(6))
+        assert set(stored.indices.tolist()) >= set(range(6))
 
     def test_schedule_swap_does_not_poison_the_store(self, workload,
                                                      loan_cf_generator, tmp_path):
@@ -589,8 +625,8 @@ class TestSessionInputContract:
             stored = [session.store.load(fingerprint)
                       for fingerprint in session.store.entries()]
         assert stored
-        assert all(row >= 0 for rows in stored for row in rows)
-        assert all(set(rows) == {49} for rows in stored)
+        assert all(row >= 0 for rows in stored for row in rows.indices.tolist())
+        assert all(set(rows.indices.tolist()) == {49} for rows in stored)
 
     def test_results_keyed_by_row_index(self, population):
         generator, X = population

@@ -6,14 +6,19 @@ miss, not an error), concurrent same-fingerprint writers (atomic publishes
 never interleave), and LRU eviction under the entry/byte bounds.
 """
 
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexp.core import BurdenExplainer, NAWBExplainer
 from fairexp.datasets import make_loan_dataset
@@ -22,6 +27,7 @@ from fairexp.explanations import (
     AuditSession,
     BatchModelAdapter,
     Counterfactual,
+    CounterfactualBatch,
     CounterfactualStore,
     GrowingSpheresCounterfactual,
     RemoteScoringBackend,
@@ -29,6 +35,7 @@ from fairexp.explanations import (
     model_signature,
     population_fingerprint,
 )
+from fairexp.explanations.store import STORE_FORMAT_VERSION
 from fairexp.models import LogisticRegression
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -67,33 +74,45 @@ def _generator(model, train, constraints, **kwargs):
 
 
 def _some_results(n_features=3):
-    counterfactual = Counterfactual(
-        original=np.arange(n_features, dtype=float),
-        counterfactual=np.arange(n_features, dtype=float) + [1.0, 0.0, 0.0],
-        original_prediction=0,
-        counterfactual_prediction=1,
-        changed_features=(0,),
-        distance=1.25,
-        feasible=True,
+    """Row 3 solved (feature 0 raised by one), row 7 remembered infeasible."""
+    batch = CounterfactualBatch.unsolved([3, 7], n_features)
+    batch.has_result[0] = True
+    batch.originals[0] = np.arange(n_features, dtype=float)
+    batch.counterfactuals[0] = np.arange(n_features, dtype=float) + [1.0, 0.0, 0.0]
+    batch.counterfactual_predictions[0] = 1
+    batch.distances[0] = 1.25
+    batch.constraint_feasible[0] = True
+    batch.changed_masks[0, 0] = True
+    return batch
+
+
+def _uniform_results(n_rows, n_features, value):
+    """``n_rows`` solved rows, each moving every feature from 0 to ``value``."""
+    return CounterfactualBatch(
+        indices=np.arange(n_rows), has_result=np.ones(n_rows, dtype=bool),
+        originals=np.zeros((n_rows, n_features)),
+        counterfactuals=np.full((n_rows, n_features), value),
+        original_predictions=np.zeros(n_rows), counterfactual_predictions=np.ones(n_rows),
+        distances=np.full(n_rows, value), constraint_feasible=np.ones(n_rows, dtype=bool),
+        changed_masks=np.ones((n_rows, n_features), dtype=bool),
     )
-    return {3: counterfactual, 7: None}
 
 
 class TestRoundTrip:
     def test_save_load_preserves_results_and_infeasible_rows(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("f" * 64, _some_results(), n_features=3)
+        store.save("f" * 64, _some_results())
         loaded = store.load("f" * 64)
-        assert set(loaded) == {3, 7}
-        assert loaded[7] is None
-        original = _some_results()[3]
-        assert np.array_equal(loaded[3].counterfactual, original.counterfactual)
-        assert np.array_equal(loaded[3].original, original.original)
-        assert loaded[3].changed_features == (0,)
-        assert loaded[3].distance == original.distance
-        assert loaded[3].original_prediction == 0
-        assert loaded[3].counterfactual_prediction == 1
-        assert loaded[3].feasible is True
+        assert loaded.indices.tolist() == [3, 7]
+        assert loaded[1] is None
+        original = _some_results()[0]
+        assert np.array_equal(loaded[0].counterfactual, original.counterfactual)
+        assert np.array_equal(loaded[0].original, original.original)
+        assert loaded[0].changed_features == (0,)
+        assert loaded[0].distance == original.distance
+        assert loaded[0].original_prediction == 0
+        assert loaded[0].counterfactual_prediction == 1
+        assert loaded[0].feasible is True
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -103,28 +122,16 @@ class TestRoundTrip:
     def test_save_replaces_the_entry(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         results = _some_results()
-        store.save("a" * 64, {3: results[3]}, n_features=3)
-        store.save("a" * 64, {7: None}, n_features=3)
-        assert store.load("a" * 64) == {7: None}
+        store.save("a" * 64, results.take([0]))
+        store.save("a" * 64, results.take([1]))
+        loaded = store.load("a" * 64)
+        assert loaded.indices.tolist() == [7]
+        assert list(loaded) == [None]
 
     def test_empty_save_is_a_noop(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("b" * 64, {}, n_features=3)
+        store.save("b" * 64, CounterfactualBatch.unsolved([], 3))
         assert store.entries() == []
-
-    @pytest.mark.parametrize("meta", [
-        {"search_steps": 4}, {"trace": object()}, {7: "int-keyed"},
-    ], ids=["json", "unserializable", "int-keyed"])
-    def test_non_empty_meta_is_a_miss_never_stripped(self, tmp_path, meta):
-        """The payload has no meta member, so a row carrying meta must not be
-        persisted at all: a miss-and-recompute is safe, a silently stripped
-        meta isn't."""
-        store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        results[3].meta.update(meta)
-        store.save("f0" * 32, results, n_features=3)
-        assert store.entries() == []
-        assert store.load("f0" * 32) is None
 
     def test_full_disk_degrades_to_skipped_publish(self, tmp_path, monkeypatch):
         """A full or unwritable store volume must not abort an audit whose
@@ -138,7 +145,7 @@ class TestRoundTrip:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
-        store.save("aa" * 32, _some_results(), n_features=3)  # must not raise
+        store.save("aa" * 32, _some_results())  # must not raise
         assert store.entries() == []
 
 
@@ -170,9 +177,9 @@ class TestFieldFidelity:
         assert len(solved) > 10
         self._assert_plain_and_unaliased(solved, X)
         store = CounterfactualStore(tmp_path)
-        store.save("c" * 64, dict(enumerate(cold)), n_features=X.shape[1])
+        store.save("c" * 64, cold)
         loaded = store.load("c" * 64)
-        warm = [loaded[i] for i, result in enumerate(cold) if result is not None]
+        warm = [result for result in loaded if result is not None]
         self._assert_plain_and_unaliased(warm, X)
         for a, b in zip(solved, warm):
             assert np.array_equal(a.original, b.original)
@@ -493,7 +500,7 @@ class TestFingerprint:
 class TestCorruptionFallback:
     def _store_with_entry(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("c" * 64, _some_results(), n_features=3)
+        store.save("c" * 64, _some_results())
         return store
 
     def test_corrupted_manifest_is_a_miss_and_discarded(self, tmp_path):
@@ -537,6 +544,31 @@ class TestCorruptionFallback:
         manifest_path.write_text(json.dumps(manifest))
         assert store.load("c" * 64) is None
 
+    @pytest.mark.parametrize("widths", [
+        {"originals": 4, "counterfactuals": 4, "changed_masks": 4},
+        {"changed_masks": 2},
+    ], ids=["wider-than-manifest", "one-member-narrower"])
+    def test_payload_width_other_than_manifest_is_a_miss(self, tmp_path, widths):
+        """A checksummed payload whose matrices are not the manifest's
+        ``n_features`` wide is corruption: a miss and a discard, never rows
+        of the wrong width."""
+        store = self._store_with_entry(tmp_path)
+        manifest_path = store._manifest_path("c" * 64)
+        manifest = json.loads(manifest_path.read_text())
+        payload_path = tmp_path / manifest["payload"]
+        with np.load(payload_path) as payload:
+            members = {name: payload[name] for name in payload.files}
+        for name, width in widths.items():
+            members[name] = np.resize(members[name], (members[name].shape[0], width))
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **members)
+        payload_path.write_bytes(buffer.getvalue())
+        manifest["payload_sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        assert manifest["n_features"] == 3
+        assert store.load("c" * 64) is None
+        assert store.entries() == []
+
     def test_stale_reader_does_not_destroy_republished_entry(self, tmp_path):
         """A reader that fails on a stale view (entry republished + old
         payload swept between its manifest read and payload read) must NOT
@@ -573,9 +605,9 @@ class TestEviction:
         store.max_entries = 2
         fingerprints = ["1" * 64, "2" * 64, "3" * 64]
         for k, fingerprint in enumerate(fingerprints):
-            store.save(fingerprint, _some_results(), n_features=3)
+            store.save(fingerprint, _some_results())
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
-        store.save("4" * 64, _some_results(), n_features=3)
+        store.save("4" * 64, _some_results())
         kept = store.entries()
         assert len(kept) <= 2
         assert "1" * 64 not in kept
@@ -585,7 +617,7 @@ class TestEviction:
         store = CounterfactualStore(tmp_path)
         store.max_bytes = 1
         for k, fingerprint in enumerate(["5" * 64, "6" * 64]):
-            store.save(fingerprint, _some_results(), n_features=3)
+            store.save(fingerprint, _some_results())
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
         # A single entry may exceed a tiny bound (evicting everything would
         # thrash), but the bound caps the directory at that one entry.
@@ -596,10 +628,10 @@ class TestEviction:
         store = CounterfactualStore(tmp_path)
         store.max_entries = 2
         for k, fingerprint in enumerate(["7" * 64, "8" * 64]):
-            store.save(fingerprint, _some_results(), n_features=3)
+            store.save(fingerprint, _some_results())
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
         store.load("7" * 64)  # touch the older entry
-        store.save("9" * 64, _some_results(), n_features=3)
+        store.save("9" * 64, _some_results())
         kept = store.entries()
         assert "7" * 64 in kept and "8" * 64 not in kept
 
@@ -618,9 +650,9 @@ class TestEviction:
         # Eviction pressure: the oldest *.json in the directory is the
         # journal, but only real entries may be LRU-evicted.
         os.utime(journal, (1, 1))
-        store.save("a" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
         os.utime(store._manifest_path("a" * 64), (2, 2))
-        store.save("b" * 64, _some_results(), n_features=3)
+        store.save("b" * 64, _some_results())
         assert journal.exists()
         assert store.entries() == ["b" * 64]
 
@@ -632,24 +664,19 @@ class TestEviction:
 _WRITER_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
-    from fairexp.explanations import Counterfactual, CounterfactualStore
+    from fairexp.explanations import CounterfactualBatch, CounterfactualStore
 
     directory, value, repeats = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
     store = CounterfactualStore(directory)
-    results = {
-        i: Counterfactual(
-            original=np.zeros(3),
-            counterfactual=np.full(3, value),
-            original_prediction=0,
-            counterfactual_prediction=1,
-            changed_features=(0, 1, 2),
-            distance=value,
-            feasible=True,
-        )
-        for i in range(6)
-    }
+    results = CounterfactualBatch(
+        indices=np.arange(6), has_result=np.ones(6, dtype=bool),
+        originals=np.zeros((6, 3)), counterfactuals=np.full((6, 3), value),
+        original_predictions=np.zeros(6), counterfactual_predictions=np.ones(6),
+        distances=np.full(6, value), constraint_feasible=np.ones(6, dtype=bool),
+        changed_masks=np.ones((6, 3), dtype=bool),
+    )
     for _ in range(repeats):
-        store.save("d" * 64, results, n_features=3)
+        store.save("d" * 64, results)
 """)
 
 
@@ -676,10 +703,10 @@ class TestConcurrentWriters:
             assert writer.returncode == 0, stderr.decode()
         store = CounterfactualStore(tmp_path)
         loaded = store.load("d" * 64)
-        assert loaded is not None and set(loaded) == set(range(6))
-        constants = {float(result.distance) for result in loaded.values()}
+        assert loaded is not None and set(loaded.indices.tolist()) == set(range(6))
+        constants = {float(result.distance) for result in loaded}
         assert len(constants) == 1 and constants <= {1.0, 2.0}
-        for result in loaded.values():
+        for result in loaded:
             assert np.all(result.counterfactual == result.distance)
 
 
@@ -719,7 +746,8 @@ class TestSessionIntegration:
         second = AuditSession(_generator(model, train, constraints), store=tmp_path)
         second.counterfactuals_for(subset.X, np.arange(4, 8))
         [fingerprint] = second.store.entries()
-        assert set(CounterfactualStore(tmp_path).load(fingerprint)) == set(range(8))
+        loaded = CounterfactualStore(tmp_path).load(fingerprint)
+        assert set(loaded.indices.tolist()) == set(range(8))
 
     def test_unfingerprintable_generator_skips_store(self, tmp_path, loan_workload):
         _, train, subset, model, constraints = loan_workload
@@ -752,36 +780,72 @@ class TestSessionIntegration:
         assert CounterfactualStore.ensure(str(tmp_path)).directory == tmp_path
 
 
-class TestCompressionAndFormatCompat:
-    def test_new_entries_are_compressed_and_versioned(self, tmp_path):
-        from fairexp.explanations.store import STORE_FORMAT_VERSION, _pack_results
+def _fields(counterfactual):
+    """Every field of a counterfactual, arrays as bytes, for exact comparison."""
+    return (counterfactual.original.tobytes(), counterfactual.counterfactual.tobytes(),
+            counterfactual.original_prediction, counterfactual.counterfactual_prediction,
+            counterfactual.changed_features, counterfactual.distance,
+            counterfactual.feasible, counterfactual.meta)
 
-        store = CounterfactualStore(tmp_path)
-        # Repetitive payload so deflate has something to chew on.
-        results = {
-            i: Counterfactual(
-                original=np.zeros(16), counterfactual=np.ones(16),
-                original_prediction=0, counterfactual_prediction=1,
-                changed_features=tuple(range(16)), distance=16.0,
-            )
-            for i in range(64)
-        }
-        store.save("a" * 64, results, n_features=16)
-        manifest = json.loads(store._manifest_path("a" * 64).read_text())
+
+class TestBatchRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.integers(1, 12), n_features=st.integers(1, 6),
+           solved=st.sampled_from(["all", "none", "one", "random"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_and_rows(self, n_rows, n_features, solved, seed):
+        """A batch with unsorted indices survives save/load column for
+        column in a compressed, versioned payload, and ``batch[k]`` is the
+        ``Counterfactual.from_columns`` row of the same data."""
+        rng = np.random.default_rng(seed)
+        batch = CounterfactualBatch.unsolved(
+            rng.choice(10 * n_rows, n_rows, replace=False), n_features)
+        rows = {"all": np.arange(n_rows), "none": np.arange(0), "one": [n_rows - 1],
+                "random": np.flatnonzero(rng.random(n_rows) < 0.5)}[solved]
+        shape = (len(rows), n_features)
+        batch.has_result[rows] = True
+        batch.originals[rows] = rng.normal(size=shape)
+        batch.changed_masks[rows] = rng.random(shape) < 0.5
+        batch.counterfactuals[rows] = (batch.originals[rows]
+                                       + batch.changed_masks[rows] * rng.normal(size=shape))
+        batch.original_predictions[rows] = rng.integers(0, 2, len(rows))
+        batch.counterfactual_predictions[rows] = rng.integers(0, 2, len(rows))
+        batch.distances[rows] = rng.random(len(rows))
+        batch.constraint_feasible[rows] = rng.random(len(rows)) < 0.5
+
+        with tempfile.TemporaryDirectory() as directory:
+            store = CounterfactualStore(directory)
+            store.save("a" * 64, batch)
+            manifest = json.loads(store._manifest_path("a" * 64).read_text())
+            payload = store.directory / manifest["payload"]
+            with np.load(payload) as members:
+                assert members.files == list(batch.columns)
+            on_disk = payload.stat().st_size
+            loaded = store.load("a" * 64)
         assert manifest["format_version"] == STORE_FORMAT_VERSION == 3
-        import io
-
-        packed = _pack_results(results, 16)
         uncompressed, compressed = io.BytesIO(), io.BytesIO()
-        np.savez(uncompressed, **packed)
-        np.savez_compressed(compressed, **packed)
-        on_disk = (store.directory / manifest["payload"]).stat().st_size
+        np.savez(uncompressed, **batch.columns)
+        np.savez_compressed(compressed, **batch.columns)
         assert on_disk == len(compressed.getvalue())
         assert on_disk < len(uncompressed.getvalue())
-        loaded = store.load("a" * 64)
-        assert set(loaded) == set(results)
-        assert np.array_equal(loaded[0].counterfactual, results[0].counterfactual)
+        for name, column in batch.columns.items():
+            assert loaded.columns[name].dtype == column.dtype
+            assert np.array_equal(loaded.columns[name], column, equal_nan=True)
 
+        for k, (row, loaded_row) in enumerate(zip(batch, loaded)):
+            if not batch.has_result[k]:
+                assert row is None and loaded_row is None and batch[k] is None
+                continue
+            [expected] = Counterfactual.from_columns(
+                batch.originals[k:k + 1], batch.counterfactuals[k:k + 1],
+                batch.original_predictions[k:k + 1],
+                batch.counterfactual_predictions[k:k + 1], batch.changed_masks[k:k + 1],
+                batch.distances[k:k + 1], batch.constraint_feasible[k:k + 1])
+            assert _fields(batch[k]) == _fields(row) == _fields(loaded_row) \
+                == _fields(expected)
+
+
+class TestCompressionAndFormatCompat:
     def test_format_bump_busts_fingerprints(self, loan_workload, monkeypatch):
         """The format version is folded into every fingerprint, so entries of
         another format are never addressed."""
@@ -798,7 +862,7 @@ class TestCompressionAndFormatCompat:
 class TestStoreMetrics:
     def test_bytes_read_accumulates_on_validated_loads(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
         assert store.bytes_read == 0
         store.load("a" * 64)
         payload_bytes = sum(p.stat().st_size for p in store.directory.glob("*.npz"))
@@ -815,15 +879,10 @@ class TestStoreMetrics:
         """An open NpzFile re-inflates a member on every index; unpacking
         row by row from it made warm reads slower than recomputing."""
         store = CounterfactualStore(tmp_path)
-        results = {
-            i: Counterfactual(
-                original=np.zeros(4), counterfactual=np.full(4, float(i)),
-                original_prediction=0, counterfactual_prediction=1,
-                changed_features=(0, 1, 2, 3), distance=float(i),
-            )
-            for i in range(64)
-        }
-        store.save("a" * 64, results, n_features=4)
+        results = _uniform_results(64, 4, 1.0)
+        results.counterfactuals[:] = np.arange(64.0)[:, None]
+        results.distances[:] = np.arange(64.0)
+        store.save("a" * 64, results)
         manifest = json.loads(store._manifest_path("a" * 64).read_text())
         with np.load(tmp_path / manifest["payload"]) as payload:
             n_members = len(payload.files)
@@ -844,7 +903,7 @@ class TestStoreMetrics:
     def test_stats_report_entry_ages(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         assert store.stats()["store_entry_age_seconds_max"] == 0
-        store.save("a" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
         old = store._manifest_path("a" * 64)
         os.utime(old, (old.stat().st_atime, old.stat().st_mtime - 3600))
         stats = store.stats()
@@ -853,8 +912,8 @@ class TestStoreMetrics:
 
     def test_entry_details_oldest_first(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, _some_results(), n_features=3)
-        store.save("b" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
+        store.save("b" * 64, _some_results())
         older = store._manifest_path("b" * 64)
         os.utime(older, (older.stat().st_atime, older.stat().st_mtime - 600))
         details = store.entry_details()
@@ -879,16 +938,16 @@ class TestStoreMetrics:
 class TestExplicitEviction:
     def test_evict_by_fingerprint_prefix(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, _some_results(), n_features=3)
-        store.save("b" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
+        store.save("b" * 64, _some_results())
         assert store.evict(fingerprint="a") == 1
         assert store.entries() == ["b" * 64]
         assert store.evict(fingerprint="nope") == 0
 
     def test_ambiguous_prefix_raises_instead_of_mass_deleting(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("ab" + "0" * 62, _some_results(), n_features=3)
-        store.save("ac" + "0" * 62, _some_results(), n_features=3)
+        store.save("ab" + "0" * 62, _some_results())
+        store.save("ac" + "0" * 62, _some_results())
         with pytest.raises(ValueError, match="ambiguous"):
             store.evict(fingerprint="a")
         assert len(store.entries()) == 2  # nothing was deleted
@@ -897,7 +956,7 @@ class TestExplicitEviction:
     def test_fingerprint_and_bounds_compose(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         for letter in "abc":
-            store.save(letter * 64, _some_results(), n_features=3)
+            store.save(letter * 64, _some_results())
         removed = store.evict(fingerprint="a", max_entries=1)
         assert removed == 2  # the named entry plus one more for the bound
         assert len(store.entries()) == 1
@@ -905,7 +964,7 @@ class TestExplicitEviction:
     def test_evict_to_entry_and_byte_bounds(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         for k, letter in enumerate("abcd"):
-            store.save(letter * 64, _some_results(), n_features=3)
+            store.save(letter * 64, _some_results())
             older = store._manifest_path(letter * 64)
             os.utime(older, (older.stat().st_atime,
                              older.stat().st_mtime - (4 - k) * 100))

@@ -5,24 +5,32 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from fairexp.cli import main
-from fairexp.explanations import Counterfactual, CounterfactualStore
+from fairexp.explanations import CounterfactualBatch, CounterfactualStore
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
+def _results(indices):
+    """Rows ``indices``; the first moves (0, 0, 0) to (1, 1, 1), the rest are
+    remembered infeasible."""
+    batch = CounterfactualBatch.unsolved(indices, 3)
+    batch.has_result[0] = True
+    batch.originals[0] = 0.0
+    batch.counterfactuals[0] = 1.0
+    batch.counterfactual_predictions[0] = 1
+    batch.distances[0] = 3.0
+    batch.constraint_feasible[0] = True
+    batch.changed_masks[0] = True
+    return batch
+
+
 def _populate(directory, fingerprints=("a", "b")):
     store = CounterfactualStore(directory)
-    counterfactual = Counterfactual(
-        original=np.zeros(3), counterfactual=np.ones(3),
-        original_prediction=0, counterfactual_prediction=1,
-        changed_features=(0, 1, 2), distance=3.0,
-    )
     for letter in fingerprints:
-        store.save(letter * 64, {0: counterfactual, 1: None}, n_features=3)
+        store.save(letter * 64, _results([0, 1]))
     return store
 
 
@@ -92,13 +100,8 @@ class TestEvictAndClear:
 
     def test_evict_ambiguous_prefix_is_an_error(self, tmp_path):
         store = _populate(tmp_path, fingerprints=())
-        counterfactual = Counterfactual(
-            original=np.zeros(3), counterfactual=np.ones(3),
-            original_prediction=0, counterfactual_prediction=1,
-            changed_features=(0, 1, 2), distance=3.0,
-        )
-        store.save("ab" + "0" * 62, {0: counterfactual}, n_features=3)
-        store.save("ac" + "0" * 62, {0: counterfactual}, n_features=3)
+        store.save("ab" + "0" * 62, _results([0]))
+        store.save("ac" + "0" * 62, _results([0]))
         with pytest.raises(SystemExit, match="ambiguous"):
             main(["store", "evict", "--dir", str(tmp_path), "--fingerprint", "a"])
         assert len(store.entries()) == 2
