@@ -157,9 +157,14 @@ def test_kernels_vs_legacy_loops(benchmark):
     # 3 + 4. Greedy ranking and the prefix-revert trial chains.
     legacy_times["rank"], orders_legacy = _best_of(3, lambda: _legacy_rank_changed(
         X_sparse, sparse_candidates, scale))
-    kernel_times["rank"], orders_kernel = _best_of(3, lambda: kernels.rank_changed_features(
+    kernel_times["rank"], ranks = _best_of(3, lambda: kernels.rank_changed_features(
         X_sparse, sparse_candidates, scale))
-    assert all(np.array_equal(a, b) for a, b in zip(orders_legacy, orders_kernel))
+    # The kernel returns the rank-position matrix (features outside an
+    # order rank N_FEATURES, never reverted); the loop returns the orders.
+    expected_ranks = np.full((N_SPARSIFY_ROWS, N_FEATURES), N_FEATURES)
+    for k, order in enumerate(orders_legacy):
+        expected_ranks[k, order] = np.arange(len(order))
+    assert np.array_equal(ranks, expected_ranks)
 
     orders = [list(map(int, order)) for order in orders_legacy]
     legacy_times["prefix_trials"], t_legacy = _best_of(3, lambda: np.vstack([
@@ -167,11 +172,8 @@ def test_kernels_vs_legacy_loops(benchmark):
         for k in range(N_SPARSIFY_ROWS) if orders[k]
     ]))
 
-    # The whole round in one call: every instance's chain from one rank
-    # matrix (features outside an order rank N_FEATURES, never reverted).
-    ranks = np.full((N_SPARSIFY_ROWS, N_FEATURES), N_FEATURES)
-    for k, order in enumerate(orders):
-        ranks[k, order] = np.arange(len(order))
+    # The whole round in one call: every instance's chain from the kernel's
+    # rank matrix.
     lengths = np.asarray([len(order) for order in orders])
 
     def _kernel_prefix():

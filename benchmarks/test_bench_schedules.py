@@ -6,7 +6,7 @@ Two claims are asserted on the E1 benchmark sweep:
   fewer** engine predict calls (and schedule steps, and candidate draws)
   than :class:`~fairexp.explanations.GeometricSchedule`, while the audit's
   qualitative shape claims (burden gap, NAWB gap on the biased model) still
-  hold;
+  hold, and its seed-0 counts stay exactly those in ``ADAPTIVE_E1_COUNTS``;
 * :class:`~fairexp.explanations.GeometricSchedule` keeps a row's result
   **bitwise-equal** whether it is searched alone (``generate``, a one-row
   batch) or with the whole population under fixed seeds.  The check
@@ -31,6 +31,13 @@ from fairexp.explanations import (
 )
 from fairexp.models import LogisticRegression
 
+# Seed-0 adaptive counts of the E1 sweep below (600 samples, 80 audited).
+ADAPTIVE_E1_COUNTS = {
+    "engine_predict_calls_biased": 25, "engine_predict_calls_fair": 24,
+    "schedule_steps_biased": 14, "schedule_steps_fair": 13,
+    "schedule_draws_biased": 54_400, "schedule_draws_fair": 17_000,
+}
+
 
 def test_adaptive_schedule_fewer_predict_calls_on_e1(benchmark):
     geometric = run_e1_e2_burden_nawb(n_samples=600, audit_size=80,
@@ -53,6 +60,9 @@ def test_adaptive_schedule_fewer_predict_calls_on_e1(benchmark):
     # near-boundary fair workload the feasibility probe's draws can offset
     # the saved waves; calls and steps still shrink, recorded either way.)
     assert adaptive["schedule_draws_biased"] < geometric["schedule_draws_biased"]
+    # benchmarks/COUNTERS.json gates only the geometric schedule; these are
+    # the adaptive path's exact seed-0 counts on this sweep.
+    assert {key: adaptive[key] for key in ADAPTIVE_E1_COUNTS} == ADAPTIVE_E1_COUNTS
 
     # The cheaper search must not wash out the audit's qualitative shape.
     assert adaptive["burden_gap_biased"] > 0.5

@@ -442,17 +442,13 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
             candidates[unsolved] = self.constraints.project(
                 X[unsolved], candidates[unsolved] + steps
             )
-        exhausted = unsolved[:0]
         if unsolved.size:
-            crossed = self._predict(candidates[unsolved]) == self.target_class
-            exhausted, unsolved = unsolved[crossed], unsolved[~crossed]
-
+            unsolved = unsolved[self._predict(candidates[unsolved]) != self.target_class]
         parts = [CounterfactualBatch.unsolved(unsolved, X.shape[1])]
-        solved = np.flatnonzero(crossed_in_loop)
+        solved = np.setdiff1d(np.arange(n_instances), unsolved)
         if solved.size:
-            sparse = greedy_sparsify_batch(self, X[solved], candidates[solved])
-            parts.append(self._make_results_batch(solved, X[solved], sparse))
-        if exhausted.size:
-            parts.append(self._make_results_batch(exhausted, X[exhausted],
-                                                  candidates[exhausted]))
+            sparsified = np.flatnonzero(crossed_in_loop)
+            candidates[sparsified] = greedy_sparsify_batch(self, X[sparsified],
+                                                           candidates[sparsified])
+            parts.append(self._make_results_batch(solved, X[solved], candidates[solved]))
         return CounterfactualBatch.merge(*parts)

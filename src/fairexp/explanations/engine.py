@@ -198,9 +198,9 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
     features.  Predict calls drop from (#changed features) per instance to
     (#rejected reverts + 1) rounds shared by the whole batch.
 
-    Each round works on whole arrays.  The greedy order lives in a padded
-    ``(n, d)`` rank-position matrix, scattered once from
-    :func:`~fairexp.explanations.kernels.rank_changed_features`; one
+    Each round works on whole arrays.  The greedy order lives in the padded
+    ``(n, d)`` rank-position matrix
+    :func:`~fairexp.explanations.kernels.rank_changed_features` returns; one
     :func:`~fairexp.explanations.kernels.build_prefix_revert_trials` call
     stacks every active instance's trial chain, one masked ``argmax`` finds
     each instance's first rejected revert and one mask applies the accepted
@@ -214,13 +214,8 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray
     # Greedy order per instance, fixed once from the initial candidate (as
     # the per-feature greedy loop does): position[k, j] is feature j's rank
     # in instance k's order, n_features for a feature outside it.
-    orders = kernel_set.rank_changed_features(X_rows, candidates, generator.scale_)
-    lengths = np.asarray([len(order) for order in orders], dtype=np.intp)
-    position = np.full((n_rows, n_features), n_features, dtype=np.intp)
-    if lengths.sum():
-        owner = np.repeat(np.arange(n_rows), lengths)
-        position[owner, np.concatenate(orders)] = (
-            np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+    position = kernel_set.rank_changed_features(X_rows, candidates, generator.scale_)
+    lengths = (position < n_features).sum(axis=1)
 
     # start[k]: rank of instance k's first undecided feature.  Accepted
     # reverts are already written into the candidate and rejected ones stay
@@ -261,9 +256,11 @@ def lockstep_candidate_search(
     the actionability constraints in place, and issues a single
     ``model.predict`` over all candidates of all pending instances — instead
     of ``n_instances × n_steps`` separate predicts.  The cursor observes
-    every probe's hit count and decides which rung each instance tries next
-    (or that it is finished); each finished instance keeps its
-    minimum-distance hit across every rung it probed.
+    the wave's hit counts in one call and decides which rung each instance
+    tries next (or that it is finished); each finished instance keeps its
+    minimum-distance hit across every rung it probed.  No loop in a wave
+    runs per instance: pending instances, hit counts and best hits are
+    arrays, and the only Python loop draws each distinct draw key once.
 
     Every instance reads its offsets from the stream
     ``check_random_state(generator.random_state)`` would give it alone.  An
@@ -291,22 +288,22 @@ def lockstep_candidate_search(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n_instances, n_features = X.shape
     seed = generator.random_state
-    if seed is None or isinstance(seed, np.random.Generator):
-        streams = [check_random_state(seed) for _ in range(n_instances)]
-        stream_of = list(range(n_instances))
-        positions = None
-    else:
+    shared = not (seed is None or isinstance(seed, np.random.Generator))
+    if shared:
         streams = [check_random_state(seed)]
-        stream_of = [0] * n_instances
+        stream_of = np.zeros(n_instances, dtype=np.intp)
         # positions[k]: the shared stream's state after k draws.
         positions = [streams[0].bit_generator.state]
-    consumed = [0] * n_instances
-    pending = list(range(n_instances))
+    else:
+        streams = [check_random_state(seed) for _ in range(n_instances)]
+        stream_of = np.arange(n_instances)
+    consumed = np.zeros(n_instances, dtype=np.intp)
+    pending = np.arange(n_instances)
     # Each instance's minimum-distance hit so far, copied out of its wave.
     found = np.zeros(n_instances, dtype=bool)
     best_distance = np.zeros(n_instances)
     best_candidate = np.zeros((n_instances, n_features))
-    cursor = schedule.begin(n_steps)
+    cursor = schedule.begin(n_instances, n_steps)
     steps_taken = 0
     draws_issued = 0
     # Hard backstop against a buggy custom cursor that never finishes its
@@ -318,59 +315,60 @@ def lockstep_candidate_search(
     # exceeding the bound degrades to "unsolved", never to a hung audit.
     max_waves = 2 * max(int(n_steps), 1) + 2
 
-    while pending and steps_taken < max_waves:
-        plan = cursor.plan(pending)
-        if not plan:
+    while pending.size and steps_taken < max_waves:
+        rungs = cursor.plan(pending)
+        if rungs is None:
             break
-        rows = list(plan)
-        table: dict[tuple[int, int, int], np.ndarray] = {}
-        keys = []
-        for i in rows:
-            key = (stream_of[i], consumed[i], plan[i])
-            if key not in table:
-                rng = streams[key[0]]
-                if positions is not None:
-                    rng.bit_generator.state = positions[key[1]]
-                table[key] = offsets(rng, plan[i], n_features)
-                if positions is not None and len(positions) == key[1] + 1:
-                    positions.append(rng.bit_generator.state)
-            keys.append(key)
-            consumed[i] += 1
-        originals = X[rows][:, None, :]
+        # One draw per distinct (stream, draws consumed, rung), in sorted
+        # order (a shared Generator is consumed in row order); each triple is
+        # raveled to one integer, which np.unique sorts far faster than rows.
+        keys = np.stack([stream_of[pending], consumed[pending], rungs])
+        _, first, key_of = np.unique(np.ravel_multi_index(keys, keys.max(axis=1) + 1),
+                                     return_index=True, return_inverse=True)
+        table = []
+        for stream, position, rung in keys[:, first].T.tolist():
+            rng = streams[stream]
+            if shared:
+                rng.bit_generator.state = positions[position]
+            table.append(offsets(rng, rung, n_features))
+            if shared and len(positions) == position + 1:
+                positions.append(rng.bit_generator.state)
+        consumed[pending] += 1
+        originals = X[pending][:, None, :]
         if len(table) == 1:
-            candidates = originals + table[keys[0]]
+            candidates = originals + table[0]
         else:
-            candidates = np.stack([table[key] for key in keys])
+            candidates = np.stack(table)[key_of]
             candidates += originals
         projected = generator.constraints.project(originals, candidates, out=candidates)
         predictions = generator._predict(
             projected.reshape(-1, n_features)
-        ).reshape(len(rows), -1)
+        ).reshape(pending.size, -1)
         steps_taken += 1
         draws_issued += int(candidates.shape[0] * candidates.shape[1])
 
-        # ONE batched distance call over every hit of the wave (row-major
-        # nonzero keeps each instance's hits contiguous), instead of a
-        # Python list comprehension per instance per hit.
+        # Row-major nonzero keeps each instance's hits contiguous, so one
+        # distance call covers the wave and each instance's first
+        # minimum-distance hit is a segment reduction over its hits.
         hit_rows, hit_columns = np.nonzero(predictions == generator.target_class)
+        hits = np.bincount(hit_rows, minlength=pending.size)
         if hit_rows.size:
-            wave_rows = np.asarray(rows, dtype=int)
-            wave_distances = kernel_set.batch_counterfactual_distance(
-                X[wave_rows[hit_rows]], projected[hit_rows, hit_columns],
+            distances = kernel_set.batch_counterfactual_distance(
+                X[pending[hit_rows]], projected[hit_rows, hit_columns],
                 scale=generator.scale_, metric=generator.metric,
             )
-        bounds = np.searchsorted(hit_rows, np.arange(len(rows) + 1))
-        for k, i in enumerate(rows):
-            hits = hit_columns[bounds[k]:bounds[k + 1]]
-            if hits.size:
-                distances = wave_distances[bounds[k]:bounds[k + 1]]
-                pick = int(np.argmin(distances))
-                if not found[i] or distances[pick] < best_distance[i]:
-                    found[i] = True
-                    best_distance[i] = distances[pick]
-                    best_candidate[i] = projected[k, hits[pick]]
-            cursor.observe(i, plan[i], int(hits.size), int(predictions.shape[1]))
-        pending = [i for i in pending if i not in cursor.finished]
+            starts = np.searchsorted(hit_rows, np.flatnonzero(hits))
+            closest = np.repeat(np.minimum.reduceat(distances, starts), hits[hits > 0])
+            first = np.where(distances == closest, np.arange(distances.size), distances.size)
+            pick = np.minimum.reduceat(first, starts)
+            rows = pending[hit_rows[pick]]
+            better = ~found[rows] | (distances[pick] < best_distance[rows])
+            pick, rows = pick[better], rows[better]
+            found[rows] = True
+            best_distance[rows] = distances[pick]
+            best_candidate[rows] = projected[hit_rows[pick], hit_columns[pick]]
+        cursor.observe(pending, rungs, hits, int(predictions.shape[1]))
+        pending = pending[~cursor.finished[pending]]
 
     record = getattr(generator, "add_search_counts", None)
     if record is not None:

@@ -17,7 +17,7 @@ kernels:
   ``np.where`` over a rank-position matrix (replaces the per-feature
   ``trial.copy()`` chain and the per-instance call);
 * :func:`rank_changed_features` — the sparsifier's greedy revert order for a
-  whole batch of instances at once.
+  whole batch at once, as the rank-position matrix the trial kernel takes.
 
 **Bitwise parity is the contract.**  Every kernel reproduces the pre-kernel
 loop implementation bit for bit (asserted in
@@ -147,27 +147,26 @@ def build_prefix_revert_trials(candidates, X_rows, ranks, lengths) -> np.ndarray
     return np.where(revert, X_rows[owner], candidates[owner])
 
 
-def rank_changed_features(X_rows, candidates, scale) -> list[np.ndarray]:
-    """Greedy revert order (changed features by scaled magnitude) per instance.
+def rank_changed_features(X_rows, candidates, scale) -> np.ndarray:
+    """Greedy revert order per instance, as a padded ``(n, d)`` rank matrix.
 
-    Per row: the indices of features where candidate and original differ
-    (``~np.isclose``), sorted by scaled absolute delta — identical to the
-    historical per-row loop, but the delta/magnitude/changed-mask arithmetic
-    runs once over the whole batch.  The per-row ``argsort`` stays on the
-    (few-element) feature subset so tie order matches the legacy loop
-    exactly even though the default sort is unstable.
+    ``position[k, j]`` is feature ``j``'s rank in row ``k``'s order — the
+    features where candidate and original differ (``~np.isclose``), by
+    scaled absolute delta — and ``d`` for a feature outside it.  The
+    arithmetic runs once over the whole batch; the per-row ``argsort`` stays
+    on each row's few changed features so tie order matches the historical
+    per-row loop exactly even though the default sort is unstable.
     """
     X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if candidates.shape[0] == 0:
-        return []
+    n_rows, n_features = candidates.shape
     changed = ~np.isclose(candidates, X_rows)
     magnitudes = np.abs((candidates - X_rows) / np.asarray(scale, dtype=float))
-    orders = []
-    for k in range(candidates.shape[0]):
+    position = np.full((n_rows, n_features), n_features, dtype=np.intp)
+    for k in range(n_rows):
         columns = np.flatnonzero(changed[k])
-        orders.append(columns[np.argsort(magnitudes[k, columns])])
-    return orders
+        position[k, columns[np.argsort(magnitudes[k, columns])]] = np.arange(columns.size)
+    return position
 
 
 class KernelSet:

@@ -13,8 +13,8 @@ flow into a first-class, observable object:
   immutable configuration (a frozen dataclass, so it can be pickled into
   process-shard specs and folded into store fingerprints); each search pass
   asks it to :meth:`~SearchSchedule.begin` a fresh mutable *cursor* that
-  plans one rung per still-unsolved instance per step and observes the hit
-  counts the kernel already computes.
+  keeps its per-instance state in arrays, plans one rung per still-unsolved
+  instance per wave and observes the wave's hit counts, each in one call.
 * :class:`GeometricSchedule` — the default: every instance climbs the fixed
   ladder bottom-up, reproducing the pre-schedule behaviour **bitwise
   exactly** (same draws from the same random streams, same predict batches,
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -62,20 +64,23 @@ class SearchSchedule:
     work-list across threads, each shard beginning its own cursor).
 
     The cursor contract, as consumed by
-    :func:`~fairexp.explanations.engine.lockstep_candidate_search`:
+    :func:`~fairexp.explanations.engine.lockstep_candidate_search` (one
+    call of each per wave, on whole arrays):
 
-    * ``cursor.plan(pending)`` returns ``{instance: rung}`` for the
-      instances to probe this step, in ``pending`` order; an empty mapping
-      ends the search.
-    * ``cursor.observe(instance, rung, n_hits, n_candidates)`` feeds back
-      the hit count of one probe.
-    * ``cursor.finished`` is the set of instances needing no further probes
-      (first hit reached for the geometric ladder; bisection converged or
-      instance abandoned for the adaptive one).
+    * ``cursor.plan(pending)`` takes the ascending ``intp`` array of
+      instances still searching and returns one rung in ``[0, n_steps)``
+      per row, or ``None`` to end the pass.
+    * ``cursor.observe(rows, rungs, hits, n_candidates)`` feeds back the
+      wave: the probed instances, their rungs, each probe's hit count and
+      the number of candidates every probe drew.
+    * ``cursor.finished`` is a bool array over the pass's instances, true
+      for those needing no further probes (first hit reached for the
+      geometric ladder; bisection converged or instance abandoned for the
+      adaptive one).
     """
 
-    def begin(self, n_steps: int):
-        """Start one search pass over a ladder of ``n_steps`` rungs."""
+    def begin(self, n_instances: int, n_steps: int):
+        """Start one search pass of ``n_instances`` over ``n_steps`` rungs."""
         raise NotImplementedError
 
 
@@ -92,9 +97,9 @@ class GeometricSchedule(SearchSchedule):
     across thread and process executors).
     """
 
-    def begin(self, n_steps: int):
+    def begin(self, n_instances: int, n_steps: int):
         """Return a fresh bottom-up cursor over ``n_steps`` rungs."""
-        return _GeometricCursor(int(n_steps))
+        return _GeometricCursor(int(n_instances), int(n_steps))
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,9 @@ class AdaptiveSchedule(SearchSchedule):
       there is abandoned immediately (the widest shell carries the most
       candidate volume, so a miss there makes the instance near-certainly
       infeasible) instead of consuming the entire ladder;
-    * a hit whose hit rate reaches ``eager_hit_rate`` means the boundary is
-      well below the probed rung, so the next probe jumps straight to the
-      lowest untested rung instead of the bracket midpoint.
+    * a hit whose hit rate reaches :attr:`EAGER_HIT_RATE` means the
+      boundary is well below the probed rung, so the next probe jumps
+      straight to the lowest untested rung instead of the bracket midpoint.
 
     The search typically finishes in ``2 + log2(n_steps)`` waves per
     instance instead of up to ``n_steps`` (every probe strictly shrinks
@@ -126,57 +131,54 @@ class AdaptiveSchedule(SearchSchedule):
     instance's probe sequence — and hence its result — is the same whether
     the batch runs whole or split across workers.  Each instance returns
     its minimum-distance hit across every rung it probed.
-
-    Parameters
-    ----------
-    eager_hit_rate:
-        Hit-rate threshold at which the bisection shortcuts to the lowest
-        untested rung (default ``0.5``).
     """
 
-    eager_hit_rate: float = 0.5
+    #: Hit rate at which the bisection shortcuts to the lowest untested rung.
+    EAGER_HIT_RATE = 0.5
 
-    def begin(self, n_steps: int):
+    def begin(self, n_instances: int, n_steps: int):
         """Return a fresh adaptive (bisection) cursor over ``n_steps`` rungs."""
-        return _AdaptiveCursor(int(n_steps), float(self.eager_hit_rate))
+        return _AdaptiveCursor(int(n_instances), int(n_steps), self.EAGER_HIT_RATE)
 
 
 class _GeometricCursor:
     """Mutable state of one bottom-up ladder walk."""
 
-    def __init__(self, n_steps: int) -> None:
+    def __init__(self, n_instances: int, n_steps: int) -> None:
         self.n_steps = n_steps
-        self.finished: set[int] = set()
+        self.finished = np.zeros(n_instances, dtype=bool)
         self._step = 0
 
-    def plan(self, pending) -> dict[int, int]:
-        """Every pending instance probes the current rung; empty when the
+    def plan(self, pending: np.ndarray) -> np.ndarray | None:
+        """Every pending instance probes the current rung; ``None`` once the
         ladder is exhausted."""
         if self._step >= self.n_steps:
-            return {}
-        rung = self._step
+            return None
         self._step += 1
-        return {i: rung for i in pending}
+        return np.full(len(pending), self._step - 1, dtype=np.intp)
 
-    def observe(self, instance: int, rung: int, n_hits: int, n_candidates: int) -> None:
+    def observe(self, rows: np.ndarray, rungs: np.ndarray, hits: np.ndarray,
+                n_candidates: int) -> None:
         """A hit finishes the instance (first-hit-stops, as the fixed
         schedule always behaved); misses keep it climbing."""
-        if n_hits > 0:
-            self.finished.add(instance)
+        self.finished[rows[hits > 0]] = True
 
 
 class _AdaptiveCursor:
-    """Mutable state of one adaptive (feasibility probe + bisection) pass."""
+    """Mutable state of one adaptive (feasibility probe + bisection) pass:
+    per instance, ``lo`` is the lowest rung not yet ruled out (``-1`` before
+    its first probe), ``hi`` the lowest known-hit rung (``n_steps`` before
+    its first hit) and ``eager`` whether its last hit saturated the rung."""
 
-    def __init__(self, n_steps: int, eager_hit_rate: float) -> None:
+    def __init__(self, n_instances: int, n_steps: int, eager_hit_rate: float) -> None:
         self.n_steps = n_steps
         self.eager_hit_rate = eager_hit_rate
-        self.finished: set[int] = set()
-        self._lo: dict[int, int] = {}        # lowest rung not yet ruled out
-        self._hi: dict[int, int] = {}        # lowest known-hit rung
-        self._eager: dict[int, bool] = {}    # last hit saturated the rung
+        self.finished = np.zeros(n_instances, dtype=bool)
+        self._lo = np.full(n_instances, -1, dtype=np.intp)
+        self._hi = np.full(n_instances, n_steps, dtype=np.intp)
+        self._eager = np.zeros(n_instances, dtype=bool)
 
-    def plan(self, pending) -> dict[int, int]:
+    def plan(self, pending: np.ndarray) -> np.ndarray | None:
         """One probe rung per pending instance: the widest rung on first
         touch, afterwards the bracket midpoint (or the lowest untested rung
         after a saturated hit).
@@ -191,35 +193,28 @@ class _AdaptiveCursor:
             # Degenerate ladder (a custom generator's draw_schedule() may be
             # empty): there is no rung to probe — end the pass like
             # _GeometricCursor does instead of planning rung -1.
-            self.finished.update(pending)
-            return {}
-        probes: dict[int, int] = {}
-        for i in pending:
-            if i not in self._lo:  # feasibility probe at the widest rung
-                self._lo[i] = 0
-                probes[i] = self.n_steps - 1
-                continue
-            lo, hi = self._lo[i], self._hi[i]
-            rung = lo if self._eager.get(i) else (lo + hi) // 2
-            probes[i] = min(max(rung, lo), hi - 1)
-        return probes
+            self.finished[pending] = True
+            return None
+        lo, hi = self._lo[pending], self._hi[pending]
+        rungs = np.where(self._eager[pending], lo, (lo + hi) // 2)
+        rungs = np.minimum(np.maximum(rungs, lo), hi - 1)
+        fresh = lo < 0  # feasibility probe at the widest rung
+        rungs[fresh] = self.n_steps - 1
+        self._lo[pending[fresh]] = 0
+        return rungs
 
-    def observe(self, instance: int, rung: int, n_hits: int, n_candidates: int) -> None:
-        """Tighten the instance's bracket with one probe's hit count."""
-        if n_hits > 0:
-            self._hi[instance] = rung
-            self._eager[instance] = (
-                n_candidates > 0 and n_hits / n_candidates >= self.eager_hit_rate
-            )
-        elif instance not in self._hi:
-            # Missed the widest rung on the feasibility probe: abandoned.
-            self.finished.add(instance)
-            return
-        else:
-            self._lo[instance] = rung + 1
-            self._eager[instance] = False
-        if self._lo[instance] >= self._hi[instance]:
-            self.finished.add(instance)
+    def observe(self, rows: np.ndarray, rungs: np.ndarray, hits: np.ndarray,
+                n_candidates: int) -> None:
+        """Tighten each probed instance's bracket with its hit count."""
+        hit = hits > 0
+        # A miss before any hit is the missed feasibility probe: abandoned.
+        abandoned = ~hit & (self._hi[rows] == self.n_steps)
+        self._hi[rows[hit]] = rungs[hit]
+        missed = ~hit & ~abandoned
+        self._lo[rows[missed]] = rungs[missed] + 1
+        self._eager[rows] = hit & (n_candidates > 0) & (
+            hits / max(n_candidates, 1) >= self.eager_hit_rate)
+        self.finished[rows] |= abandoned | (self._lo[rows] >= self._hi[rows])
 
 
 def resolve_schedule(schedule) -> SearchSchedule:

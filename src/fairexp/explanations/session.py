@@ -349,13 +349,14 @@ class AuditSession:
         engine pass.  Rows without a feasible counterfactual are absent from
         the returned mapping.
 
-        Indices follow NumPy's convention over ``n = len(X)``: a negative
-        index ``i`` names row ``i + n`` (and is returned, cached and stored
-        under that key), and any index outside ``[-n, n)`` raises
-        :class:`~fairexp.exceptions.ValidationError` before the cache or the
-        store is touched.  So does a requested row holding a NaN or infinite
-        feature: the error names those rows (non-negative) before the cache,
-        the store or the engine sees the request.
+        ``indices`` is a 1-D sequence of integers following NumPy's
+        convention over ``n = len(X)``: a negative index ``i`` names row
+        ``i + n`` (and is returned, cached and stored under that key).  A
+        boolean mask, floats, an index of another rank or one outside
+        ``[-n, n)`` raises :class:`~fairexp.exceptions.ValidationError`
+        before the cache, the store or the engine is touched.  So does a
+        requested row holding a NaN or infinite feature; the error names
+        those rows (non-negative).
         """
         if self.engine is None:
             raise ValidationError(
@@ -363,8 +364,13 @@ class AuditSession:
             )
         self._check_open()
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        indices = np.asarray(indices, dtype=int)
-        if indices.size == 0:
+        indices = np.asarray(indices)
+        if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
+            raise ValidationError(
+                "row indices must be a 1-D array of integers, got a "
+                f"{indices.ndim}-D array of dtype {indices.dtype}"
+            )
+        if indices.size == 0:  # np.asarray([]) is float
             return {}
         n_rows = X.shape[0]
         out_of_range = indices[(indices < -n_rows) | (indices >= n_rows)]

@@ -9,6 +9,12 @@ formulas, its own predict calls and the one-predict-per-feature greedy
 sparsifier, sharing nothing with the lockstep engine but the generator's
 parameters, projection and result builder.  Each returns a
 ``Counterfactual`` or ``None`` when the search budget runs out.
+
+The schedule cursors the ladder oracle walks are per-instance ones too:
+:class:`GeometricOracleCursor` and :class:`AdaptiveOracleCursor` keep their
+state in dicts and sets keyed by instance and observe one probe at a time,
+so the array cursors in ``fairexp.explanations.schedules`` are checked
+against an independent implementation of the same rules.
 """
 
 from __future__ import annotations
@@ -16,11 +22,86 @@ from __future__ import annotations
 import numpy as np
 
 from fairexp.explanations import (
+    AdaptiveSchedule,
+    GeometricSchedule,
     GrowingSpheresCounterfactual,
     RandomSearchCounterfactual,
     batch_counterfactual_distance,
 )
 from fairexp.utils import check_random_state
+
+
+class GeometricOracleCursor:
+    """Bottom-up ladder walk: every pending instance probes the current
+    rung; a hit finishes it."""
+
+    def __init__(self, n_steps: int) -> None:
+        self.n_steps = n_steps
+        self.finished: set[int] = set()
+        self._step = 0
+
+    def plan(self, pending) -> dict[int, int]:
+        if self._step >= self.n_steps:
+            return {}
+        rung = self._step
+        self._step += 1
+        return {i: rung for i in pending}
+
+    def observe(self, instance: int, rung: int, n_hits: int, n_candidates: int) -> None:
+        if n_hits > 0:
+            self.finished.add(instance)
+
+
+class AdaptiveOracleCursor:
+    """Feasibility probe at the widest rung, then bisection of the bracket
+    ``[lo, hi)``; a saturated hit jumps to the lowest untested rung."""
+
+    def __init__(self, n_steps: int, eager_hit_rate: float = 0.5) -> None:
+        self.n_steps = n_steps
+        self.eager_hit_rate = eager_hit_rate
+        self.finished: set[int] = set()
+        self._lo: dict[int, int] = {}        # lowest rung not yet ruled out
+        self._hi: dict[int, int] = {}        # lowest known-hit rung
+        self._eager: dict[int, bool] = {}    # last hit saturated the rung
+
+    def plan(self, pending) -> dict[int, int]:
+        if self.n_steps <= 0:
+            self.finished.update(pending)
+            return {}
+        probes: dict[int, int] = {}
+        for i in pending:
+            if i not in self._lo:
+                self._lo[i] = 0
+                probes[i] = self.n_steps - 1
+                continue
+            lo, hi = self._lo[i], self._hi[i]
+            rung = lo if self._eager.get(i) else (lo + hi) // 2
+            probes[i] = min(max(rung, lo), hi - 1)
+        return probes
+
+    def observe(self, instance: int, rung: int, n_hits: int, n_candidates: int) -> None:
+        if n_hits > 0:
+            self._hi[instance] = rung
+            self._eager[instance] = (
+                n_candidates > 0 and n_hits / n_candidates >= self.eager_hit_rate
+            )
+        elif instance not in self._hi:
+            self.finished.add(instance)  # missed the feasibility probe
+            return
+        else:
+            self._lo[instance] = rung + 1
+            self._eager[instance] = False
+        if self._lo[instance] >= self._hi[instance]:
+            self.finished.add(instance)
+
+
+def oracle_cursor(schedule, n_steps: int):
+    """The per-instance cursor implementing ``schedule``'s rules."""
+    if type(schedule) is GeometricSchedule:
+        return GeometricOracleCursor(n_steps)
+    if type(schedule) is AdaptiveSchedule:
+        return AdaptiveOracleCursor(n_steps)
+    raise TypeError(f"no oracle cursor for {type(schedule).__name__}")
 
 
 def greedy_sparsify(generator, x, candidate):
@@ -65,7 +146,7 @@ def ladder_search(generator, x):
     probed rung."""
     x = np.asarray(x, dtype=float).ravel()
     rng = check_random_state(generator.random_state)
-    cursor = generator.schedule.begin(len(generator.draw_schedule()))
+    cursor = oracle_cursor(generator.schedule, len(generator.draw_schedule()))
     best = None  # (distance, candidate)
     while 0 not in cursor.finished:
         plan = cursor.plan([0])

@@ -196,11 +196,10 @@ class TestLegacyParity:
         candidates[:, 3] = candidates[:, 2]
         X_rows[:, 3] = X_rows[:, 2]
         scale = rng.uniform(0.5, 2.0, size=6)
-        expected = legacy_rank_changed(X_rows, candidates, scale)
+        expected, _ = rank_matrix(legacy_rank_changed(X_rows, candidates, scale), 6)
         got = kernel_set.rank_changed_features(X_rows, candidates, scale)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +212,7 @@ class TestEdgeCases:
         distances = kernel_set.batch_counterfactual_distance(np.zeros(4), empty)
         assert distances.shape == (0,)
         assert kernel_set.rank_changed_features(np.empty((0, 4)), empty,
-                                                np.ones(4)) == []
+                                                np.ones(4)).shape == (0, 4)
         trials = kernel_set.build_prefix_revert_trials(
             np.zeros((2, 4)), np.ones((2, 4)), np.full((2, 4), 4), [0, 0])
         assert trials.shape == (0, 4)
@@ -238,8 +237,8 @@ class TestEdgeCases:
         expected = np.array([legacy_distance(x, c) for x, c in zip(X, candidates)])
         assert np.array_equal(
             kernel_set.batch_counterfactual_distance(X, candidates), expected)
-        orders = kernel_set.rank_changed_features(X, candidates, np.ones(1))
-        assert all(np.array_equal(o, np.array([0])) for o in orders)
+        positions = kernel_set.rank_changed_features(X, candidates, np.ones(1))
+        assert np.array_equal(positions, np.zeros((10, 1)))
 
     def test_float32_inputs_upcast_to_float64(self, kernel_set, rng):
         X32 = rng.normal(size=(12, 5)).astype(np.float32)

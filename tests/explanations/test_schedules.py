@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
@@ -17,7 +19,7 @@ from fairexp.explanations import (
     population_fingerprint,
     resolve_schedule,
 )
-from sequential_oracles import ladder_search
+from sequential_oracles import ladder_search, oracle_cursor
 
 
 @pytest.fixture
@@ -49,6 +51,12 @@ def _with_backend(model, backend):
     return _gil_holding(model) if backend == "callable" else model
 
 
+class EagerAdaptiveSchedule(AdaptiveSchedule):
+    """An adaptive schedule that shortcuts only on near-saturated hits."""
+
+    EAGER_HIT_RATE = 0.9
+
+
 class TestResolveSchedule:
     def test_none_resolves_to_geometric_default(self):
         assert isinstance(resolve_schedule(None), GeometricSchedule)
@@ -58,7 +66,7 @@ class TestResolveSchedule:
         assert isinstance(resolve_schedule("adaptive"), AdaptiveSchedule)
 
     def test_instances_pass_through(self):
-        schedule = AdaptiveSchedule(eager_hit_rate=0.25)
+        schedule = EagerAdaptiveSchedule()
         assert resolve_schedule(schedule) is schedule
 
     def test_unknown_name_rejected(self):
@@ -69,7 +77,7 @@ class TestResolveSchedule:
 
     def test_base_schedule_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            SearchSchedule().begin(4)
+            SearchSchedule().begin(3, 4)
 
 
 class TestGeometricParity:
@@ -196,19 +204,20 @@ class TestAdaptiveSchedule:
 
     def test_cursor_bisection_brackets_the_boundary(self):
         """Unit-level cursor walk: miss raises lo, hit lowers hi, converges."""
-        cursor = AdaptiveSchedule().begin(8)
-        assert cursor.plan([0]) == {0: 7}          # feasibility probe
-        cursor.observe(0, 7, n_hits=1, n_candidates=100)
-        [(i, rung)] = cursor.plan([0]).items()
-        assert (i, rung) == (0, 3)                 # bisect [0, 7)
-        cursor.observe(0, 3, n_hits=0, n_candidates=100)
-        [(_, rung)] = cursor.plan([0]).items()
-        assert rung == 5                           # bisect [4, 7)
-        cursor.observe(0, 5, n_hits=60, n_candidates=100)  # saturated hit
-        [(_, rung)] = cursor.plan([0]).items()
-        assert rung == 4                           # eager: lowest untested
-        cursor.observe(0, 4, n_hits=0, n_candidates=100)
-        assert 0 in cursor.finished                # bracket closed at 5
+        cursor = AdaptiveSchedule().begin(1, 8)
+        rows = np.array([0])
+
+        def probe(n_hits):
+            rungs = cursor.plan(rows)
+            cursor.observe(rows, rungs, np.array([n_hits]), 100)
+            return rungs.tolist()
+
+        assert probe(1) == [7]                     # feasibility probe
+        assert probe(0) == [3]                     # bisect [0, 7)
+        assert probe(60) == [5]                    # bisect [4, 7); saturated hit
+        assert not cursor.finished[0]
+        assert probe(0) == [4]                     # eager: lowest untested
+        assert cursor.finished.tolist() == [True]  # bracket closed at 5
 
     def test_kernel_bounds_a_cursor_that_never_finishes(self, workload):
         """A buggy custom schedule that keeps replanning the same rung must
@@ -218,12 +227,12 @@ class TestAdaptiveSchedule:
         train, model, constraints, rejected = workload
 
         class StuckSchedule(SearchSchedule):
-            def begin(self, n_steps):
+            def begin(self, n_instances, n_steps):
                 class StuckCursor:
-                    finished: set = set()
+                    finished = np.zeros(n_instances, dtype=bool)
 
                     def plan(self, pending):
-                        return {i: 0 for i in pending}  # forgets to finish
+                        return np.zeros(len(pending), dtype=np.intp)  # forgets to finish
 
                     def observe(self, *args):
                         pass
@@ -249,18 +258,18 @@ class TestAdaptiveSchedule:
         runs bitwise-identical to sequential ones."""
         observations = [(11, 1), (5, 1), (2, 0)]  # (rung, hits) script
 
-        def drive(cursor, instance, companions=()):
+        def drive(cursor, companions=()):
+            rows = np.array([0, *companions])
             rungs = []
             for rung, hits in observations:
-                plan = cursor.plan([instance, *companions])
-                rungs.append(plan[instance])
-                cursor.observe(instance, plan[instance], hits, 100)
-                for companion in companions:  # companions hit everywhere
-                    cursor.observe(companion, plan[companion], 90, 100)
+                plan = cursor.plan(rows)
+                rungs.append(int(plan[0]))
+                # companions hit everywhere
+                cursor.observe(rows, plan, np.array([hits] + [90] * len(companions)), 100)
             return rungs
 
-        alone = drive(AdaptiveSchedule().begin(12), 0)
-        crowded = drive(AdaptiveSchedule().begin(12), 0, companions=(7, 8))
+        alone = drive(AdaptiveSchedule().begin(1, 12))
+        crowded = drive(AdaptiveSchedule().begin(9, 12), companions=(7, 8))
         assert alone == crowded == [11, 5, 2]
 
     @SHARDING_BACKENDS
@@ -282,6 +291,41 @@ class TestAdaptiveSchedule:
             if seq is not None:
                 assert np.array_equal(seq.counterfactual, par.counterfactual)
                 assert seq.distance == par.distance
+
+
+class TestCursorOracle:
+    """The array cursors against the per-instance dict cursors of
+    ``sequential_oracles``, driven through the same random hit scripts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedule_cls=st.sampled_from([GeometricSchedule, AdaptiveSchedule]),
+           n_instances=st.integers(1, 6), n_steps=st.integers(0, 12),
+           data=st.data())
+    def test_plan_and_finished_match_per_instance_oracle(
+            self, schedule_cls, n_instances, n_steps, data):
+        cursor = schedule_cls().begin(n_instances, n_steps)
+        oracle = oracle_cursor(schedule_cls(), n_steps)
+        pending = np.arange(n_instances)
+        for _ in range(n_steps + 2):  # both cursors finish within n_steps + 1
+            if not pending.size:
+                break
+            rungs = cursor.plan(pending)
+            expected = oracle.plan(pending.tolist())
+            assert set(np.flatnonzero(cursor.finished).tolist()) == oracle.finished
+            if rungs is None:
+                assert expected == {}
+                break
+            assert rungs.dtype == np.intp
+            assert dict(zip(pending.tolist(), rungs.tolist())) == expected
+            n_candidates = data.draw(st.sampled_from([0, 1, 2, 4, 10]))
+            hits = data.draw(st.lists(st.integers(0, max(n_candidates, 2)),
+                                      min_size=pending.size, max_size=pending.size))
+            cursor.observe(pending, rungs, np.asarray(hits), n_candidates)
+            for i, rung, n_hits in zip(pending.tolist(), rungs.tolist(), hits):
+                oracle.observe(i, rung, n_hits, n_candidates)
+            assert set(np.flatnonzero(cursor.finished).tolist()) == oracle.finished
+            pending = pending[~cursor.finished[pending]]
+        assert not pending.size or cursor.plan(pending) is None  # pass ended
 
 
 class TestScheduleAccounting:
@@ -323,7 +367,7 @@ class TestScheduleFingerprinting:
         adaptive = _generator(GrowingSpheresCounterfactual, train, model, constraints,
                               schedule=AdaptiveSchedule())
         tweaked = _generator(GrowingSpheresCounterfactual, train, model, constraints,
-                             schedule=AdaptiveSchedule(eager_hit_rate=0.9))
+                             schedule=EagerAdaptiveSchedule())
         prints = {population_fingerprint(g, rejected)
                   for g in (geometric, adaptive, tweaked)}
         assert None not in prints
@@ -381,26 +425,24 @@ class TestDegenerateLadders:
 
     @pytest.mark.parametrize("schedule_cls", [GeometricSchedule, AdaptiveSchedule])
     def test_empty_ladder_plans_nothing(self, schedule_cls):
-        cursor = schedule_cls().begin(0)
-        plan = cursor.plan([0, 1, 2])
-        assert plan == {}
-        # No probe may ever name a negative rung — the pre-fix adaptive
+        cursor = schedule_cls().begin(3, 0)
+        # No probe may ever name a negative rung — an earlier adaptive
         # cursor planned its feasibility probe at rung -1 here.
-        assert all(rung >= 0 for rung in plan.values())
-        # A second call stays empty: the pass is over, not looping.
-        assert cursor.plan([0, 1, 2]) == {}
+        assert cursor.plan(np.arange(3)) is None
+        # A second call ends the pass too: it is over, not looping.
+        assert cursor.plan(np.arange(3)) is None
 
     @pytest.mark.parametrize("schedule_cls", [GeometricSchedule, AdaptiveSchedule])
     def test_single_rung_ladder_probes_rung_zero_only(self, schedule_cls):
-        cursor = schedule_cls().begin(1)
-        plan = cursor.plan([0, 1])
-        assert set(plan.values()) == {0}
-        for i, rung in plan.items():
-            cursor.observe(i, rung, n_hits=1 if i == 0 else 0, n_candidates=4)
+        cursor = schedule_cls().begin(2, 1)
+        rows = np.arange(2)
+        rungs = cursor.plan(rows)
+        assert rungs.tolist() == [0, 0]
+        cursor.observe(rows, rungs, np.array([1, 0]), 4)
         # Hit or miss, a one-rung ladder finishes every instance in one wave.
-        assert cursor.finished >= {0}
-        follow_up = cursor.plan([i for i in (0, 1) if i not in cursor.finished])
-        assert all(rung == 0 for rung in follow_up.values())
+        assert cursor.finished[0]
+        follow_up = cursor.plan(rows[~cursor.finished])
+        assert follow_up is None or (follow_up == 0).all()
 
     def test_empty_draw_schedule_generator_ends_search(self, workload):
         """End-to-end: a generator whose ladder is empty produces an

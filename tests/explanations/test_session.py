@@ -677,6 +677,29 @@ class TestSessionInputContract:
             assert session.store.entries() == []
             assert session.predict_call_count == 0
 
+    @pytest.mark.parametrize("bad", [
+        [True, False, True, False],   # a mask is not a list of rows 0 and 1
+        [0.9, 2.7],                   # floats are not truncated to rows 0, 2
+        [[0, 1], [2, 3]],             # 2-D
+        np.array(3),                  # 0-D
+    ], ids=["bool-mask", "floats", "2d", "scalar"])
+    def test_non_integer_or_non_1d_index_raises_before_any_state(
+            self, population, tmp_path, bad):
+        generator, X = population
+        with AuditSession(generator, store=tmp_path) as session:
+            session.engine.generate_aligned = None  # any engine call would fail
+            with pytest.raises(ValidationError, match="1-D array of integers"):
+                session.counterfactuals_for(X, bad)
+            assert session.stats()["n_populations"] == 0
+            assert session.store.stats()["store_misses"] == 0
+            assert session.store.entries() == []
+            assert session.predict_call_count == 0
+
+    def test_empty_list_is_a_valid_index(self, population):
+        generator, X = population
+        with AuditSession(generator) as session:
+            assert session.counterfactuals_for(X, []) == {}  # np.asarray([]) is float
+
     def test_non_finite_rows_raise_before_any_state(self, population, tmp_path):
         generator, X = population
         X = X.copy()
