@@ -29,6 +29,7 @@ server binds 127.0.0.1 and no external network is touched.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -36,6 +37,8 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 
@@ -82,12 +85,14 @@ def launch_server(graph_paths) -> tuple[subprocess.Popen, str]:
     return process, line.rsplit(" ", 1)[-1]
 
 
-def run_checks(url: str, model, X: np.ndarray) -> dict:
-    """Parity + coalescing assertions against a live server; numbers returned."""
+def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
+    """Parity + coalescing assertions against a live server hosting
+    ``graph`` (``model``'s export); numbers returned."""
     reference = np.asarray(model.predict(X))
 
     # Bitwise parity over the wire.
-    solo = RemoteScoringBackend(url, window=0.0)
+    solo = RemoteScoringBackend(CoalescingScoringClient(url, window=0.0),
+                                graph=graph)
     remote = solo.predict(X)
     assert np.array_equal(remote, reference), "remote labels diverge from model.predict"
     solo.close()
@@ -98,7 +103,7 @@ def run_checks(url: str, model, X: np.ndarray) -> dict:
                            for _ in range(N_CALLERS)]
     independent_rows = []
     for k, rows in enumerate(slices):
-        backend = RemoteScoringBackend(independent_clients[k])
+        backend = RemoteScoringBackend(independent_clients[k], graph=graph)
         for start in range(0, len(rows), 8):  # several batches per caller
             backend.predict(X[rows[start:start + 8]])
         independent_rows.append(backend.row_count)
@@ -107,7 +112,8 @@ def run_checks(url: str, model, X: np.ndarray) -> dict:
 
     # Coalescing run: the same batches, concurrent callers, one client.
     client = CoalescingScoringClient(url, window=0.25)
-    backends = [RemoteScoringBackend(client) for _ in range(N_CALLERS)]
+    backends = [RemoteScoringBackend(client, graph=graph)
+                for _ in range(N_CALLERS)]
     barrier = threading.Barrier(N_CALLERS)
     failures: list[BaseException] = []
 
@@ -159,8 +165,6 @@ def run_fleet_checks(url: str, fleet: dict, X: np.ndarray) -> dict:
     ``fleet`` maps each graph to its source model; the models disagree on
     part of ``X``, so a misrouted batch cannot come back bitwise-correct.
     """
-    import urllib.request
-
     graphs = list(fleet)
     references = {graph: np.asarray(model.predict(X))
                   for graph, model in fleet.items()}
@@ -178,15 +182,17 @@ def run_fleet_checks(url: str, fleet: dict, X: np.ndarray) -> dict:
         rows_routed[graph.signature()] = backend.row_count
         backend.close()
 
-    # A fleet must refuse to guess: header-less requests are an error.
-    headerless = RemoteScoringBackend(client)
+    # A fleet must refuse to guess: a request naming no graph is a 400.
+    payload = io.BytesIO()
+    np.save(payload, X[:4], allow_pickle=False)
+    headerless = urllib.request.Request(f"{url}/score", data=payload.getvalue(),
+                                        method="POST")
     try:
-        headerless.predict(X[:4])
+        urllib.request.urlopen(headerless, timeout=10).close()
         raise AssertionError("fleet server accepted a header-less request")
-    except Exception as error:  # noqa: BLE001 - asserting the refusal shape
-        assert "X-Fairexp-Graph" in str(error), error
-    finally:
-        headerless.close()
+    except urllib.error.HTTPError as error:
+        detail = error.read().decode(errors="replace")
+        assert error.code == 400 and "X-Fairexp-Graph" in detail, detail
 
     # Server-side /stats books each graph's rows separately.
     with urllib.request.urlopen(f"{url}/stats", timeout=10) as reply:
@@ -212,10 +218,11 @@ def main() -> dict:
     model, tree, X = build_workload()
     with tempfile.TemporaryDirectory() as tmp:
         graph_path = os.path.join(tmp, "e1_model.npz")
-        export_model(model).save(graph_path)
+        model_graph = export_model(model)
+        model_graph.save(graph_path)
         process, url = launch_server(graph_path)
         try:
-            point = run_checks(url, model, X)
+            point = run_checks(url, model, model_graph, X)
         finally:
             process.terminate()
             process.wait(timeout=30)
@@ -223,8 +230,7 @@ def main() -> dict:
         # Same archives, fleet shape: one server process, two graphs,
         # hash-routed requests.
         tree_path = os.path.join(tmp, "e1_tree.npz")
-        model_graph, tree_graph = export_model(model), export_model(tree)
-        model_graph.save(graph_path)
+        tree_graph = export_model(tree)
         tree_graph.save(tree_path)
         process, url = launch_server([graph_path, tree_path])
         try:

@@ -30,7 +30,8 @@ from fairexp.explanations import (
     CoalescingScoringClient,
     GrowingSpheresCounterfactual,
     RemoteScoringBackend,
-    serve_model,
+    export_model,
+    serve_fleet,
 )
 from fairexp.models import LogisticRegression
 
@@ -70,8 +71,9 @@ def _run_session(train, model, constraints, population, backend):
 
 def test_coalescing_sessions_issue_fewer_wire_calls(benchmark):
     train, model, constraints, populations = _workload()
+    graph = export_model(model)
 
-    with serve_model(model) as server:
+    with serve_fleet([graph]) as server:
         # Independent baseline: each session scores through its own client,
         # so every predict batch is its own wire call.
         independent_clients = [
@@ -81,7 +83,7 @@ def test_coalescing_sessions_issue_fewer_wire_calls(benchmark):
         independent_rows = []
         independent_results = []
         for k in range(N_SESSIONS):
-            backend = RemoteScoringBackend(independent_clients[k])
+            backend = RemoteScoringBackend(independent_clients[k], graph=graph)
             results, rows = _run_session(train, model, constraints,
                                          populations[k], backend)
             backend.close()
@@ -99,7 +101,7 @@ def test_coalescing_sessions_issue_fewer_wire_calls(benchmark):
             barrier = threading.Barrier(N_SESSIONS)
 
             def run(k):
-                backend = RemoteScoringBackend(client)
+                backend = RemoteScoringBackend(client, graph=graph)
                 barrier.wait(timeout=30)
                 try:
                     outputs[k], rows[k] = _run_session(

@@ -28,6 +28,7 @@ from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
     CoalescingScoringClient,
+    ComputeGraph,
     GrowingSpheresCounterfactual,
     RemoteScoringBackend,
     ScoringServer,
@@ -81,6 +82,26 @@ def _session_plan(models, rejected):
         population = rejected[m][start:start + ROWS_PER_SESSION]
         plan.append((m, population))
     return plan
+
+
+class _SlowGraph(ComputeGraph):
+    """A deliberately slow graph (a few ms per batch, sleeping off-GIL):
+    the pure-NumPy graph scores in microseconds, far too fast for 12
+    clients to overlap inside the admission window — the sleep models a
+    realistically loaded scorer so the gate actually engages."""
+
+    def run(self, X):
+        time.sleep(0.004)
+        return super().run(X)
+
+    __call__ = run
+
+
+class _PatientClient(CoalescingScoringClient):
+    """Rides out a long shed streak: 12 retries from a 5 ms base delay."""
+
+    MAX_RETRIES = 12
+    BACKOFF = 0.005
 
 
 def _run_session(train, model, constraints, population, backend):
@@ -194,15 +215,9 @@ def test_shed_retry_keeps_per_session_rows_exact(benchmark):
     references = [_run_session(train, model, constraints, populations[k], None)
                   for k in range(n_sessions)]
 
-    # A deliberately slow scorer (a few ms per batch, sleeping off-GIL):
-    # the pure-NumPy graph scores in microseconds, far too fast for 12
-    # clients to overlap inside the admission window — the sleep models a
-    # realistically loaded scorer so the gate actually engages.
-    def slow_scorer(X):
-        time.sleep(0.004)
-        return graph.run(X)
-
-    with ScoringServer(slow_scorer, max_inflight=1) as server:
+    slow_graph = _SlowGraph(graph.ops, n_features=graph.n_features,
+                            source=graph.source)
+    with ScoringServer([slow_graph], max_inflight=1) as server:
         # One PRIVATE client per session: a shared client's lane keeps at
         # most one wire call in flight (the leader's), which would never
         # trip the admission gate — independent clients genuinely race it.
@@ -213,8 +228,8 @@ def test_shed_retry_keeps_per_session_rows_exact(benchmark):
             barrier = threading.Barrier(n_sessions)
 
             def run(k):
-                backend = RemoteScoringBackend(server.url, window=0.0,
-                                               max_retries=12, backoff=0.005)
+                backend = RemoteScoringBackend(
+                    _PatientClient(server.url, window=0.0), graph=slow_graph)
                 clients[k] = backend.client
                 barrier.wait(timeout=30)
                 try:

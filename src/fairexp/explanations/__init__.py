@@ -62,7 +62,6 @@ from .serving import (
     ScoringServer,
     export_model,
     serve_fleet,
-    serve_model,
 )
 from .schedules import (
     AdaptiveSchedule,
@@ -134,7 +133,6 @@ __all__ = [
     "CoalescingScoringClient",
     "RemoteScoringBackend",
     "ScoringServer",
-    "serve_model",
     "serve_fleet",
     "shard_indices",
     "FeatureAttribution",

@@ -21,8 +21,9 @@ the two real out-of-process backends the ROADMAP asks for:
   scoring server (also shipped as ``python -m fairexp serve``) and its
   batched client.  One server hosts a whole model **fleet**: graphs are
   keyed by content hash (:meth:`ComputeGraph.signature`, the same identity
-  the persistent store fingerprints by), requests carry the hash in an
-  ``X-Fairexp-Graph`` header and are routed to the matching graph.  The
+  the persistent store fingerprints by), and every request names its
+  graph's hash in an ``X-Fairexp-Graph`` header — the one request shape; a
+  request that names no hosted graph is refused, never guessed.  The
   client side is a :class:`CoalescingScoringClient`: predict batches from
   *concurrent* sessions that land within a dispatch window are stacked
   into **one** wire call per graph, while each caller's call/row
@@ -68,7 +69,6 @@ __all__ = [
     "CoalescingScoringClient",
     "RemoteScoringBackend",
     "ScoringServer",
-    "serve_model",
     "serve_fleet",
 ]
 
@@ -416,7 +416,7 @@ def _decode_array(blob: bytes) -> np.ndarray:
 @guard_counters("request_count", "row_count", "shed_count", "peak_inflight",
                 "_inflight")
 class ScoringServer:
-    """Loopback HTTP scoring server hosting a fleet of scorers.
+    """Loopback HTTP scoring server hosting a fleet of compute graphs.
 
     ``POST /score`` takes a raw ``.npy`` matrix and answers with a raw
     ``.npy`` label vector; ``GET /healthz`` answers ``ok``; ``GET /stats``
@@ -427,13 +427,12 @@ class ScoringServer:
     on a daemon thread; it is a context manager, and :meth:`close` is
     idempotent and thread-safe.
 
-    **Fleet routing.**  ``scorer`` may be a single scorer, a list of
-    :class:`ComputeGraph`\\ s, or a ``{key: scorer}`` mapping: every scorer
-    is registered under a routing key — a graph's content hash
-    (:meth:`ComputeGraph.signature`) when it has one — and requests carry
-    the key in an ``X-Fairexp-Graph`` header.  A server hosting exactly one
-    scorer also accepts header-less requests (the single-graph wire shape
-    of earlier releases); a fleet rejects them with ``400``.
+    **Routing.**  ``graphs`` is a sequence of :class:`ComputeGraph`\\ s,
+    each keyed by its content hash (:meth:`ComputeGraph.signature`, the
+    identity the persistent store fingerprints by).  Every ``/score``
+    request names its graph's hash in an ``X-Fairexp-Graph`` header: a
+    request without one is a ``400`` and an unknown hash a ``404``,
+    whatever the fleet size.
 
     **Admission control.**  ``max_inflight`` is the one admission bound.
     Past it, new batches get a fast ``429`` reply with a ``Retry-After``
@@ -451,7 +450,7 @@ class ScoringServer:
     #: Seconds a shed reply's ``Retry-After`` header asks the client to wait.
     retry_after = 0.05
 
-    def __init__(self, scorer, *, host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, graphs, *, host: str = "127.0.0.1", port: int = 0,
                  max_inflight: int | None = None) -> None:
         self.max_inflight = None if max_inflight is None else int(max_inflight)
         self.request_count = 0
@@ -459,23 +458,23 @@ class ScoringServer:
         self.shed_count = 0
         self.peak_inflight = 0
         self._inflight = 0
-        self._scorers: dict[str, object] = {}
-        self._sources: dict[str, str] = {}
-        self._graph_stats: dict[str, dict] = {}
-        self._anonymous = 0
+        self._graphs: dict[str, ComputeGraph] = {}
+        for graph in graphs:
+            if not isinstance(graph, ComputeGraph):
+                raise ValidationError(
+                    f"ScoringServer hosts ComputeGraphs, got {type(graph).__name__}"
+                )
+            self._graphs[graph.signature()] = graph
+        if not self._graphs:
+            raise ValidationError("ScoringServer needs at least one graph")
+        self._graph_stats = {
+            key: {"requests": 0, "rows": 0, "shed": 0,
+                  "client_batches": 0, "window": None}
+            for key in self._graphs
+        }
         self._closed = False
         self._lock = make_lock()
         self._close_lock = threading.Lock()
-        if isinstance(scorer, dict):
-            for key, item in scorer.items():
-                self.add_scorer(item, key=key)
-        elif isinstance(scorer, (list, tuple)):
-            for item in scorer:
-                self.add_scorer(item)
-        else:
-            self.add_scorer(scorer)
-        if not self._scorers:
-            raise ValidationError("ScoringServer needs at least one scorer")
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -510,7 +509,9 @@ class ScoringServer:
                 if self.path != "/score":
                     self._reply(404, b"not found", "text/plain")
                     return
-                key, refusal = server._route(self.headers.get("X-Fairexp-Graph"))
+                key = self.headers.get("X-Fairexp-Graph")
+                length = self.headers.get("Content-Length", "0")
+                refusal = server._refusal(key, length)
                 if refusal is not None:
                     status, message = refusal
                     self._reply(status, message.encode(), "text/plain")
@@ -532,9 +533,8 @@ class ScoringServer:
                 # still in flight.
                 try:
                     try:
-                        length = int(self.headers.get("Content-Length", "0"))
-                        X = _decode_array(self.rfile.read(length))
-                        labels = np.asarray(server._scorers[key](X))
+                        X = _decode_array(self.rfile.read(int(length)))
+                        labels = np.asarray(server._graphs[key](X))
                     except Exception as error:  # noqa: BLE001 - wire boundary
                         self._reply(400, str(error).encode(), "text/plain")
                         return
@@ -554,53 +554,28 @@ class ScoringServer:
         self._thread.start()
 
     # ------------------------------------------------------------------ fleet
-    def add_scorer(self, scorer, *, key: str | None = None) -> str:
-        """Register one scorer and return its routing key.
-
-        ``key`` defaults to the scorer's content hash
-        (:meth:`ComputeGraph.signature`) when it has one — the identity the
-        persistent store fingerprints by, so a client holding a graph can
-        derive the route without asking the server — and a per-server
-        ``scorer-N`` placeholder for bare callables.
-        """
-        fn = scorer if callable(scorer) else scorer.predict
-        if key is None:
-            signature = getattr(scorer, "signature", None)
-            if callable(signature):
-                key = signature()
-            else:
-                key = f"scorer-{self._anonymous}"
-                self._anonymous += 1
-        key = str(key)
-        with self._lock:
-            self._scorers[key] = fn
-            self._sources[key] = str(getattr(scorer, "source",
-                                             type(scorer).__name__))
-            self._graph_stats.setdefault(key, {
-                "requests": 0, "rows": 0, "shed": 0,
-                "client_batches": 0, "window": None,
-            })
-        return key
-
     def graph_keys(self) -> list[str]:
-        """Routing keys of every hosted scorer, in registration order."""
-        with self._lock:
-            return list(self._scorers)
+        """Routing keys (content hashes) of every hosted graph, in order."""
+        return list(self._graphs)
 
-    def _route(self, header: str | None):
-        """Resolve a request's routing key: ``(key, None)`` or
-        ``(None, (status, message))`` when the request must be refused."""
-        with self._lock:
-            if header:
-                if header in self._scorers:
-                    return header, None
-                known = ", ".join(key[:12] for key in self._scorers)
-                return None, (404, f"unknown graph {header!r}; hosting: {known}")
-            if len(self._scorers) == 1:
-                return next(iter(self._scorers)), None
-            return None, (400,
-                          f"this server hosts {len(self._scorers)} graphs; "
-                          "requests must carry an X-Fairexp-Graph header")
+    def _refusal(self, key: str | None, length: str):
+        """``None`` when a ``/score`` request names a hosted graph and a
+        body length, else the ``(status, message)`` it is refused with.
+
+        Runs before admission: a negative length would make the handler's
+        ``rfile.read(-1)`` block until the client hangs up, holding an
+        admission slot all the while.
+        """
+        if not length.isdigit():
+            return (400, "Content-Length must be a non-negative integer, "
+                         f"got {length!r}")
+        if key in self._graphs:
+            return None
+        if not key:
+            return (400, "requests must carry an X-Fairexp-Graph header "
+                         "naming a hosted graph")
+        known = ", ".join(graph_key[:12] for graph_key in self._graphs)
+        return (404, f"unknown graph {key!r}; hosting: {known}")
 
     # -------------------------------------------------------------- admission
     def _admit(self, key: str) -> bool:
@@ -655,9 +630,9 @@ class ScoringServer:
         """
         with self._lock:
             graphs = {}
-            for key in self._scorers:
+            for key, graph in self._graphs.items():
                 entry = dict(self._graph_stats[key])
-                entry["source"] = self._sources[key]
+                entry["source"] = graph.source
                 entry["coalescing_factor"] = (
                     entry["client_batches"] / entry["requests"]
                     if entry["requests"] else None
@@ -721,19 +696,6 @@ class ScoringServer:
         self.close()
 
 
-def serve_model(model, *, host: str = "127.0.0.1", port: int = 0,
-                max_inflight: int | None = None) -> ScoringServer:
-    """Start a loopback :class:`ScoringServer` over ``model``'s exported graph.
-
-    Convenience for tests, benchmarks and the experiment runners'
-    ``backend="remote"`` mode: the model is compiled with
-    :func:`export_model` so the serving path is the same one a separate
-    ``python -m fairexp serve`` process would run.
-    """
-    return ScoringServer(export_model(model), host=host, port=port,
-                         max_inflight=max_inflight)
-
-
 def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
                 max_inflight: int | None = None) -> ScoringServer:
     """Start one loopback :class:`ScoringServer` hosting a whole model fleet.
@@ -741,7 +703,8 @@ def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
     Each element of ``models_or_graphs`` is a fitted model (compiled via
     :func:`export_model`) or an existing :class:`ComputeGraph`; every graph
     is routed by its content hash.  This is the in-process twin of
-    ``python -m fairexp serve --graph a.npz --graph b.npz``.
+    ``python -m fairexp serve --graph a.npz --graph b.npz``; one model is
+    ``serve_fleet([model])``.
     """
     graphs = [graph if isinstance(graph, ComputeGraph) else export_model(graph)
               for graph in models_or_graphs]
@@ -781,18 +744,31 @@ def _retry_backoff_sleep(delay: float) -> None:
     time.sleep(delay)
 
 
+def _graph_key(graph) -> str:
+    """A graph's routing key: the content hash of a :class:`ComputeGraph`,
+    or a hash string (as ``python -m fairexp serve`` prints them)."""
+    if isinstance(graph, ComputeGraph):
+        return graph.signature()
+    if isinstance(graph, str) and graph:
+        return graph
+    raise ValidationError(
+        "a remote batch must name its graph: pass a ComputeGraph or its "
+        f"hash string, got {graph!r}"
+    )
+
+
 class _Lane:
     """One graph's dispatch lane: pending batches and leadership.
 
     Coalescing is per graph — batches bound for different graphs can never
     share a wire call — so the pending queue, leader flag and
     registered-peer count live on the lane, keyed by the graph's routing
-    hash (``None`` for the header-less single-graph wire shape).
+    hash.
     """
 
     __slots__ = ("key", "pending", "leader_active", "registered")
 
-    def __init__(self, key: str | None) -> None:
+    def __init__(self, key: str) -> None:
         self.key = key
         self.pending: list[_PendingScore] = []
         self.leader_active = False
@@ -820,7 +796,7 @@ class CoalescingScoringClient:
     :class:`~fairexp.explanations.backends.NumpyPredictBackend.predict`), so
     a scorer timeout never inflates session accounting.  A ``429`` shed
     reply (the server's admission limit) is retried with exponential
-    backoff up to ``max_retries`` times before failing the batch — rows
+    backoff up to :attr:`MAX_RETRIES` times before failing the batch — rows
     are still only counted once, after the dispatch that finally lands.
 
     Parameters
@@ -833,10 +809,6 @@ class CoalescingScoringClient:
         is accepted as a name for the default window.
     timeout:
         Socket timeout for the wire call.
-    max_retries, backoff:
-        Shed handling: how many times a shed batch is re-dispatched, and
-        the base backoff delay (doubled per attempt; the server's
-        ``Retry-After`` hint overrides the base when larger).
 
     Attributes
     ----------
@@ -851,35 +823,27 @@ class CoalescingScoringClient:
     """
 
     DEFAULT_WINDOW = 0.02
+    #: Shed handling: how many times a shed batch is re-dispatched, and the
+    #: base backoff delay in seconds (doubled per attempt; the server's
+    #: ``Retry-After`` hint overrides the base when larger).
+    MAX_RETRIES = 8
+    BACKOFF = 0.05
 
-    def __init__(self, url: str, *, window=DEFAULT_WINDOW, timeout: float = 30.0,
-                 max_retries: int = 8, backoff: float = 0.05) -> None:
+    def __init__(self, url: str, *, window=DEFAULT_WINDOW,
+                 timeout: float = 30.0) -> None:
         self.url = url.rstrip("/")
         self.window = self.DEFAULT_WINDOW if window == "auto" else float(window)
         self.timeout = float(timeout)
-        self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
         self.wire_call_count = 0
         self.wire_row_count = 0
         self.coalesced_count = 0
         self.shed_count = 0
         self.retry_count = 0
-        self._lanes: dict[str | None, _Lane] = {}
+        self._lanes: dict[str, _Lane] = {}
         self._cond = make_condition()
 
     # ---------------------------------------------------------------- lanes
-    @staticmethod
-    def _lane_key(graph) -> str | None:
-        """Normalize a graph argument to a routing key: ``None``, a hash
-        string, or anything exposing ``signature()`` (a ComputeGraph)."""
-        if graph is None:
-            return None
-        signature = getattr(graph, "signature", None)
-        if callable(signature):
-            return signature()
-        return str(graph)
-
-    def _lane_locked(self, key: str | None) -> _Lane:
+    def _lane_locked(self, key: str) -> _Lane:
         lane = self._lanes.get(key)
         if lane is None:
             lane = self._lanes[key] = _Lane(key)
@@ -892,7 +856,7 @@ class CoalescingScoringClient:
             return sum(lane.registered for lane in self._lanes.values())
 
     # ----------------------------------------------------------- registration
-    def register(self, graph=None) -> None:
+    def register(self, graph) -> None:
         """Announce one more concurrent caller on a graph's lane.
 
         The lane's window leader stops waiting as soon as every registered
@@ -900,23 +864,26 @@ class CoalescingScoringClient:
         concurrent sweep coalesce deterministically instead of racing the
         window.
         """
+        key = _graph_key(graph)
         with self._cond:
-            self._lane_locked(self._lane_key(graph)).registered += 1
+            self._lane_locked(key).registered += 1
 
-    def unregister(self, graph=None) -> None:
+    def unregister(self, graph) -> None:
         """Detach one caller from a graph's lane (a backend closing)."""
+        key = _graph_key(graph)
         with self._cond:
-            lane = self._lane_locked(self._lane_key(graph))
+            lane = self._lane_locked(key)
             lane.registered = max(0, lane.registered - 1)
             self._cond.notify_all()
 
     # -------------------------------------------------------------- scoring
-    def score(self, X: np.ndarray, graph=None) -> np.ndarray:
+    def score(self, X: np.ndarray, graph) -> np.ndarray:
         """Labels for ``X`` via a (possibly shared) wire call on the
         graph's lane."""
+        key = _graph_key(graph)
         request = _PendingScore(np.atleast_2d(np.asarray(X, dtype=float)))
         with self._cond:
-            lane = self._lane_locked(self._lane_key(graph))
+            lane = self._lane_locked(key)
             lane.pending.append(request)
             self._cond.notify_all()
             lead = not lane.leader_active
@@ -965,17 +932,17 @@ class CoalescingScoringClient:
             except _ShedError as shed:
                 with self._cond:
                     self.shed_count += 1
-                if attempt >= self.max_retries:
+                if attempt >= self.MAX_RETRIES:
                     fail(ValidationError(
                         f"scoring server shed the batch {attempt + 1} times "
                         f"(admission limit); giving up after "
-                        f"{self.max_retries} retries"
+                        f"{self.MAX_RETRIES} retries"
                     ))
                     return
                 # Exponential backoff from the server's Retry-After hint
                 # (capped: a deep backoff ladder must not stall a session
                 # for longer than the overload it is riding out).
-                delay = min(max(shed.retry_after, self.backoff)
+                delay = min(max(shed.retry_after, self.BACKOFF)
                             * (2.0 ** attempt), 1.0)
                 _retry_backoff_sleep(delay)
                 with self._cond:
@@ -1003,9 +970,8 @@ class CoalescingScoringClient:
             # dispatch window.
             "X-Fairexp-Batches": str(n_batches),
             "X-Fairexp-Window": f"{self.window:.6f}",
+            "X-Fairexp-Graph": lane.key,
         }
-        if lane.key is not None:
-            headers["X-Fairexp-Graph"] = lane.key
         request = urllib.request.Request(
             f"{self.url}/score", data=_encode_array(X),
             headers=headers, method="POST",
@@ -1034,52 +1000,38 @@ class CoalescingScoringClient:
 
 
 class RemoteScoringBackend(NumpyPredictBackend):
-    """Predict backend over a remote :class:`ScoringServer`.
+    """Predict backend over one graph of a remote :class:`ScoringServer`.
 
-    Concurrent sessions that share one :class:`CoalescingScoringClient`
-    (pass the client instead of a URL) have their predict batches stacked
-    into shared wire calls; each backend still counts **its own** calls and
-    rows — and only after the dispatch succeeded — so per-session
-    accounting sums to exactly what independent runs would report, shed
-    retries included.
+    ``client`` is a :class:`CoalescingScoringClient`; concurrent sessions
+    that share one have their predict batches stacked into shared wire
+    calls, while each backend still counts **its own** calls and rows — and
+    only after the dispatch succeeded — so per-session accounting sums to
+    exactly what independent runs would report, shed retries included.
 
-    Against a fleet server, ``graph`` selects which hosted graph this
-    backend's batches route to: a :class:`ComputeGraph` (its content hash
-    is derived), a hash string, or ``None`` for the single-graph wire
-    shape.  Batches for different graphs ride different lanes of the
-    shared client and never mix in a wire call.  The graph hash doubles as
-    the backend's *store identity*: sessions driven through a graph-routed
-    remote backend fingerprint by it (never by the ephemeral server
-    endpoint), so their populations stay store-addressable across server
-    restarts; a graph-less remote backend has no reproducible predictor
-    identity and skips the persistent store.
+    ``graph`` names the hosted graph this backend's batches route to: a
+    :class:`ComputeGraph` (its content hash is derived) or a hash string.
+    Batches for different graphs ride different lanes of the shared client
+    and never mix in a wire call.  The graph hash doubles as the backend's
+    *store identity*: sessions driven through a remote backend fingerprint
+    by it (never by the ephemeral server endpoint), so their populations
+    stay store-addressable across server restarts.
 
     The backend declares ``releases_gil=True``: the wire call blocks on a
     socket, so thread-sharding across it scales (and is what lets the
     batches of several shards coalesce at all).
     """
 
-    def __init__(self, url_or_client, *, name: str = "remote", graph=None,
-                 window=CoalescingScoringClient.DEFAULT_WINDOW,
-                 timeout: float = 30.0,
-                 max_retries: int = 8, backoff: float = 0.05) -> None:
-        if isinstance(url_or_client, CoalescingScoringClient):
-            client = url_or_client
-        else:
-            client = CoalescingScoringClient(str(url_or_client), window=window,
-                                             timeout=timeout,
-                                             max_retries=max_retries,
-                                             backoff=backoff)
+    def __init__(self, client: CoalescingScoringClient, *, graph) -> None:
         super().__init__(model=None)
-        self.name = name
+        self.name = "remote"
         self.releases_gil = True
         self.client = client
-        self.graph_key = CoalescingScoringClient._lane_key(graph)
+        self.graph_key = _graph_key(graph)
         self._detached = False
-        client.register(graph=self.graph_key)
+        client.register(self.graph_key)
 
     def _run(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.client.score(X, graph=self.graph_key))
+        return np.asarray(self.client.score(X, self.graph_key))
 
     def close(self) -> None:
         """Detach from the shared client (stops the leader waiting on us).
@@ -1091,4 +1043,4 @@ class RemoteScoringBackend(NumpyPredictBackend):
         if self._detached:
             return
         self._detached = True
-        self.client.unregister(graph=self.graph_key)
+        self.client.unregister(self.graph_key)

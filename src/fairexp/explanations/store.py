@@ -238,12 +238,8 @@ def _dispatch_token(model) -> bytes | None:
         # resume.  The graph content hash the backend routes by IS the
         # predictor identity (the server scores that exact graph), so
         # remote cells keyed on it are store-addressable across server
-        # restarts and share entries with nothing else.  A graph-less
-        # remote backend (bare URL, unknown server-side predictor) has no
-        # reproducible identity: skip the store.
-        if backend.graph_key:
-            return b"dispatch:remote-graph:" + str(backend.graph_key).encode()
-        return None
+        # restarts and share entries with nothing else.
+        return b"dispatch:remote-graph:" + backend.graph_key.encode()
     if type(backend) is CallablePredictBackend:
         try:
             parts = [b"dispatch:callable:", pickle.dumps(backend.fn)]

@@ -148,6 +148,19 @@ def _metric_items(results: Mapping[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in results.items() if not is_accounting_key(k)}
 
 
+def _same_value(a, b) -> bool:
+    """``a == b`` for sanitized result values, except that NaN equals NaN
+    at the same position — a journal's JSON round-trip builds a new NaN
+    object, and ``==`` on containers equates only NaNs that are one object."""
+    if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
+        return True
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_same_value(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return a == b
+
+
 def _sanitize(value):
     """Coerce a runner result value to a JSON-serializable equivalent."""
     if isinstance(value, bool) or value is None:
@@ -882,7 +895,8 @@ def run_sweep(specs=None, *, where=None, overrides=None, store=None,
         result = _execute_cell(cell, store_dir)
         if journaled is not None:
             result.replayed = True
-            if _metric_items(result.results) != _metric_items(journaled["results"]):
+            if not _same_value(_metric_items(result.results),
+                               _metric_items(journaled["results"])):
                 result.status = "diverged"
         if book is not None:
             book.record(cell, result)

@@ -18,6 +18,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 # 2 explainers x 2 schedules = 4 cells with 4 distinct store fingerprints
@@ -140,3 +142,34 @@ class TestCrashResume:
         assert final_payload["summary"]["diverged_cells"] == 0
         assert final_payload["summary"]["engine_predict_calls"] == 0
         assert final_payload["summary"]["store_row_hits"] > 0
+
+
+class TestReplayComparison:
+    """A replayed cell's metrics are compared with the journal's JSON copy."""
+
+    @staticmethod
+    def _resume(tmp_path, runs):
+        from fairexp.sweep import SweepSpec, run_sweep
+
+        spec = SweepSpec(experiment="N", runner=lambda: runs.pop(0))
+        journal = tmp_path / "journal.json"
+        run_sweep([spec], journal=journal)
+        return run_sweep([spec], journal=journal, resume=True).cells[0]
+
+    def test_nan_metric_replays_as_completed(self, tmp_path):
+        nan = float("nan")
+        cell = self._resume(tmp_path, [{"gap": nan, "curve": [1.0, nan]},
+                                       {"gap": nan, "curve": [1.0, nan]}])
+        assert cell.replayed
+        assert cell.status == "completed"
+
+    @pytest.mark.parametrize("second", [
+        {"gap": 0.5, "curve": [1.0, float("nan")]},
+        {"gap": float("nan"), "curve": [float("nan"), float("nan")]},
+        {"gap": float("nan"), "curve": [1.0, float("nan")], "extra": 1},
+    ], ids=["value", "nan-position", "key"])
+    def test_any_other_difference_still_diverges(self, tmp_path, second):
+        nan = float("nan")
+        cell = self._resume(tmp_path, [{"gap": nan, "curve": [1.0, nan]}, second])
+        assert cell.replayed
+        assert cell.status == "diverged"

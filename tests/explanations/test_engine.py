@@ -359,17 +359,21 @@ class TestProcessExecutor:
         from contextlib import ExitStack
 
         from fairexp.explanations import (
+            CoalescingScoringClient,
             NumpyPredictBackend,
             OnnxExportBackend,
             RemoteScoringBackend,
-            serve_model,
+            export_model,
+            serve_fleet,
         )
 
         model, background, constraints, _ = loan_workload
         with ExitStack() as stack:
             if backend_name == "remote":
-                server = stack.enter_context(serve_model(model))
-                backend = RemoteScoringBackend(server.url)
+                graph = export_model(model)
+                server = stack.enter_context(serve_fleet([graph]))
+                backend = RemoteScoringBackend(
+                    CoalescingScoringClient(server.url), graph=graph)
                 stack.callback(backend.close)
             elif backend_name == "onnx":
                 backend = OnnxExportBackend(model)

@@ -19,7 +19,6 @@ from fairexp.explanations import (
     ScoringServer,
     export_model,
     serve_fleet,
-    serve_model,
 )
 from fairexp.fairness.mitigation import (
     FairLogisticRegression,
@@ -57,6 +56,19 @@ def _model_zoo(train):
 def zoo(loan_data):
     _, train, test = loan_data
     return _model_zoo(train), train, test
+
+
+def _remote(server, *, window=0.0, client=CoalescingScoringClient):
+    """A backend on the server's first graph over a private ``client``."""
+    return RemoteScoringBackend(client(server.url, window=window),
+                                graph=server.graph_keys()[0])
+
+
+class _TwoRetryClient(CoalescingScoringClient):
+    """Gives up on a shed batch after two retries."""
+
+    MAX_RETRIES = 2
+    BACKOFF = 0.001
 
 
 class TestExportParity:
@@ -148,8 +160,8 @@ class TestScoringServer:
     def test_serves_graph_over_loopback(self, zoo):
         models, _, test = zoo
         model = models["logistic"]
-        with serve_model(model) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0)
+        with serve_fleet([model]) as server:
+            backend = _remote(server)
             out = backend.predict(test.X)
             assert np.array_equal(out, model.predict(test.X))
             assert backend.call_count == 1
@@ -159,7 +171,7 @@ class TestScoringServer:
 
     def test_server_close_is_idempotent(self, zoo):
         models, _, _ = zoo
-        server = serve_model(models["logistic"])
+        server = serve_fleet([models["logistic"]])
         server.close()
         server.close()
 
@@ -168,8 +180,8 @@ class TestScoringServer:
         the caller WITHOUT inflating call/row accounting — the satellite
         counting fix, exercised over a real wire."""
         models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0)
+        with serve_fleet([models["logistic"]]) as server:
+            backend = _remote(server)
             with pytest.raises(ValidationError, match="rejected"):
                 backend.predict(test.X[:, :3])
             assert backend.call_count == 0
@@ -184,9 +196,10 @@ class TestCoalescing:
     def test_concurrent_callers_share_one_wire_call(self, zoo):
         models, _, test = zoo
         model = models["logistic"]
-        with serve_model(model) as server:
+        with serve_fleet([model]) as server:
             client = CoalescingScoringClient(server.url, window=1.0)
-            backends = [RemoteScoringBackend(client) for _ in range(4)]
+            key = server.graph_keys()[0]
+            backends = [RemoteScoringBackend(client, graph=key) for _ in range(4)]
             barrier = threading.Barrier(4)
             outputs: list = [None] * 4
 
@@ -214,8 +227,8 @@ class TestCoalescing:
 
     def test_sequential_caller_never_waits_for_absent_peers(self, zoo):
         models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
-            backend = RemoteScoringBackend(server.url, window=0.05)
+        with serve_fleet([models["logistic"]]) as server:
+            backend = _remote(server, window=0.05)
             for _ in range(3):
                 backend.predict(test.X[:10])
             # One registered caller: each dispatch flushes as soon as its
@@ -225,9 +238,10 @@ class TestCoalescing:
     def test_failed_wire_call_raises_in_every_coalesced_caller(self, zoo):
         models, _, test = zoo
         model = models["logistic"]
-        server = serve_model(model)
+        server = serve_fleet([model])
         client = CoalescingScoringClient(server.url, window=0.5)
-        backends = [RemoteScoringBackend(client) for _ in range(2)]
+        key = server.graph_keys()[0]
+        backends = [RemoteScoringBackend(client, graph=key) for _ in range(2)]
         server.close()  # the wire call will fail for the whole batch
         errors: list = [None] * 2
         barrier = threading.Barrier(2)
@@ -250,10 +264,11 @@ class TestCoalescing:
 
     def test_unregister_releases_the_window(self, zoo):
         models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
+        with serve_fleet([models["logistic"]]) as server:
             client = CoalescingScoringClient(server.url, window=5.0)
-            stays = RemoteScoringBackend(client)
-            leaves = RemoteScoringBackend(client)
+            key = server.graph_keys()[0]
+            stays = RemoteScoringBackend(client, graph=key)
+            leaves = RemoteScoringBackend(client, graph=key)
             leaves.close()
             import time
             start = time.monotonic()
@@ -293,33 +308,71 @@ class TestFleetRouting:
     def test_unknown_hash_is_rejected_not_misrouted(self, zoo):
         models, _, test = zoo
         with serve_fleet([models["logistic"], models["tree"]]) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0,
-                                           graph="0" * 64)
+            client = CoalescingScoringClient(server.url, window=0.0)
+            backend = RemoteScoringBackend(client, graph="0" * 64)
             with pytest.raises(ValidationError, match="unknown graph"):
                 backend.predict(test.X[:4])
             assert backend.call_count == 0
+
+    @staticmethod
+    def _post_headerless(server, X):
+        """POST ``X`` to ``/score`` without an ``X-Fairexp-Graph`` header;
+        returns the reply's status and body."""
+        import io
+        import urllib.error
+        import urllib.request
+
+        payload = io.BytesIO()
+        np.save(payload, X, allow_pickle=False)
+        request = urllib.request.Request(f"{server.url}/score",
+                                         data=payload.getvalue(), method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=10) as reply:
+                return reply.status, reply.read().decode()
+        except urllib.error.HTTPError as error:
+            return error.code, error.read().decode()
 
     def test_fleet_requires_the_routing_header(self, zoo):
         """A multi-graph server must never guess: header-less requests are
         a 400, not a dispatch to whichever graph registered first."""
         models, _, test = zoo
         with serve_fleet([models["logistic"], models["tree"]]) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0)  # no graph
-            with pytest.raises(ValidationError, match="X-Fairexp-Graph"):
-                backend.predict(test.X[:4])
+            status, body = self._post_headerless(server, test.X[:4])
+            assert status == 400
+            assert "X-Fairexp-Graph" in body
+            assert server.request_count == 0
 
-    def test_single_scorer_keeps_headerless_wire_shape(self, zoo):
-        """A one-graph server still accepts the legacy header-less request
-        (old clients keep working) AND the routed form."""
+    def test_one_graph_server_refuses_headerless_requests(self, zoo):
+        """One request shape whatever the fleet size: a one-graph server
+        answers a header-less request with 400, and routed requests score."""
         models, _, test = zoo
         model = models["logistic"]
         graph = export_model(model)
-        with ScoringServer(graph) as server:
-            plain = RemoteScoringBackend(server.url, window=0.0)
-            routed = RemoteScoringBackend(server.url, window=0.0, graph=graph)
-            reference = model.predict(test.X)
-            assert np.array_equal(plain.predict(test.X), reference)
-            assert np.array_equal(routed.predict(test.X), reference)
+        with ScoringServer([graph]) as server:
+            status, body = self._post_headerless(server, test.X[:4])
+            assert status == 400
+            assert "X-Fairexp-Graph" in body
+            assert server.request_count == 0
+            routed = _remote(server)
+            assert np.array_equal(routed.predict(test.X), model.predict(test.X))
+
+    def test_backend_must_name_its_graph(self, zoo):
+        """``RemoteScoringBackend`` has one form: a client and a graph."""
+        models, _, _ = zoo
+        with serve_fleet([models["logistic"]]) as server:
+            client = CoalescingScoringClient(server.url)
+            with pytest.raises(TypeError, match="graph"):
+                RemoteScoringBackend(client)
+            with pytest.raises(ValidationError, match="name its graph"):
+                RemoteScoringBackend(client, graph=None)
+            assert client.registered_count == 0
+
+    def test_server_hosts_only_compute_graphs(self, zoo):
+        models, _, _ = zoo
+        with pytest.raises(ValidationError, match="ComputeGraph"):
+            ScoringServer([models["logistic"].predict])
+        with pytest.raises(ValidationError, match="at least one graph"):
+            ScoringServer([])
 
     def test_lanes_never_share_a_wire_call_across_graphs(self, zoo):
         """Concurrent batches for DIFFERENT graphs must not coalesce: each
@@ -388,8 +441,8 @@ class TestDynamicWindow:
         """Explicit numeric windows keep the exact fixed behaviour, whatever
         the arrival pattern."""
         models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
-            backend = RemoteScoringBackend(server.url, window=0.03)
+        with serve_fleet([models["logistic"]]) as server:
+            backend = _remote(server, window=0.03)
             for _ in range(5):
                 backend.predict(test.X[:3])
             assert backend.client.window == 0.03
@@ -398,9 +451,10 @@ class TestDynamicWindow:
 
     def test_auto_window_is_the_default_fixed_window(self, zoo):
         models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
+        with serve_fleet([models["logistic"]]) as server:
             client = CoalescingScoringClient(server.url, window="auto")
-            backend = RemoteScoringBackend(client)
+            key = server.graph_keys()[0]
+            backend = RemoteScoringBackend(client, graph=key)
             for _ in range(5):
                 backend.predict(test.X[:2])
             assert client.window == CoalescingScoringClient.DEFAULT_WINDOW == 0.02
@@ -411,12 +465,11 @@ class TestDynamicWindow:
 class TestAdmissionControl:
     def test_exhausted_retries_raise_and_count_nothing(self, zoo):
         """A server wedged past its admission limit sheds every attempt; the
-        client gives up after max_retries with a clean error and ZERO
+        client gives up after MAX_RETRIES with a clean error and ZERO
         call/row accounting."""
         models, _, test = zoo
-        with serve_model(models["logistic"], max_inflight=0) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0,
-                                           max_retries=2, backoff=0.001)
+        with serve_fleet([models["logistic"]], max_inflight=0) as server:
+            backend = _remote(server, client=_TwoRetryClient)
             with pytest.raises(ValidationError, match="shed"):
                 backend.predict(test.X[:8])
             assert backend.call_count == 0
@@ -434,9 +487,8 @@ class TestAdmissionControl:
         retries, the batch eventually lands — counted exactly once."""
         models, _, test = zoo
         model = models["logistic"]
-        with serve_model(model, max_inflight=0) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0,
-                                           max_retries=8, backoff=0.02)
+        with serve_fleet([model], max_inflight=0) as server:
+            backend = _remote(server)
 
             def lift_limit():
                 time.sleep(0.1)
@@ -459,10 +511,38 @@ class TestAdmissionControl:
             assert server.request_count == 1
             assert server.row_count == 12
 
+    def test_negative_content_length_is_refused_before_admission(self, zoo):
+        """``Content-Length: -1`` gets a prompt 400 without the server
+        reading the body, so it holds no admission slot: on a
+        ``max_inflight=1`` server the next batch still scores while the
+        offending connection stays open."""
+        import socket
+
+        models, _, test = zoo
+        model = models["logistic"]
+        with serve_fleet([model], max_inflight=1) as server:
+            host, port = server.url.rsplit("/", 1)[-1].split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall((f"POST /score HTTP/1.1\r\nHost: {host}\r\n"
+                              f"X-Fairexp-Graph: {server.graph_keys()[0]}\r\n"
+                              "Content-Length: -1\r\n\r\n").encode())
+                chunks = []  # the server closes the connection after its reply
+                while chunk := sock.recv(4096):
+                    chunks.append(chunk)
+                reply = b"".join(chunks).decode(errors="replace")
+                assert reply.split(" ", 2)[1] == "400", reply
+                assert "non-negative" in reply
+                assert server.stats()["inflight"] == 0
+                backend = _remote(server)
+                assert np.array_equal(backend.predict(test.X[:6]),
+                                      model.predict(test.X[:6]))
+            assert server.shed_count == 0
+            assert server.request_count == 1
+
     def test_admitted_requests_track_peak_inflight(self, zoo):
         models, _, test = zoo
-        with serve_model(models["logistic"], max_inflight=4) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0)
+        with serve_fleet([models["logistic"]], max_inflight=4) as server:
+            backend = _remote(server)
             backend.predict(test.X[:5])
             stats = server.stats()
             assert stats["max_inflight"] == 4
@@ -475,14 +555,14 @@ class TestServerLifecycle:
         """The satellite close() fix: after the context exits, the request
         loop thread has actually terminated — not merely been asked to."""
         models, _, _ = zoo
-        with serve_model(models["logistic"]) as server:
+        with serve_fleet([models["logistic"]]) as server:
             assert server._thread.is_alive()
         assert not server._thread.is_alive()
         server.close()  # idempotent after the context already closed
 
     def test_concurrent_close_is_safe_and_joins_once(self, zoo):
         models, _, _ = zoo
-        server = serve_model(models["logistic"])
+        server = serve_fleet([models["logistic"]])
         threads = [threading.Thread(target=server.close) for _ in range(8)]
         for thread in threads:
             thread.start()
@@ -496,9 +576,10 @@ class TestServerLifecycle:
         hits the closed socket and every coalesced caller gets a clean
         backend exception — no hang, no call/row inflation."""
         models, _, test = zoo
-        server = serve_model(models["logistic"])
+        server = serve_fleet([models["logistic"]])
         client = CoalescingScoringClient(server.url, window=0.75)
-        backends = [RemoteScoringBackend(client) for _ in range(3)]
+        key = server.graph_keys()[0]
+        backends = [RemoteScoringBackend(client, graph=key) for _ in range(3)]
         # Only 2 of the 3 registered peers submit, so the leader holds the
         # window open (waiting for the third) while the server goes away.
         errors: list = [None, None]
@@ -563,9 +644,10 @@ class TestStatsEndpoint:
         wire call raises the server-side coalescing factor above 1."""
         models, _, test = zoo
         model = models["logistic"]
-        with serve_model(model) as server:
+        with serve_fleet([model]) as server:
             client = CoalescingScoringClient(server.url, window=1.0)
-            backends = [RemoteScoringBackend(client) for _ in range(3)]
+            key = server.graph_keys()[0]
+            backends = [RemoteScoringBackend(client, graph=key) for _ in range(3)]
             barrier = threading.Barrier(3)
 
             def score(k):
@@ -651,8 +733,8 @@ class TestServeCLI:
         models, _, test = zoo
         graphs = [export_model(models["logistic"]), export_model(models["tree"])]
         with serve_fleet(graphs) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0,
-                                           graph=graphs[0])
+            backend = RemoteScoringBackend(
+                CoalescingScoringClient(server.url, window=0.0), graph=graphs[0])
             backend.predict(test.X[:7])
             backend.close()
             assert main(["serve", "--stats-url", server.url]) == 0
@@ -682,8 +764,8 @@ class TestRemoteSession:
                                          random_state=0))
         reference = reference_session.counterfactuals_for(test.X, rejected_idx)
 
-        with serve_model(model) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0)
+        with serve_fleet([model]) as server:
+            backend = _remote(server)
             session = AuditSession(
                 GrowingSpheresCounterfactual(model, train.X,
                                              constraints=constraints,
@@ -704,10 +786,11 @@ class TestBackendClose:
         """close() is idempotent: a second close (the natural finally-block
         pattern) must not decrement another live caller's registration."""
         models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
+        with serve_fleet([models["logistic"]]) as server:
             client = CoalescingScoringClient(server.url, window=5.0)
-            stays = RemoteScoringBackend(client)
-            leaves = RemoteScoringBackend(client)
+            key = server.graph_keys()[0]
+            stays = RemoteScoringBackend(client, graph=key)
+            leaves = RemoteScoringBackend(client, graph=key)
             leaves.close()
             leaves.close()  # idempotent: must not unregister `stays`
             assert client.registered_count == 1
@@ -758,24 +841,37 @@ class TestServingStoreIntegration:
         plain.counterfactuals_for(test.X, rejected_idx)
         assert len(CounterfactualStore(tmp_path).entries()) == 2
 
-    def test_remote_sessions_skip_the_store(self, zoo, loan_cf_generator,
-                                            tmp_path):
-        """A remote scorer has no reproducible identity (the model lives
-        behind a URL), so store publishing is skipped — correctness first."""
+    def test_remote_sessions_persist_and_warm_start(self, zoo, loan_cf_generator,
+                                                    tmp_path):
+        """A remote session stores its rows under the graph's content hash,
+        not the server endpoint: a session over a NEW server (new port) for
+        the same graph warm-starts with zero engine predict calls."""
         from fairexp.explanations import CounterfactualStore
 
         models, train, test = zoo
         model = models["logistic"]
-        rejected_idx = np.flatnonzero(model.predict(test.X) == 0)[:3]
-        with serve_model(model) as server:
-            backend = RemoteScoringBackend(server.url, window=0.0)
-            with AuditSession(
-                GrowingSpheresCounterfactual(model, train.X,
-                                             constraints=loan_cf_generator.constraints,
-                                             random_state=0),
-                backend=backend, store=tmp_path,
-            ) as session:
-                results = session.counterfactuals_for(test.X, rejected_idx)
-            backend.close()
-        assert results
-        assert CounterfactualStore(tmp_path).entries() == []
+        rejected_idx = np.flatnonzero(model.predict(test.X) == 0)[:5]
+
+        def remote_session():
+            with serve_fleet([model]) as server:
+                backend = _remote(server)
+                with AuditSession(
+                    GrowingSpheresCounterfactual(
+                        model, train.X, constraints=loan_cf_generator.constraints,
+                        random_state=0),
+                    backend=backend, store=tmp_path,
+                ) as session:
+                    results = session.counterfactuals_for(test.X, rejected_idx)
+                backend.close()
+            return session, results
+
+        first, cold = remote_session()
+        assert first.engine_predict_call_count > 0
+        assert len(CounterfactualStore(tmp_path).entries()) == 1
+
+        warm, replayed = remote_session()
+        assert warm.engine_predict_call_count == 0      # pure store read
+        assert warm.store_row_hits == len(rejected_idx)
+        assert set(replayed) == set(cold)
+        for i in cold:
+            assert np.array_equal(replayed[i].counterfactual, cold[i].counterfactual)

@@ -26,6 +26,7 @@ from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
     BatchModelAdapter,
+    CoalescingScoringClient,
     Counterfactual,
     CounterfactualBatch,
     CounterfactualStore,
@@ -976,7 +977,7 @@ class TestExplicitEviction:
 
 class TestRemoteBackendFingerprint:
     """A remote backend keys the store by its graph's content hash, never by
-    the (ephemeral) server endpoint; without a graph it bypasses the store."""
+    the (ephemeral) server endpoint."""
 
     @pytest.fixture(scope="class")
     def remote_workload(self, loan_workload):
@@ -989,7 +990,7 @@ class TestRemoteBackendFingerprint:
         graph = export_model(model)
 
         def fingerprint_at(url):
-            backend = RemoteScoringBackend(url, graph=graph)
+            backend = RemoteScoringBackend(CoalescingScoringClient(url), graph=graph)
             adapted = BatchModelAdapter(model, backend=backend, cache=False)
             generator = GrowingSpheresCounterfactual(
                 adapted, background, constraints=constraints, random_state=0)
@@ -1007,22 +1008,15 @@ class TestRemoteBackendFingerprint:
             rejected)
         assert first != in_process
 
-    def test_graphless_remote_backend_skips_the_store(self, remote_workload):
-        model, background, constraints, rejected = remote_workload
-        backend = RemoteScoringBackend("http://127.0.0.1:9003")
-        adapted = BatchModelAdapter(model, backend=backend, cache=False)
-        generator = GrowingSpheresCounterfactual(
-            adapted, background, constraints=constraints, random_state=0)
-        assert population_fingerprint(generator, rejected) is None
-
     def test_different_graphs_key_apart(self, remote_workload):
         model, background, constraints, rejected = remote_workload
         other = LogisticRegression(n_iter=400, random_state=3).fit(
             background, (background[:, 0] > np.median(background[:, 0])).astype(int))
 
         def fingerprint_for(graph_model):
-            backend = RemoteScoringBackend("http://127.0.0.1:9004",
-                                           graph=export_model(graph_model))
+            backend = RemoteScoringBackend(
+                CoalescingScoringClient("http://127.0.0.1:9004"),
+                graph=export_model(graph_model))
             adapted = BatchModelAdapter(model, backend=backend, cache=False)
             generator = GrowingSpheresCounterfactual(
                 adapted, background, constraints=constraints, random_state=0)
