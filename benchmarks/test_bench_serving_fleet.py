@@ -108,7 +108,7 @@ def _run_session(train, model, constraints, population, backend):
     with AuditSession(_generator(train, model, constraints),
                       backend=backend) as session:
         results = session.counterfactuals_for(population,
-                                              np.arange(len(population)))
+                                              np.arange(len(population))).solved()
         rows = session.predict_row_count
     return results, rows
 

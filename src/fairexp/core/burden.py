@@ -14,13 +14,20 @@ explains *where* the model is harder to satisfy (goal "U").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..explanations.base import Counterfactual, ExplainerInfo, ExplainerRegistry
+from ..explanations.base import (
+    Counterfactual,
+    CounterfactualBatch,
+    ExplainerInfo,
+    ExplainerRegistry,
+)
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
 from ..fairness.groups import group_masks
+from ..utils import check_consistent_length
 
 __all__ = ["GroupBurden", "BurdenResult", "BurdenExplainer"]
 
@@ -45,11 +52,25 @@ class GroupBurden:
 
 @dataclass
 class BurdenResult:
-    """Burden for the protected and reference groups and their gap."""
+    """Burden for the protected and reference groups and their gap.
+
+    ``batches`` maps each group value (1 protected, 0 reference) to the
+    :class:`~fairexp.explanations.base.CounterfactualBatch` of its selected
+    rows, unsolved rows included.
+    """
 
     protected: GroupBurden
     reference: GroupBurden
-    counterfactuals: dict[int, list[Counterfactual]] = field(repr=False, default_factory=dict)
+    batches: dict[int, CounterfactualBatch] = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def counterfactuals(self) -> dict[int, list[Counterfactual]]:
+        """Each group's solved counterfactuals as a list, in row order.
+
+        Built from :attr:`batches` on first read; the metrics never need
+        the objects.
+        """
+        return {group: list(batch.solved().values()) for group, batch in self.batches.items()}
 
     @property
     def gap(self) -> float:
@@ -131,34 +152,25 @@ class BurdenExplainer:
     def explain(self, X, sensitive, *, y_true=None, protected_value=1) -> BurdenResult:
         """Return per-group burden on the given data."""
         X = np.asarray(X, dtype=float)
-        sensitive = np.asarray(sensitive)
+        masks = group_masks(sensitive, protected_value=protected_value)
+        check_consistent_length(X, masks.protected, y_true)
         if self._owns_session:
             self.session.reset_results()
         predictions = np.asarray(self.session.predict(X))
         selected = self._selection_mask(predictions, y_true)
-        masks = group_masks(sensitive, protected_value=protected_value)
 
         per_group: dict[int, GroupBurden] = {}
-        counterfactuals: dict[int, list[Counterfactual]] = {}
+        batches: dict[int, CounterfactualBatch] = {}
         for group_value, mask in ((1, masks.protected), (0, masks.reference)):
-            member_idx = np.flatnonzero(mask & selected)
-            generated = self.session.counterfactuals_for(X, member_idx)
-            group_counterfactuals: list[Counterfactual] = [
-                generated[i] for i in member_idx if i in generated
-            ]
-            distances = np.asarray(
-                [counterfactual.distance for counterfactual in group_counterfactuals],
-                dtype=float,
-            )
+            batch = self.session.counterfactuals_for(X, np.flatnonzero(mask & selected))
+            distances = batch.distances[batch.has_result]
             per_group[group_value] = GroupBurden(
                 group=group_value,
-                n_negative=int(member_idx.shape[0]),
-                n_with_recourse=int(distances.shape[0]),
+                n_negative=len(batch),
+                n_with_recourse=len(distances),
                 burden=float(distances.mean()) if distances.size else 0.0,
                 distances=distances,
             )
-            counterfactuals[group_value] = group_counterfactuals
+            batches[group_value] = batch
 
-        return BurdenResult(
-            protected=per_group[1], reference=per_group[0], counterfactuals=counterfactuals
-        )
+        return BurdenResult(protected=per_group[1], reference=per_group[0], batches=batches)

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ValidationError
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
 from ..fairness.groups import group_masks
+from ..utils import check_consistent_length
 
 __all__ = ["NAWBGroupResult", "NAWBResult", "NAWBExplainer"]
 
@@ -95,13 +95,11 @@ class NAWBExplainer:
         """Return per-group NAWB on labelled data."""
         X = np.asarray(X, dtype=float)
         y_true = np.asarray(y_true, dtype=int)
-        sensitive = np.asarray(sensitive)
-        if X.shape[0] != y_true.shape[0]:
-            raise ValidationError("X and y_true must align")
+        masks = group_masks(sensitive, protected_value=protected_value)
+        check_consistent_length(X, y_true, masks.protected)
         if self._owns_session:
             self.session.reset_results()
         predictions = np.asarray(self.session.predict(X))
-        masks = group_masks(sensitive, protected_value=protected_value)
         n_features = X.shape[1]
 
         results: dict[int, NAWBGroupResult] = {}
@@ -110,10 +108,8 @@ class NAWBExplainer:
             false_negatives = positive_label & (predictions == 0)
             fn_idx = np.flatnonzero(false_negatives)
 
-            generated = self.session.counterfactuals_for(X, fn_idx)
-            distances = np.asarray(
-                [generated[i].distance for i in fn_idx if i in generated], dtype=float
-            )
+            batch = self.session.counterfactuals_for(X, fn_idx)
+            distances = batch.distances[batch.has_result]
 
             n_positive = int(positive_label.sum())
             total_distance = float(distances.sum())

@@ -20,10 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ValidationError
-from ..explanations.base import Counterfactual, ExplainerInfo, ExplainerRegistry
+from ..explanations.base import CounterfactualBatch, ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
 from ..fairness.groups import group_masks
+from ..utils import check_consistent_length
 
 __all__ = ["AttributeChangeProfile", "PreCoFResult", "PreCoFExplainer"]
 
@@ -131,70 +132,52 @@ class PreCoFExplainer:
         self.sensitive_feature = sensitive_feature
         self.mode = mode
 
-    def _profile(self, counterfactuals: list[Counterfactual]) -> AttributeChangeProfile:
-        change_counts = {name: 0 for name in self.feature_names}
-        change_magnitudes = {name: [] for name in self.feature_names}
-        n_explained = len(counterfactuals)
-        scale = self.generator.scale_
-        for counterfactual in counterfactuals:
-            delta = counterfactual.delta()
-            for j in counterfactual.changed_features:
-                name = self.feature_names[j]
-                change_counts[name] += 1
-                change_magnitudes[name].append(abs(delta[j]) / scale[j])
-        frequency = {
-            name: (count / n_explained if n_explained else 0.0)
-            for name, count in change_counts.items()
-        }
-        magnitude = {
-            name: (float(np.mean(values)) if values else 0.0)
-            for name, values in change_magnitudes.items()
-        }
+    def _profile(self, group: int, batch: CounterfactualBatch) -> AttributeChangeProfile:
+        """Change frequency and mean scaled change magnitude per feature over
+        the batch's solved rows."""
+        changed = batch.changed_masks[batch.has_result]
+        n_explained = len(changed)
+        delta = (batch.counterfactuals - batch.originals)[batch.has_result]
+        magnitudes = np.abs(delta) / self.generator.scale_
+        counts = changed.sum(axis=0)
+        frequency = counts / max(n_explained, 1)  # every count is 0 when nothing was explained
+        magnitude = [float(magnitudes[changed[:, j], j].mean()) if counts[j] else 0.0
+                     for j in range(len(counts))]
         return AttributeChangeProfile(
-            group=-1, n_explained=n_explained,
-            change_frequency=frequency, mean_change_magnitude=magnitude,
+            group=group, n_explained=n_explained,
+            change_frequency=dict(zip(self.feature_names, frequency.tolist())),
+            mean_change_magnitude=dict(zip(self.feature_names, magnitude)),
         )
 
     def explain(self, X, sensitive, *, protected_value=1) -> PreCoFResult:
         """Run the PreCoF analysis on the negatively classified members of each group."""
         X = np.asarray(X, dtype=float)
-        sensitive = np.asarray(sensitive)
+        masks = group_masks(sensitive, protected_value=protected_value)
+        check_consistent_length(X, masks.protected)
+        if X.shape[1] != len(self.feature_names):
+            raise ValidationError(
+                f"X has {X.shape[1]} features but feature_names names "
+                f"{len(self.feature_names)}"
+            )
         if self._owns_session:
             self.session.reset_results()
-        predictions = np.asarray(self.session.predict(X))
-        negative = predictions == 0
-        masks = group_masks(sensitive, protected_value=protected_value)
+        negative = np.asarray(self.session.predict(X)) == 0
 
-        protected_idx = np.flatnonzero(masks.protected & negative)
-        reference_idx = np.flatnonzero(masks.reference & negative)
+        # Both groups' rows go through the session, so a burden audit of the
+        # same population already paid for them.
+        protected = self.session.counterfactuals_for(X, np.flatnonzero(masks.protected & negative))
+        reference = self.session.counterfactuals_for(X, np.flatnonzero(masks.reference & negative))
+        protected_profile = self._profile(1, protected)
+        reference_profile = self._profile(0, reference)
 
-        # One engine pass per group (shared through the session, so a burden
-        # audit of the same population already paid for these rows); the
-        # explicit-bias analysis below reuses the protected group's
-        # counterfactuals instead of re-generating them.
-        protected_counterfactuals = list(
-            self.session.counterfactuals_for(X, protected_idx).values()
-        )
-        reference_counterfactuals = list(
-            self.session.counterfactuals_for(X, reference_idx).values()
-        )
-
-        protected_profile = self._profile(protected_counterfactuals)
-        protected_profile.group = 1
-        reference_profile = self._profile(reference_counterfactuals)
-        reference_profile.group = 0
-
-        sensitive_in_features = self.sensitive_feature in self.feature_names
         explicit_bias_rate = 0.0
         sensitive_change_rate = 0.0
-        if sensitive_in_features and protected_profile.n_explained:
+        if self.sensitive_feature in self.feature_names and protected_profile.n_explained:
             sensitive_change_rate = protected_profile.change_frequency[self.sensitive_feature]
-            sensitive_index = self.feature_names.index(self.sensitive_feature)
-            only_sensitive = sum(
-                counterfactual.changed_features == (sensitive_index,)
-                for counterfactual in protected_counterfactuals
-            )
-            explicit_bias_rate = only_sensitive / protected_profile.n_explained
+            changed = protected.changed_masks[protected.has_result]
+            only_sensitive = (changed[:, self.feature_names.index(self.sensitive_feature)]
+                              & (changed.sum(axis=1) == 1))
+            explicit_bias_rate = int(only_sensitive.sum()) / protected_profile.n_explained
 
         frequency_gap = {
             name: protected_profile.change_frequency[name]

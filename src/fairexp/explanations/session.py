@@ -46,7 +46,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from .backends import MemoizingPredictBackend, ensure_backend
-from .base import Counterfactual, CounterfactualBatch
+from .base import CounterfactualBatch
 from .engine import BatchModelAdapter, CounterfactualEngine
 from .pool import ExecutorPool
 from .schedules import resolve_schedule
@@ -339,19 +339,24 @@ class AuditSession:
         digest = hashlib.sha1(X.tobytes()).hexdigest()
         return f"{X.shape[0]}x{X.shape[1]}:{digest}"
 
-    def counterfactuals_for(self, X, indices) -> dict[int, Counterfactual]:
-        """Counterfactuals for ``X[indices]``, keyed by row index, shared across audits.
+    def counterfactuals_for(self, X, indices) -> CounterfactualBatch:
+        """Counterfactuals for ``X[indices]``, shared across audits.
+
+        Returns one :class:`~fairexp.explanations.base.CounterfactualBatch`
+        holding each distinct requested row once, in request order (a
+        duplicated index is searched and returned once), with unsolved rows
+        included (``has_result == False``).  ``.solved()`` gives the
+        ``{index: Counterfactual}`` mapping of the solved rows.
 
         Rows already explained for this population (by *any* earlier audit
         in the session) are served from the result cache — including rows
         whose search exhausted its budget, which are remembered as
         infeasible and never retried.  Only genuinely new rows trigger an
-        engine pass.  Rows without a feasible counterfactual are absent from
-        the returned mapping.
+        engine pass.
 
         ``indices`` is a 1-D sequence of integers following NumPy's
         convention over ``n = len(X)``: a negative index ``i`` names row
-        ``i + n`` (and is returned, cached and stored under that key).  A
+        ``i + n`` (and is returned, cached and stored under that index).  A
         boolean mask, floats, an index of another rank or one outside
         ``[-n, n)`` raises :class:`~fairexp.exceptions.ValidationError`
         before the cache, the store or the engine is touched.  So does a
@@ -371,7 +376,7 @@ class AuditSession:
                 f"{indices.ndim}-D array of dtype {indices.dtype}"
             )
         if indices.size == 0:  # np.asarray([]) is float
-            return {}
+            return CounterfactualBatch.unsolved([], X.shape[1])
         n_rows = X.shape[0]
         out_of_range = indices[(indices < -n_rows) | (indices >= n_rows)]
         if out_of_range.size:
@@ -406,8 +411,7 @@ class AuditSession:
                 # from it), so publishing it replaces the entry with a
                 # superset.
                 self.store.save(population.fingerprint, population.batch)
-        positions = np.searchsorted(population.batch.indices, distinct)
-        return population.batch.take(positions).solved()
+        return population.batch.take(np.searchsorted(population.batch.indices, distinct))
 
     def _population(self, X: np.ndarray) -> _Population:
         """The record of population ``X``, created (and seeded from the

@@ -39,7 +39,8 @@ def group_masks(sensitive, *, protected_value=1) -> GroupMasks:
     Parameters
     ----------
     sensitive:
-        Group-membership values, one per sample.
+        Group-membership values, one per sample.  A NaN or ``None`` value
+        raises :class:`ValidationError` naming its rows.
     protected_value:
         The value identifying the protected group; every other value is
         treated as the reference group.
@@ -47,6 +48,16 @@ def group_masks(sensitive, *, protected_value=1) -> GroupMasks:
     sensitive = np.asarray(sensitive)
     if sensitive.ndim != 1:
         raise ValidationError("sensitive must be 1-dimensional")
+    missing = np.zeros(sensitive.shape, dtype=bool)
+    if sensitive.dtype == object:
+        missing = np.array([value is None or value != value for value in sensitive], dtype=bool)
+    elif sensitive.dtype.kind in "fc":
+        missing = np.isnan(sensitive)
+    if missing.any():
+        raise ValidationError(
+            f"sensitive holds NaN or None at rows {np.flatnonzero(missing).tolist()}; "
+            "every row needs a group"
+        )
     protected = sensitive == protected_value
     if protected.all() or (~protected).all():
         raise ValidationError(

@@ -67,6 +67,18 @@ class TestBurden:
         result = BurdenExplainer(generator).explain(subset.X, subset.sensitive_values)
         assert abs(result.gap) < 1.0
 
+    def test_missing_sensitive_value_raises_before_predict(self, audited):
+        subset, _, generator = audited
+        from fairexp.exceptions import ValidationError
+
+        sensitive = subset.sensitive_values.astype(float)
+        sensitive[3] = np.nan
+        explainer = BurdenExplainer(generator)
+        calls = explainer.session.predict_call_count
+        with pytest.raises(ValidationError, match=r"rows \[3\]"):
+            explainer.explain(subset.X, sensitive)
+        assert explainer.session.predict_call_count == calls
+
     def test_as_dict_keys(self, audited):
         subset, _, generator = audited
         result = BurdenExplainer(generator).explain(subset.X, subset.sensitive_values)

@@ -145,7 +145,7 @@ class TestSessionPooling:
                           backend=CallablePredictBackend(model.predict)) as session:
             # Three audits over three distinct populations: three sharded
             # engine passes, one worker pool.
-            first = session.counterfactuals_for(rejected, np.arange(len(rejected)))
+            first = session.counterfactuals_for(rejected, np.arange(len(rejected))).solved()
             session.counterfactuals_for(rejected + 0.25, np.arange(8))
             session.counterfactuals_for(rejected + 0.5, np.arange(8))
             assert session.pool.created_counts == {"thread": 0, "process": 1}

@@ -414,7 +414,7 @@ class TestFleetRouting:
             session = AuditSession(GrowingSpheresCounterfactual(
                 model, train.X, constraints=constraints, random_state=0))
             idx = np.flatnonzero(model.predict(test.X) == 0)[:4]
-            references.append(session.counterfactuals_for(test.X, idx))
+            references.append(session.counterfactuals_for(test.X, idx).solved())
         with serve_fleet(graphs) as server:
             client = CoalescingScoringClient(server.url, window=0.005)
             for model, graph, reference in zip(fleet, graphs, references):
@@ -425,7 +425,7 @@ class TestFleetRouting:
                                                  random_state=0),
                     backend=backend)
                 idx = np.flatnonzero(model.predict(test.X) == 0)[:4]
-                remote = session.counterfactuals_for(test.X, idx)
+                remote = session.counterfactuals_for(test.X, idx).solved()
                 backend.close()
                 assert set(remote) == set(reference)
                 for i in reference:
@@ -762,7 +762,7 @@ class TestRemoteSession:
         reference_session = AuditSession(
             GrowingSpheresCounterfactual(model, train.X, constraints=constraints,
                                          random_state=0))
-        reference = reference_session.counterfactuals_for(test.X, rejected_idx)
+        reference = reference_session.counterfactuals_for(test.X, rejected_idx).solved()
 
         with serve_fleet([model]) as server:
             backend = _remote(server)
@@ -772,7 +772,7 @@ class TestRemoteSession:
                                              random_state=0),
                 backend=backend,
             )
-            remote = session.counterfactuals_for(test.X, rejected_idx)
+            remote = session.counterfactuals_for(test.X, rejected_idx).solved()
             backend.close()
         assert set(remote) == set(reference)
         for i in reference:
@@ -861,7 +861,7 @@ class TestServingStoreIntegration:
                         random_state=0),
                     backend=backend, store=tmp_path,
                 ) as session:
-                    results = session.counterfactuals_for(test.X, rejected_idx)
+                    results = session.counterfactuals_for(test.X, rejected_idx).solved()
                 backend.close()
             return session, results
 

@@ -99,7 +99,7 @@ class TestShardMergeParity:
         session = AuditSession(
             _generator(GrowingSpheresCounterfactual, train, model, constraints), n_jobs=4
         )
-        shared = session.counterfactuals_for(test.X, rejected_idx)
+        shared = session.counterfactuals_for(test.X, rejected_idx).solved()
         assert set(direct) == set(shared)
         for i in direct:
             assert np.array_equal(direct[i].counterfactual, shared[i].counterfactual)
@@ -113,9 +113,9 @@ class TestAuditSessionSharing:
             _generator(GrowingSpheresCounterfactual, train, model,
                        loan_cf_generator.constraints)
         )
-        first = session.counterfactuals_for(test.X, rejected_idx)
+        first = session.counterfactuals_for(test.X, rejected_idx).solved()
         calls_after_first = session.predict_call_count
-        again = session.counterfactuals_for(test.X, rejected_idx[:10])
+        again = session.counterfactuals_for(test.X, rejected_idx[:10]).solved()
         assert session.predict_call_count == calls_after_first
         assert set(again) <= set(first)
         for i in again:
@@ -158,9 +158,11 @@ class TestAuditSessionSharing:
         generator = GrowingSpheresCounterfactual(AlwaysRejects(), train.X,
                                                  max_shells=2, random_state=0)
         session = AuditSession(generator)
-        assert session.counterfactuals_for(test.X, np.arange(5)) == {}
+        first = session.counterfactuals_for(test.X, np.arange(5))
+        assert first.indices.tolist() == [0, 1, 2, 3, 4]
+        assert first.solved() == {}
         calls = session.predict_call_count
-        assert session.counterfactuals_for(test.X, np.arange(5)) == {}
+        assert session.counterfactuals_for(test.X, np.arange(5)).solved() == {}
         assert session.predict_call_count == calls
         assert session.stats()["n_infeasible_cached"] == 5
 
@@ -542,13 +544,13 @@ class TestSessionLifecycleAndEviction:
 
         generator = fresh_generator()
         with AuditSession(generator, store=tmp_path) as session_a:
-            geometric = session_a.counterfactuals_for(test.X, first)
+            geometric = session_a.counterfactuals_for(test.X, first).solved()
             with AuditSession(generator, schedule="adaptive"):
                 pass  # swaps the shared generator's schedule
             session_a.counterfactuals_for(test.X, second)
 
         with AuditSession(fresh_generator(), schedule="adaptive") as reference:
-            cold = reference.counterfactuals_for(test.X, first)
+            cold = reference.counterfactuals_for(test.X, first).solved()
         # Precondition: the two schedules disagree on these rows, so serving
         # geometric rows as adaptive ones would be visible below.
         assert set(cold) != set(geometric) or any(
@@ -557,7 +559,7 @@ class TestSessionLifecycleAndEviction:
         )
         with AuditSession(fresh_generator(), schedule="adaptive",
                           store=tmp_path) as warm:
-            served = warm.counterfactuals_for(test.X, first)
+            served = warm.counterfactuals_for(test.X, first).solved()
         assert set(served) == set(cold)
         for i in cold:
             assert np.array_equal(served[i].counterfactual, cold[i].counterfactual)
@@ -572,7 +574,7 @@ class TestSessionLifecycleAndEviction:
         reference_session = AuditSession(
             _generator(GrowingSpheresCounterfactual, train, model,
                        loan_cf_generator.constraints))
-        reference = reference_session.counterfactuals_for(test.X, rejected_idx[:6])
+        reference = reference_session.counterfactuals_for(test.X, rejected_idx[:6]).solved()
 
         backend = OnnxExportBackend(model, verify_on=test.X)
         session = AuditSession(
@@ -580,7 +582,7 @@ class TestSessionLifecycleAndEviction:
                        loan_cf_generator.constraints),
             backend=backend,
         )
-        routed = session.counterfactuals_for(test.X, rejected_idx[:6])
+        routed = session.counterfactuals_for(test.X, rejected_idx[:6]).solved()
         assert backend.call_count > 0          # the graph really served the sweep
         assert session.predict_call_count == backend.call_count
         assert set(routed) == set(reference)
@@ -619,6 +621,8 @@ class TestSessionInputContract:
         with AuditSession(generator, store=tmp_path) as session:
             first = session.counterfactuals_for(X, [-1])
             second = session.counterfactuals_for(X, [49])
+            assert first.indices.tolist() == second.indices.tolist() == [49]
+            first, second = first.solved(), second.solved()
             assert session.result_reuse_count == 1  # served from cache
             assert set(first) <= {49} and set(second) <= {49}
             assert set(first) == set(second)
@@ -631,7 +635,10 @@ class TestSessionInputContract:
     def test_results_keyed_by_row_index(self, population):
         generator, X = population
         with AuditSession(generator) as session:
-            results = session.counterfactuals_for(X, np.array([3, 7, 11]))
+            results = session.counterfactuals_for(X, np.array([11, 3, 7]))
+        assert results.indices.tolist() == [11, 3, 7]  # request order
+        assert np.array_equal(results.originals, X[[11, 3, 7]])
+        results = results.solved()
         assert set(results) <= {3, 7, 11}
         for i, counterfactual in results.items():
             assert np.array_equal(counterfactual.original, X[i])
@@ -652,8 +659,12 @@ class TestSessionInputContract:
             duplicated = session.counterfactuals_for(X, np.array([3, 7, 3, 11, 7, 3]))
             assert searched_rows == [3]  # one search per DISTINCT row
             assert session.result_reuse_count == 0
+        assert duplicated.indices.tolist() == [3, 7, 11]  # each row once, first-seen order
         with AuditSession(generator) as fresh:
             reference = fresh.counterfactuals_for(X, np.array([3, 7, 11]))
+        for name, column in reference.columns.items():
+            assert np.array_equal(duplicated.columns[name], column, equal_nan=True)
+        duplicated, reference = duplicated.solved(), reference.solved()
         assert set(duplicated) == set(reference)
         for i in reference:
             assert np.array_equal(duplicated[i].counterfactual,
@@ -662,7 +673,8 @@ class TestSessionInputContract:
     def test_empty_indices_touch_no_state(self, population):
         generator, X = population
         with AuditSession(generator) as session:
-            assert session.counterfactuals_for(X, np.array([], dtype=int)) == {}
+            empty = session.counterfactuals_for(X, np.array([], dtype=int))
+            assert len(empty) == 0 and empty.n_features == X.shape[1]
             assert session.stats()["n_populations"] == 0
             assert session.predict_call_count == 0
 
@@ -698,7 +710,7 @@ class TestSessionInputContract:
     def test_empty_list_is_a_valid_index(self, population):
         generator, X = population
         with AuditSession(generator) as session:
-            assert session.counterfactuals_for(X, []) == {}  # np.asarray([]) is float
+            assert len(session.counterfactuals_for(X, [])) == 0  # np.asarray([]) is float
 
     def test_non_finite_rows_raise_before_any_state(self, population, tmp_path):
         generator, X = population
@@ -713,4 +725,6 @@ class TestSessionInputContract:
             assert session.store.entries() == []
             assert session.predict_call_count == 0
             # Finite rows of the same population are still served.
-            assert set(session.counterfactuals_for(X, [0, 12])) <= {0, 12}
+            served = session.counterfactuals_for(X, [0, 12])
+            assert served.indices.tolist() == [0, 12]
+            assert set(served.solved()) <= {0, 12}

@@ -42,6 +42,17 @@ class TestGroupMasks:
         masks = group_masks(np.array(["a", "b", "a"]), protected_value="a")
         assert masks.n_protected == 2
 
+    @pytest.mark.parametrize("sensitive", [
+        np.array([0.0, 1.0, 1.0, np.nan, 0.0, np.nan]),
+        np.array([0, 1, 1, None, 0, float("nan")], dtype=object),
+        np.array(["a", "b", "a", None, "b", None], dtype=object),
+    ], ids=["float-nan", "object-none-and-nan", "object-strings-none"])
+    def test_missing_group_value_is_named_not_counted(self, sensitive):
+        """NaN != protected_value, so a NaN or None row would silently join
+        the reference group."""
+        with pytest.raises(ValidationError, match=r"rows \[3, 5\]"):
+            group_masks(sensitive, protected_value=sensitive[1])
+
     def test_groupwise_statistic(self):
         result = groupwise(Y_PRED, SENSITIVE)
         assert result["protected"] == pytest.approx(0.25)
