@@ -11,7 +11,10 @@ wire that
 * remote predictions are **bitwise-equal** to in-process ``model.predict``;
 * 4 concurrent callers sharing one coalescing client issue **strictly
   fewer** wire calls than their 4 sequential independent counterparts,
-  with per-caller row accounting intact.
+  with per-caller row accounting intact;
+* those wire calls reuse keep-alive connections: the 4 callers open at
+  most 4 TCP connections (the server's ``/stats`` ``connections``), and
+  fewer connections than wire calls.
 
 It then relaunches the server as a TWO-graph fleet
 (``--graph a.npz --graph b.npz``) and asserts cross-graph routing
@@ -85,6 +88,12 @@ def launch_server(graph_paths) -> tuple[subprocess.Popen, str]:
     return process, line.rsplit(" ", 1)[-1]
 
 
+def server_stats(url: str) -> dict:
+    """The live server's ``/stats`` payload."""
+    with urllib.request.urlopen(f"{url}/stats", timeout=10) as reply:
+        return json.loads(reply.read().decode("utf-8"))
+
+
 def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
     """Parity + coalescing assertions against a live server hosting
     ``graph`` (``model``'s export); numbers returned."""
@@ -96,6 +105,7 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
     remote = solo.predict(X)
     assert np.array_equal(remote, reference), "remote labels diverge from model.predict"
     solo.close()
+    solo.client.close()
 
     # Independent baseline: sequential callers, private clients.
     slices = np.array_split(np.arange(X.shape[0]), N_CALLERS)
@@ -109,6 +119,8 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
         independent_rows.append(backend.row_count)
         backend.close()
     independent_wire_calls = sum(c.wire_call_count for c in independent_clients)
+    for independent in independent_clients:
+        independent.close()
 
     # Coalescing run: the same batches, concurrent callers, one client.
     client = CoalescingScoringClient(url, window=0.25)
@@ -130,6 +142,7 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
             backends[k].close()
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(N_CALLERS)]
+    connections_before = server_stats(url)["connections"]
     start_time = time.perf_counter()
     for thread in threads:
         thread.start()
@@ -138,6 +151,9 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
     elapsed = time.perf_counter() - start_time
     if failures:
         raise failures[0]
+    client.close()
+    # The /stats GET itself is one more accepted connection.
+    connections = server_stats(url)["connections"] - connections_before - 1
 
     coalesced_rows = [backend.row_count for backend in backends]
     assert 0 < client.wire_call_count < independent_wire_calls, (
@@ -146,6 +162,11 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
     )
     assert coalesced_rows == independent_rows, "per-caller row accounting drifted"
     assert client.wire_row_count == sum(coalesced_rows)
+    assert connections <= N_CALLERS, (
+        f"{N_CALLERS} callers opened {connections} connections")
+    assert client.wire_call_count > connections, (
+        f"{client.wire_call_count} wire calls over {connections} connections: "
+        "no connection was reused")
 
     return {
         "experiment": "SERVING_SUBPROCESS",
@@ -154,6 +175,7 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
         "independent_wire_calls": independent_wire_calls,
         "coalesced_wire_calls": client.wire_call_count,
         "coalescing_factor": independent_wire_calls / max(client.wire_call_count, 1),
+        "coalesced_connections": connections,
         "rows_per_caller": coalesced_rows,
         "coalesced_wall_seconds": elapsed,
     }
@@ -181,6 +203,7 @@ def run_fleet_checks(url: str, fleet: dict, X: np.ndarray) -> dict:
         )
         rows_routed[graph.signature()] = backend.row_count
         backend.close()
+    client.close()
 
     # A fleet must refuse to guess: a request naming no graph is a 400.
     payload = io.BytesIO()
@@ -195,8 +218,7 @@ def run_fleet_checks(url: str, fleet: dict, X: np.ndarray) -> dict:
         assert error.code == 400 and "X-Fairexp-Graph" in detail, detail
 
     # Server-side /stats books each graph's rows separately.
-    with urllib.request.urlopen(f"{url}/stats", timeout=10) as reply:
-        stats = json.loads(reply.read().decode("utf-8"))
+    stats = server_stats(url)
     for signature, rows in rows_routed.items():
         assert stats["graphs"][signature]["rows"] == rows, (
             f"/stats rows for {signature[:12]} drifted"

@@ -91,6 +91,8 @@ def test_coalescing_sessions_issue_fewer_wire_calls(benchmark):
             independent_rows.append(rows)
         independent_wire_calls = sum(c.wire_call_count
                                      for c in independent_clients)
+        for independent in independent_clients:
+            independent.close()
 
         # Coalescing run: the same four sessions, concurrent, one shared
         # client — batches landing in the window share wire calls.
@@ -121,6 +123,7 @@ def test_coalescing_sessions_issue_fewer_wire_calls(benchmark):
 
         client, outputs, coalesced_rows = benchmark.pedantic(
             coalesced_run, rounds=1, iterations=1)
+        client.close()
 
     # (a) strictly fewer wire calls than the independent sessions issued.
     assert 0 < client.wire_call_count < independent_wire_calls, (

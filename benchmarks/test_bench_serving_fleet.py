@@ -169,6 +169,7 @@ def test_sustained_fleet_load_routes_and_accounts_exactly(benchmark):
 
         outputs, rows, latencies, elapsed = benchmark.pedantic(
             sustained_run, rounds=1, iterations=1)
+        client.close()
         server_stats = server.stats()
 
     # Bitwise parity and exact per-session accounting, all 210 sessions.
@@ -237,6 +238,7 @@ def test_shed_retry_keeps_per_session_rows_exact(benchmark):
                         train, model, constraints, populations[k], backend)
                 finally:
                     backend.close()
+                    backend.client.close()
 
             threads = [threading.Thread(target=run, args=(k,))
                        for k in range(n_sessions)]

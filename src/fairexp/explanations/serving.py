@@ -43,17 +43,27 @@ The wire format is deliberately boring: ``POST /score`` with a raw ``.npy``
 payload of the candidate matrix, answered with a raw ``.npy`` payload of the
 labels.  No pickle crosses the wire, so a server never executes anything a
 client sends.
+
+Connections are persistent (HTTP/1.1 keep-alive): the client keeps a small
+pool of idle connections — one per concurrent wire call — and reuses them,
+so a batch pays no TCP handshake and the server starts no new handler
+thread for it.  Every non-200 reply (refusals, shed, decode errors) carries
+``Connection: close``, because its request body may be unread.  A reused
+connection that fails before any status line arrives is retried once on a
+fresh one.  :meth:`CoalescingScoringClient.close` closes the idle pool and
+:meth:`ScoringServer.close` shuts down every open connection.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import io
 import json
+import socket
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -414,18 +424,25 @@ def _decode_array(blob: bytes) -> np.ndarray:
 # Scoring server
 # ---------------------------------------------------------------------------
 @guard_counters("request_count", "row_count", "shed_count", "peak_inflight",
-                "_inflight")
+                "_inflight", "connection_count")
 class ScoringServer:
     """Loopback HTTP scoring server hosting a fleet of compute graphs.
 
     ``POST /score`` takes a raw ``.npy`` matrix and answers with a raw
     ``.npy`` label vector; ``GET /healthz`` answers ``ok``; ``GET /stats``
     reports the JSON from :meth:`stats` — global and per-graph request/row
-    counters, shed counts, the last client-reported window per graph and
-    the server-side coalescing factor.  The server binds loopback only
+    counters, shed counts, accepted connections, the last client-reported
+    window per graph and the server-side coalescing factor.  The server binds loopback only
     (scoring audits is not an internet service) and runs its request loop
     on a daemon thread; it is a context manager, and :meth:`close` is
     idempotent and thread-safe.
+
+    **Persistent connections.**  The handler speaks HTTP/1.1, so a client
+    keeps one TCP connection open across many ``/score`` calls instead of
+    paying a handshake and a new handler thread per batch.  Every non-200
+    reply carries ``Connection: close``: a refused request's body is never
+    read, and a reused connection would otherwise parse those bytes as
+    the next request.  :meth:`close` shuts down every open connection.
 
     **Routing.**  ``graphs`` is a sequence of :class:`ComputeGraph`\\ s,
     each keyed by its content hash (:meth:`ComputeGraph.signature`, the
@@ -458,6 +475,10 @@ class ScoringServer:
         self.shed_count = 0
         self.peak_inflight = 0
         self._inflight = 0
+        self.connection_count = 0
+        # Open connections -> their handler threads; close() drains them.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._draining = False
         self._graphs: dict[str, ComputeGraph] = {}
         for graph in graphs:
             if not isinstance(graph, ComputeGraph):
@@ -480,6 +501,23 @@ class ScoringServer:
         class Handler(BaseHTTPRequestHandler):
             """Request handler bound to this server's fleet and counters."""
 
+            protocol_version = "HTTP/1.1"
+            # Headers and body go out in two writes; with Nagle on, the
+            # second waits for the client's delayed ACK (~40 ms a call).
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                """Register the connection so :meth:`close` can drain it."""
+                super().setup()
+                server._track(self.connection)
+
+            def finish(self):
+                """Deregister the connection once the client is done."""
+                try:
+                    super().finish()
+                finally:
+                    server._untrack(self.connection)
+
             def log_message(self, *args):
                 """Silence per-request stderr noise (stats are on /stats)."""
 
@@ -491,6 +529,10 @@ class ScoringServer:
                 self.send_header("Content-Length", str(len(body)))
                 for name, value in (headers or {}).items():
                     self.send_header(name, value)
+                if status != 200:
+                    # The request body may be unread: never parse it as
+                    # the next request on this connection.
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -594,6 +636,20 @@ class ScoringServer:
         with self._lock:
             self._inflight -= 1
 
+    # ------------------------------------------------------------ connections
+    def _track(self, connection: socket.socket) -> None:
+        """Count an accepted connection and remember its handler thread."""
+        with self._lock:
+            self.connection_count += 1
+            self._connections[connection] = threading.current_thread()
+            draining = self._draining
+        if draining:  # accepted just before close(): drop it at once
+            _shutdown_socket(connection)
+
+    def _untrack(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._connections.pop(connection, None)
+
     def _count(self, key: str, rows: int, batches_header: str | None,
                window_header: str | None) -> None:
         """Fold one successfully scored batch into the global and per-graph
@@ -625,8 +681,8 @@ class ScoringServer:
         requests), the derived ``coalescing_factor`` and the last
         client-reported dispatch ``window``.  Globals keep the legacy
         ``requests`` / ``rows`` names, plus ``shed`` (every refusal),
-        ``inflight`` / ``peak_inflight`` and the configured
-        ``max_inflight``.
+        ``inflight`` / ``peak_inflight``, the configured ``max_inflight``
+        and ``connections`` (TCP connections accepted).
         """
         with self._lock:
             graphs = {}
@@ -645,6 +701,7 @@ class ScoringServer:
                 "inflight": self._inflight,
                 "peak_inflight": self.peak_inflight,
                 "max_inflight": self.max_inflight,
+                "connections": self.connection_count,
                 "graphs": graphs,
             }
         return payload
@@ -677,7 +734,10 @@ class ScoringServer:
         thread has actually exited — racing ``close`` against interpreter
         shutdown can no longer leak a live daemon thread behind the first
         caller's back.  The thread is joined *before* the socket closes so
-        the serve loop never touches a dead socket.
+        the serve loop never touches a dead socket.  Open keep-alive
+        connections are then shut down and their handler threads joined,
+        so a pooled client's next call fails as unreachable instead of
+        reaching a server that is gone.
         """
         with self._close_lock:
             if self._closed:
@@ -685,6 +745,13 @@ class ScoringServer:
             self._closed = True
             self._httpd.shutdown()
             self._thread.join(timeout=10.0)
+            with self._lock:
+                self._draining = True
+                connections = dict(self._connections)
+            for connection in connections:
+                _shutdown_socket(connection)
+            for handler in connections.values():
+                handler.join(timeout=10.0)
             self._httpd.server_close()
 
     def __enter__(self) -> "ScoringServer":
@@ -694,6 +761,14 @@ class ScoringServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         """Stop the server on block exit."""
         self.close()
+
+
+def _shutdown_socket(connection: socket.socket) -> None:
+    """Shut a connection down both ways; its handler's read then ends."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already closed by the peer or the handler
+        pass
 
 
 def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
@@ -799,6 +874,13 @@ class CoalescingScoringClient:
     backoff up to :attr:`MAX_RETRIES` times before failing the batch — rows
     are still only counted once, after the dispatch that finally lands.
 
+    Wire calls ride persistent HTTP/1.1 connections from an idle pool (one
+    checked out per in-flight call, returned after a complete response,
+    dropped when the reply says ``Connection: close``).  A *reused*
+    connection that fails before any status line — the server closed it
+    while idle, or mid-batch — is retried once on a fresh connection;
+    anything else fails the batch.  :meth:`close` closes the idle pool.
+
     Parameters
     ----------
     url:
@@ -841,6 +923,11 @@ class CoalescingScoringClient:
         self.retry_count = 0
         self._lanes: dict[str, _Lane] = {}
         self._cond = make_condition()
+        split = urllib.parse.urlsplit(self.url)
+        self._host, self._port = split.hostname, split.port
+        # Idle keep-alive connections: one is checked out per in-flight wire
+        # call, so the pool grows to the peak number of concurrent calls.
+        self._idle: list[http.client.HTTPConnection] = []
 
     # ---------------------------------------------------------------- lanes
     def _lane_locked(self, key: str) -> _Lane:
@@ -962,6 +1049,18 @@ class CoalescingScoringClient:
             offset += n
             request.event.set()
 
+    # ----------------------------------------------------------- connections
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection to the server (``http.client`` sets
+        ``TCP_NODELAY`` when it connects)."""
+        return http.client.HTTPConnection(self._host, self._port,
+                                          timeout=self.timeout)
+
+    def _exchange(self, connection: http.client.HTTPConnection, body: bytes,
+                  headers: dict) -> http.client.HTTPResponse:
+        connection.request("POST", "/score", body=body, headers=headers)
+        return connection.getresponse()
+
     def _wire_call(self, X: np.ndarray, lane: _Lane, n_batches: int) -> np.ndarray:
         headers = {
             "Content-Type": "application/octet-stream",
@@ -972,31 +1071,63 @@ class CoalescingScoringClient:
             "X-Fairexp-Window": f"{self.window:.6f}",
             "X-Fairexp-Graph": lane.key,
         }
-        request = urllib.request.Request(
-            f"{self.url}/score", data=_encode_array(X),
-            headers=headers, method="POST",
-        )
+        body = _encode_array(X)
+        with self._cond:
+            pooled = self._idle.pop() if self._idle else None
+        connection = self._connect() if pooled is None else pooled
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return np.asarray(_decode_array(response.read()))
-        except urllib.error.HTTPError as error:
-            detail = error.read().decode(errors="replace")
-            if error.code == 429:
-                try:
-                    retry_after = float(error.headers.get("Retry-After") or 0.0)
-                except (TypeError, ValueError):
-                    retry_after = 0.0
-                raise _ShedError(retry_after, detail) from error
+            try:
+                response = self._exchange(connection, body, headers)
+            except (http.client.RemoteDisconnected, ConnectionResetError,
+                    BrokenPipeError):
+                if pooled is None:
+                    raise
+                # The server dropped a reused connection (idle, or with this
+                # very request) before any status line: one retry on a
+                # fresh connection.  Scoring is a pure function, so a batch
+                # scored twice is still one correct answer.
+                connection.close()
+                connection = self._connect()
+                response = self._exchange(connection, body, headers)
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            # Connection refused / reset / timed out (e.g. the server closed
+            # with this batch in flight) surfaces as the library's own
+            # exception, not a raw socket error — callers see a clean
+            # backend failure.
+            connection.close()
             raise ValidationError(
-                f"scoring server rejected the batch ({error.code}): {detail}"
+                f"scoring server unreachable at {self.url}: {error}"
             ) from error
-        except urllib.error.URLError as error:
-            # Connection refused / reset (e.g. the server closed with this
-            # batch in flight) surfaces as the library's own exception, not
-            # a raw socket error — callers see a clean backend failure.
-            raise ValidationError(
-                f"scoring server unreachable at {self.url}: {error.reason}"
-            ) from error
+        if response.will_close:
+            connection.close()
+        else:
+            with self._cond:
+                self._idle.append(connection)
+        if response.status == 200:
+            return np.asarray(_decode_array(payload))
+        detail = payload.decode(errors="replace")
+        if response.status == 429:
+            try:
+                retry_after = float(response.getheader("Retry-After") or 0.0)
+            except ValueError:
+                retry_after = 0.0
+            raise _ShedError(retry_after, detail)
+        raise ValidationError(
+            f"scoring server rejected the batch ({response.status}): {detail}"
+        )
+
+    def close(self) -> None:
+        """Close the pooled idle connections.
+
+        Idempotent; the client stays usable — a later :meth:`score` opens
+        a new connection.  A connection checked out by an in-flight wire
+        call returns to the pool when its call completes.
+        """
+        with self._cond:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 class RemoteScoringBackend(NumpyPredictBackend):

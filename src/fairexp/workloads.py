@@ -189,6 +189,7 @@ def _serving_fleet(models, backend):
         finally:
             for remote in remotes:
                 remote.close()
+            client.close()
             server.close()
         return
     raise ValidationError(

@@ -2,6 +2,7 @@
 the loopback fleet scoring server (hash routing, admission control) and the
 coalescing remote client (per-graph lanes, fixed windows, shed retry)."""
 
+import io
 import threading
 import time
 
@@ -62,6 +63,36 @@ def _remote(server, *, window=0.0, client=CoalescingScoringClient):
     """A backend on the server's first graph over a private ``client``."""
     return RemoteScoringBackend(client(server.url, window=window),
                                 graph=server.graph_keys()[0])
+
+
+def _npy(X) -> bytes:
+    """``X`` as the raw ``.npy`` bytes the wire carries."""
+    payload = io.BytesIO()
+    np.save(payload, X, allow_pickle=False)
+    return payload.getvalue()
+
+
+class _DroppedConnection(Exception):
+    """Raised inside a handler: the connection closes without a reply."""
+
+
+def _drop_next_reply(server, monkeypatch):
+    """Make ``server`` drop the connection of its next scored request after
+    reading and scoring it, before replying (the request goes uncounted)."""
+    count = server._count
+    armed = [True]
+
+    def drop_once(*args):
+        if armed:
+            armed.pop()
+            raise _DroppedConnection
+        count(*args)
+
+    monkeypatch.setattr(server, "_count", drop_once)
+    # socketserver prints the escaped exception's traceback; this one is
+    # deliberate.
+    monkeypatch.setattr(server._httpd, "handle_error", lambda *args: None)
+    return armed
 
 
 class _TwoRetryClient(CoalescingScoringClient):
@@ -168,6 +199,7 @@ class TestScoringServer:
             assert backend.client.wire_call_count == 1
             assert server.request_count == 1
             assert server.row_count == test.X.shape[0]
+            backend.client.close()
 
     def test_server_close_is_idempotent(self, zoo):
         models, _, _ = zoo
@@ -190,6 +222,7 @@ class TestScoringServer:
             out = backend.predict(test.X)  # the backend stays usable
             assert out.shape == (test.X.shape[0],)
             assert backend.call_count == 1
+            backend.client.close()
 
 
 class TestCoalescing:
@@ -224,6 +257,7 @@ class TestCoalescing:
             # Per-caller accounting is untouched by the stacking.
             assert [b.call_count for b in backends] == [1, 1, 1, 1]
             assert [b.row_count for b in backends] == [15, 15, 15, 15]
+            client.close()
 
     def test_sequential_caller_never_waits_for_absent_peers(self, zoo):
         models, _, test = zoo
@@ -234,6 +268,7 @@ class TestCoalescing:
             # One registered caller: each dispatch flushes as soon as its
             # own batch is pending — no window-long stalls, no merging.
             assert backend.client.wire_call_count == 3
+            backend.client.close()
 
     def test_failed_wire_call_raises_in_every_coalesced_caller(self, zoo):
         models, _, test = zoo
@@ -261,6 +296,7 @@ class TestCoalescing:
         assert all(error is not None for error in errors)
         assert client.wire_call_count == 0
         assert [b.call_count for b in backends] == [0, 0]
+        client.close()
 
     def test_unregister_releases_the_window(self, zoo):
         models, _, test = zoo
@@ -276,6 +312,7 @@ class TestCoalescing:
             # With the peer gone, the single registered caller dispatches
             # immediately instead of waiting out the 5s window.
             assert time.monotonic() - start < 2.0
+            client.close()
 
 
 class TestFleetRouting:
@@ -304,6 +341,7 @@ class TestFleetRouting:
                 entry = stats["graphs"][graph.signature()]
                 assert entry["requests"] == 1
                 assert entry["rows"] == test.X.shape[0]
+            client.close()
 
     def test_unknown_hash_is_rejected_not_misrouted(self, zoo):
         models, _, test = zoo
@@ -313,19 +351,17 @@ class TestFleetRouting:
             with pytest.raises(ValidationError, match="unknown graph"):
                 backend.predict(test.X[:4])
             assert backend.call_count == 0
+            client.close()
 
     @staticmethod
     def _post_headerless(server, X):
         """POST ``X`` to ``/score`` without an ``X-Fairexp-Graph`` header;
         returns the reply's status and body."""
-        import io
         import urllib.error
         import urllib.request
 
-        payload = io.BytesIO()
-        np.save(payload, X, allow_pickle=False)
         request = urllib.request.Request(f"{server.url}/score",
-                                         data=payload.getvalue(), method="POST")
+                                         data=_npy(X), method="POST")
         try:
             with urllib.request.urlopen(request, timeout=10) as reply:
                 return reply.status, reply.read().decode()
@@ -355,6 +391,7 @@ class TestFleetRouting:
             assert server.request_count == 0
             routed = _remote(server)
             assert np.array_equal(routed.predict(test.X), model.predict(test.X))
+            routed.client.close()
 
     def test_backend_must_name_its_graph(self, zoo):
         """``RemoteScoringBackend`` has one form: a client and a graph."""
@@ -401,6 +438,7 @@ class TestFleetRouting:
             assert client.wire_call_count == len(graphs)
             assert client.coalesced_count == 0
             assert server.request_count == len(graphs)
+            client.close()
 
     def test_audit_sessions_share_one_fleet_server(self, zoo, loan_cf_generator):
         """Two sessions over two different models route through ONE server
@@ -431,6 +469,7 @@ class TestFleetRouting:
                 for i in reference:
                     assert np.array_equal(remote[i].counterfactual,
                                           reference[i].counterfactual)
+            client.close()
 
 
 class TestDynamicWindow:
@@ -448,6 +487,7 @@ class TestDynamicWindow:
             assert backend.client.window == 0.03
             graph_stats = next(iter(server.stats()["graphs"].values()))
             assert graph_stats["window"] == 0.03
+            backend.client.close()
 
     def test_auto_window_is_the_default_fixed_window(self, zoo):
         models, _, test = zoo
@@ -460,6 +500,7 @@ class TestDynamicWindow:
             assert client.window == CoalescingScoringClient.DEFAULT_WINDOW == 0.02
             assert CoalescingScoringClient(server.url).window == client.window
             backend.close()
+            client.close()
 
 
 class TestAdmissionControl:
@@ -481,6 +522,7 @@ class TestAdmissionControl:
             assert server.shed_count == 3
             assert server.stats()["graphs"][next(iter(server.graph_keys()))][
                 "shed"] == 3
+            client.close()
 
     def test_shed_then_retry_succeeds_with_exact_accounting(self, zoo):
         """Transient overload: the first dispatch sheds, the backoff ladder
@@ -510,6 +552,7 @@ class TestAdmissionControl:
             assert client.wire_row_count == 12
             assert server.request_count == 1
             assert server.row_count == 12
+            client.close()
 
     def test_negative_content_length_is_refused_before_admission(self, zoo):
         """``Content-Length: -1`` gets a prompt 400 without the server
@@ -536,7 +579,39 @@ class TestAdmissionControl:
                 backend = _remote(server)
                 assert np.array_equal(backend.predict(test.X[:6]),
                                       model.predict(test.X[:6]))
+                backend.client.close()
             assert server.shed_count == 0
+            assert server.request_count == 1
+
+    @pytest.mark.parametrize("refusal", ["unknown-graph", "no-graph-header"])
+    def test_refusal_closes_the_connection(self, zoo, refusal):
+        """A refused request's body is never read, so the refusal carries
+        ``Connection: close``: the next request on the same client
+        connection scores correctly instead of being parsed out of the
+        unread body."""
+        import http.client
+
+        models, _, test = zoo
+        model = models["logistic"]
+        with serve_fleet([model]) as server:
+            host, port = server.url.rsplit("/", 1)[-1].split(":")
+            connection = http.client.HTTPConnection(host, int(port), timeout=10)
+            headers = {"X-Fairexp-Graph": "0" * 64} if refusal == "unknown-graph" else {}
+            # The body is a valid request line: a server that kept the
+            # connection would answer it instead of the next request.
+            junk = (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" * 4)
+            connection.request("POST", "/score", body=junk, headers=headers)
+            reply = connection.getresponse()
+            reply.read()
+            assert reply.status == (404 if refusal == "unknown-graph" else 400)
+            assert reply.getheader("Connection") == "close"
+            connection.request("POST", "/score", body=_npy(test.X[:9]),
+                               headers={"X-Fairexp-Graph": server.graph_keys()[0]})
+            reply = connection.getresponse()
+            assert reply.status == 200
+            labels = np.load(io.BytesIO(reply.read()), allow_pickle=False)
+            assert np.array_equal(labels, model.predict(test.X[:9]))
+            connection.close()
             assert server.request_count == 1
 
     def test_admitted_requests_track_peak_inflight(self, zoo):
@@ -549,6 +624,7 @@ class TestAdmissionControl:
             assert stats["peak_inflight"] >= 1
             assert stats["inflight"] == 0
             assert stats["shed"] == 0
+            backend.client.close()
 
 class TestServerLifecycle:
     def test_context_manager_leaves_no_live_thread(self, zoo):
@@ -610,6 +686,80 @@ class TestServerLifecycle:
         assert [b.row_count for b in backends] == [0, 0, 0]
 
 
+class TestKeepAlive:
+    """Wire calls ride persistent connections from the client's idle pool."""
+
+    def test_sequential_wire_calls_reuse_one_connection(self, zoo):
+        models, _, test = zoo
+        model = models["logistic"]
+        with serve_fleet([model]) as server:
+            backend = _remote(server)
+            for start in range(0, 40, 8):
+                assert np.array_equal(backend.predict(test.X[start:start + 8]),
+                                      model.predict(test.X[start:start + 8]))
+            assert backend.client.wire_call_count == 5
+            assert server.stats()["connections"] == 1
+            backend.client.close()
+
+    def test_client_close_is_idempotent_and_reconnects(self, zoo):
+        models, _, test = zoo
+        model = models["logistic"]
+        with serve_fleet([model]) as server:
+            backend = _remote(server)
+            backend.predict(test.X[:4])
+            backend.client.close()
+            backend.client.close()
+            assert np.array_equal(backend.predict(test.X[:6]),
+                                  model.predict(test.X[:6]))
+            assert server.stats()["connections"] == 2
+            assert backend.call_count == 2
+            backend.client.close()
+
+    def test_server_close_shuts_pooled_connections(self, zoo):
+        """A pooled connection outliving its server: the next score fails as
+        unreachable, counts nothing, and no handler thread is left behind
+        parked on the idle connection."""
+        models, _, test = zoo
+        server = serve_fleet([models["logistic"]])
+        backend = _remote(server)
+        backend.predict(test.X[:5])
+        handlers = list(server._connections.values())
+        assert len(handlers) == 1 and handlers[0].is_alive()
+        server.close()
+        assert not any(handler.is_alive() for handler in handlers)
+        client = backend.client
+        with pytest.raises(ValidationError, match="unreachable"):
+            backend.predict(test.X[:5])
+        assert (client.wire_call_count, client.wire_row_count) == (1, 5)
+        assert (backend.call_count, backend.row_count) == (1, 5)
+        client.close()
+
+    def test_server_dropping_a_batch_never_mislabels(self, zoo, monkeypatch):
+        """The server closes the connection after reading a batch, before
+        replying.  On a fresh connection the caller gets a clean error; on
+        a reused one the single fresh-connection retry lands the right
+        labels.  Either way rows are counted once, on success only."""
+        models, _, test = zoo
+        model = models["logistic"]
+        with serve_fleet([model]) as server:
+            backend = _remote(server)
+            client = backend.client
+            armed = _drop_next_reply(server, monkeypatch)
+            with pytest.raises(ValidationError, match="unreachable"):
+                backend.predict(test.X[:7])        # fresh connection: no retry
+            assert (client.wire_row_count, backend.row_count) == (0, 0)
+            assert np.array_equal(backend.predict(test.X[:7]),
+                                  model.predict(test.X[:7]))
+            armed.append(True)                     # drop on the pooled one
+            assert np.array_equal(backend.predict(test.X[7:12]),
+                                  model.predict(test.X[7:12]))
+            assert (client.wire_call_count, client.wire_row_count) == (2, 12)
+            assert (backend.call_count, backend.row_count) == (2, 12)
+            assert server.request_count == 2
+            assert server.stats()["connections"] == 3
+            client.close()
+
+
 class TestStatsEndpoint:
     def test_stats_reports_per_graph_counters_over_http(self, zoo):
         import json
@@ -626,9 +776,11 @@ class TestStatsEndpoint:
             with urllib.request.urlopen(f"{server.url}/stats",
                                         timeout=10) as reply:
                 stats = json.loads(reply.read().decode("utf-8"))
+            client.close()
         assert stats["requests"] == 2
         assert stats["rows"] == 20
         assert stats["shed"] == 0
+        assert stats["connections"] == 2   # the pooled client's one + this GET
         assert stats["max_inflight"] is None
         for graph in graphs:
             entry = stats["graphs"][graph.signature()]
@@ -665,6 +817,7 @@ class TestStatsEndpoint:
             assert entry["client_batches"] == 3
             assert entry["coalescing_factor"] == 3.0
             assert entry["window"] == 1.0
+            client.close()
 
 class TestServeCLI:
     """``python -m fairexp serve`` fleet flags and the /stats pretty-printer
@@ -737,6 +890,7 @@ class TestServeCLI:
                 CoalescingScoringClient(server.url, window=0.0), graph=graphs[0])
             backend.predict(test.X[:7])
             backend.close()
+            backend.client.close()
             assert main(["serve", "--stats-url", server.url]) == 0
         out = capsys.readouterr().out
         assert "1 requests, 7 rows, 0 shed" in out
@@ -774,6 +928,7 @@ class TestRemoteSession:
             )
             remote = session.counterfactuals_for(test.X, rejected_idx).solved()
             backend.close()
+            backend.client.close()
         assert set(remote) == set(reference)
         for i in reference:
             assert np.array_equal(remote[i].counterfactual,
@@ -798,6 +953,7 @@ class TestBackendClose:
             start = time.monotonic()
             stays.predict(test.X[:5])  # dispatches immediately, no 5s stall
             assert time.monotonic() - start < 2.0
+            client.close()
 
 
 class TestServingStoreIntegration:
@@ -863,6 +1019,7 @@ class TestServingStoreIntegration:
                 ) as session:
                     results = session.counterfactuals_for(test.X, rejected_idx).solved()
                 backend.close()
+                backend.client.close()
             return session, results
 
         first, cold = remote_session()
