@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +57,13 @@ def _fresh_process_sweep(store_dir) -> dict:
 
 
 def _payload_compression(store_dir) -> dict:
-    """Bytes-on-disk of the store's (compressed) payloads vs the uncompressed
-    npz equivalent of the same arrays — the satellite's recorded saving."""
-    import io
-
+    """Bytes-on-disk of the store's deflated payloads vs the raw bytes of the
+    columns they hold (the inflated stream) — the recorded saving."""
     compressed = uncompressed = 0
     for payload_path in Path(store_dir).glob("*.npz"):
-        compressed += payload_path.stat().st_size
-        with np.load(payload_path) as payload:
-            buffer = io.BytesIO()
-            np.savez(buffer, **{key: payload[key] for key in payload.files})
-            uncompressed += len(buffer.getvalue())
+        blob = payload_path.read_bytes()
+        compressed += len(blob)
+        uncompressed += len(zlib.decompress(blob))
     return {
         "store_payload_bytes_compressed": compressed,
         "store_payload_bytes_uncompressed": uncompressed,

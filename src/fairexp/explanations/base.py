@@ -454,8 +454,8 @@ class Counterfactual:
         return lines
 
 
-#: Column name -> (dtype, fill value of an unsolved row).  The names are also
-#: the member names of a store payload.
+#: Column name -> (dtype, fill value of an unsolved row).  This order and
+#: these dtypes are also the layout of a store payload's column stream.
 _BATCH_COLUMNS = {
     "indices": (np.int64, 0), "has_result": (bool, False),
     "originals": (float, np.nan), "counterfactuals": (float, np.nan),
@@ -519,7 +519,7 @@ class CounterfactualBatch:
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
-        """Every column by name: exactly the members of a store payload."""
+        """Every column by name: exactly what a store payload holds."""
         return {name: getattr(self, name) for name in _BATCH_COLUMNS}
 
     @property

@@ -39,6 +39,7 @@ long gradient trajectory amplifies to ~1e-13).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import os
 import pickle
@@ -395,21 +396,26 @@ def shard_indices(n_items: int, n_shards: int) -> list[np.ndarray]:
     return [shard for shard in np.array_split(np.arange(n_items), n_shards) if shard.size]
 
 
-def _iter_init_parameters(generator):
+def _iter_init_parameters(generator) -> tuple[str, ...]:
     """Named ``__init__`` parameters across the generator's MRO (deduped)."""
-    seen: set[str] = set()
-    for klass in type(generator).__mro__:
-        init = klass.__dict__.get("__init__")
-        if init is None:
-            continue
+    mro = type(generator).__mro__
+    return _init_parameters(tuple(klass.__dict__.get("__init__") for klass in mro))
+
+
+# Keyed on the MRO's ``__init__`` functions, so a replaced one is read afresh;
+# bounded, since an ``__init__`` calling ``super()`` holds its class.
+@functools.lru_cache(maxsize=256)
+def _init_parameters(inits: tuple) -> tuple[str, ...]:
+    names: dict[str, None] = {}
+    for init in filter(None, inits):
         for name, parameter in inspect.signature(init).parameters.items():
-            if name in ("self", "model", "background") or name in seen:
+            if name in ("self", "model", "background"):
                 continue
             if parameter.kind in (inspect.Parameter.VAR_POSITIONAL,
                                   inspect.Parameter.VAR_KEYWORD):
                 continue
-            seen.add(name)
-            yield name
+            names.setdefault(name)
+    return tuple(names)
 
 
 def generator_config(generator) -> dict:

@@ -23,10 +23,11 @@ keyed by a :func:`population_fingerprint` — a SHA-256 digest folding together
 * the **store format and fairexp release versions**, so format changes and
   search-kernel changes retire old entries instead of serving them.
 
-On disk each entry is a compressed ``.npz`` payload holding the columns of
-one :class:`~fairexp.explanations.base.CounterfactualBatch`, one member per
-column, plus a JSON manifest carrying the format version, the payload's
-checksum and its row count and width.  There is one format: the manifest's
+On disk each entry is one deflate stream of the raw bytes of one
+:class:`~fairexp.explanations.base.CounterfactualBatch`'s fixed-dtype columns
+(the payload file's ``.npz`` suffix is historical), plus a JSON manifest
+carrying the format version, the payload's checksum and its row count and
+width, which fix every column's offset.  There is one format: the manifest's
 version must equal :data:`STORE_FORMAT_VERSION`, which the fingerprint also
 folds, so an entry of another format is never even addressed.  Writes are
 corruption-safe: payloads are content-named and published with an atomic
@@ -48,19 +49,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
+import math
 import os
 import pickle
 import sys
 import time
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .backends import CallablePredictBackend, NumpyPredictBackend
-from .base import CounterfactualBatch
+from .base import _BATCH_COLUMNS, _BATCH_MATRICES, CounterfactualBatch
 from .engine import (
     BatchModelAdapter,
     effective_backend,
@@ -76,10 +78,13 @@ __all__ = [
 ]
 
 #: Format version written into every manifest, folded into every
-#: fingerprint and required (by equality) at read time.  Version 3 stores
-#: compressed payloads (``np.savez_compressed``) of per-field arrays only,
-#: with no per-row ``meta`` member.
-STORE_FORMAT_VERSION = 3
+#: fingerprint and required (by equality) at read time.  Version 4 stores
+#: one deflate stream of fixed-dtype columns (version 3: an ``.npz`` archive).
+STORE_FORMAT_VERSION = 4
+
+#: On-disk dtype of each payload column, in stream order.
+_PAYLOAD_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
+                   for name, (dtype, _) in _BATCH_COLUMNS.items()}
 
 #: What an entry's file stem looks like: a (possibly truncated) hex digest.
 #: Anything else in the directory — a sweep's ``SWEEP_JOURNAL.json``, editor
@@ -379,6 +384,26 @@ def population_fingerprint(generator, X) -> str | None:
 # --------------------------------------------------------------------------
 # The store
 # --------------------------------------------------------------------------
+def _unpack_columns(raw: bytearray, n_rows, n_features) -> dict[str, np.ndarray]:
+    """The columns of an inflated payload, as writable views into ``raw``.
+
+    Raises ``ValueError`` unless the manifest's shape is two counts and
+    ``raw`` is exactly as long as that shape implies (a column cut short
+    fails its reshape).
+    """
+    if not all(type(n) is int and n >= 0 for n in (n_rows, n_features)):
+        raise ValueError(f"manifest shape {n_rows!r} x {n_features!r} is not two counts")
+    view, offset, columns = memoryview(raw), 0, {}
+    for name, dtype in _PAYLOAD_DTYPES.items():
+        shape = (n_rows, n_features) if name in _BATCH_MATRICES else (n_rows,)
+        end = offset + math.prod(shape) * dtype.itemsize
+        columns[name] = np.frombuffer(view[offset:end], dtype).reshape(shape)
+        offset = end
+    if offset != len(raw):
+        raise ValueError("payload is longer than the manifest shape")
+    return columns
+
+
 class CounterfactualStore:
     """Directory-backed LRU store of per-population counterfactual results.
 
@@ -488,18 +513,19 @@ class CounterfactualStore:
                 if payload_path.exists():
                     size += payload_path.stat().st_size
                 age = max(0.0, now - manifest_path.stat().st_mtime)
-            except (OSError, ValueError):
-                continue  # torn concurrent write; the next call sees it settled
-            details.append({
-                "fingerprint": manifest_path.stem,
-                "n_rows": int(manifest.get("n_rows", 0)),
-                "n_features": int(manifest.get("n_features", 0)),
-                "bytes": int(size),
-                "age_seconds": float(age),
-                "updated_at": str(manifest.get("updated_at", "")),
-                "format_version": manifest.get("format_version"),
-                "payload": payload_name,
-            })
+                detail = {
+                    "fingerprint": manifest_path.stem,
+                    "n_rows": int(manifest.get("n_rows", 0)),
+                    "n_features": int(manifest.get("n_features", 0)),
+                    "bytes": int(size),
+                    "age_seconds": float(age),
+                    "updated_at": str(manifest.get("updated_at", "")),
+                    "format_version": manifest.get("format_version"),
+                    "payload": payload_name,
+                }
+            except (OSError, ValueError, AttributeError, TypeError):
+                continue  # torn concurrent write, or a damaged one load discards
+            details.append(detail)
         details.sort(key=lambda d: (-d["age_seconds"], d["fingerprint"]))
         return details
 
@@ -560,7 +586,7 @@ class CounterfactualStore:
         """Validated read of one entry; ``None`` on absence or corruption.
 
         Corrupt state (unparsable manifest, missing payload, checksum or
-        version mismatch, a payload that is no valid batch of the manifest's
+        version mismatch, a payload that is no whole stream of the manifest's
         shape) is discarded so the next save republishes cleanly.
         """
         manifest_path = self._manifest_path(fingerprint)
@@ -582,14 +608,14 @@ class CounterfactualStore:
             blob = payload_path.read_bytes()
             if hashlib.sha256(blob).hexdigest() != manifest["payload_sha256"]:
                 raise ValueError("payload checksum mismatch")
-            # Each member is read into memory once: an open NpzFile
-            # re-inflates a member on every index.
-            with np.load(io.BytesIO(blob)) as payload:
-                batch = CounterfactualBatch(**{key: payload[key] for key in payload.files})
-            if (len(batch), batch.n_features) != (int(manifest["n_rows"]),
-                                                  int(manifest["n_features"])):
-                raise ValueError("payload shape differs from the manifest")
-        except (OSError, KeyError, ValueError, TypeError):
+            inflater = zlib.decompressobj()
+            # A bytearray, so the column views handed out stay writable.
+            raw = bytearray(inflater.decompress(blob))
+            if not inflater.eof or inflater.unused_data:
+                raise ValueError("payload is not one complete deflate stream")
+            batch = CounterfactualBatch(**_unpack_columns(
+                raw, manifest["n_rows"], manifest["n_features"]))
+        except (OSError, KeyError, ValueError, TypeError, zlib.error):
             self._discard_if_unchanged(fingerprint, manifest_text)
             return None
         self.bytes_read += len(blob)
@@ -648,13 +674,12 @@ class CounterfactualStore:
         token = os.urandom(4).hex()
         payload_path = self._payload_path(fingerprint, token)
         temp_payload = payload_path.with_suffix(f".tmp-{os.getpid()}-{token}")
-        buffer = io.BytesIO()
-        # Compressed since format version 2: counterfactual matrices are
-        # mostly-unchanged copies of their originals plus boolean masks, so
-        # deflate routinely halves the bytes on disk (the saving is recorded
-        # in BENCH_STORE.json by benchmarks/test_bench_store.py).
-        np.savez_compressed(buffer, **batch.columns)
-        blob = buffer.getvalue()  # checksummed in memory, written once
+        # Deflated: counterfactual matrices are mostly-unchanged copies of
+        # their originals plus boolean masks, so even level 1 routinely halves
+        # the bytes on disk (recorded in BENCH_STORE.json).
+        raw = b"".join(np.ascontiguousarray(column, dtype=_PAYLOAD_DTYPES[name]).tobytes()
+                       for name, column in batch.columns.items())
+        blob = zlib.compress(raw, 1)  # checksummed in memory, written once
         manifest = {
             "format_version": STORE_FORMAT_VERSION,
             "fingerprint": fingerprint,

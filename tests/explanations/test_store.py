@@ -6,19 +6,22 @@ miss, not an error), concurrent same-fingerprint writers (atomic publishes
 never interleave), and LRU eviction under the entry/byte bounds.
 """
 
+import gc
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairexp.core import BurdenExplainer, NAWBExplainer
 from fairexp.datasets import make_loan_dataset
@@ -33,9 +36,11 @@ from fairexp.explanations import (
     GrowingSpheresCounterfactual,
     RemoteScoringBackend,
     export_model,
+    generator_config,
     model_signature,
     population_fingerprint,
 )
+from fairexp.explanations.engine import _init_parameters
 from fairexp.explanations.store import STORE_FORMAT_VERSION
 from fairexp.models import LogisticRegression
 
@@ -85,6 +90,34 @@ def _some_results(n_features=3):
     batch.constraint_feasible[0] = True
     batch.changed_masks[0, 0] = True
     return batch
+
+
+#: Format 4's payload layout, written out apart from the store: each column's
+#: raw bytes in this order and on-disk dtype, concatenated into one deflate
+#: stream.
+_FORMAT_4_COLUMNS = {
+    "indices": "<i8", "has_result": "|b1", "originals": "<f8",
+    "counterfactuals": "<f8", "original_predictions": "<i8",
+    "counterfactual_predictions": "<i8", "distances": "<f8",
+    "constraint_feasible": "|b1", "changed_masks": "|b1",
+}
+
+
+def _raw_stream(columns):
+    """The inflated format-4 payload of ``columns``."""
+    return b"".join(np.ascontiguousarray(columns[name], dtype=dtype).tobytes()
+                    for name, dtype in _FORMAT_4_COLUMNS.items())
+
+
+def _republish_payload(store, fingerprint, blob):
+    """Overwrite an entry's payload with ``blob`` and re-checksum it, so only
+    the layout checks behind the checksum can reject it."""
+    manifest_path = store._manifest_path(fingerprint)
+    manifest = json.loads(manifest_path.read_text())
+    (store.directory / manifest["payload"]).write_bytes(blob)
+    manifest["payload_sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    return manifest
 
 
 def _uniform_results(n_rows, n_features, value):
@@ -498,6 +531,77 @@ class TestFingerprint:
         assert population_fingerprint(generator, subset.X) is None
 
 
+def _custom_class(boosted=True):
+    """A generator class made at run time; both variants share one name."""
+    if boosted:
+        class Custom(GrowingSpheresCounterfactual):
+            def __init__(self, model, background, *, boost=1.0, **kwargs):
+                super().__init__(model, background, **kwargs)
+                self.boost = boost
+    else:
+        class Custom(GrowingSpheresCounterfactual):
+            def __init__(self, model, background, *, damping=1.0, **kwargs):
+                super().__init__(model, background, **kwargs)
+                self.damping = damping
+    return Custom
+
+
+class TestInitParameterCache:
+    """Constructor introspection is memoized; the memo must never let a
+    fingerprint or config miss a parameter the current class declares."""
+
+    def test_replaced_init_is_read_afresh(self, loan_workload, monkeypatch):
+        _, train, subset, model, constraints = loan_workload
+        Custom = _custom_class()
+        generator = Custom(model, train.X, constraints=constraints, random_state=0)
+        assert generator_config(generator)["boost"] == 1.0
+        before = population_fingerprint(generator, subset.X)
+        assert before is not None
+
+        def damped_init(self, model, background, *, damping=2.0, **kwargs):
+            GrowingSpheresCounterfactual.__init__(self, model, background, **kwargs)
+            self.damping = damping
+
+        monkeypatch.setattr(Custom, "__init__", damped_init)
+        generator.damping = 2.0
+        config = generator_config(generator)
+        assert config["damping"] == 2.0 and "boost" not in config
+        after = population_fingerprint(generator, subset.X)
+        assert after is not None and after != before
+
+        def hidden_init(self, model, background, *, hidden=3.0, **kwargs):
+            GrowingSpheresCounterfactual.__init__(self, model, background, **kwargs)
+
+        monkeypatch.setattr(Custom, "__init__", hidden_init)
+        assert "hidden" not in generator_config(generator)
+        # The new parameter is stored nowhere: no faithful fingerprint.
+        assert population_fingerprint(generator, subset.X) is None
+
+    def test_classes_with_other_parameters_never_share_an_entry(self, loan_workload):
+        _, train, subset, model, constraints = loan_workload
+        params = dict(constraints=constraints, random_state=0)
+        boosted = _custom_class()(model, train.X, **params)
+        damped = _custom_class(boosted=False)(model, train.X, **params)
+        assert type(boosted).__qualname__ == type(damped).__qualname__
+        assert "boost" in generator_config(boosted)
+        assert "damping" not in generator_config(boosted)
+        assert "damping" in generator_config(damped)
+        assert "boost" not in generator_config(damped)
+        assert population_fingerprint(boosted, subset.X) \
+            != population_fingerprint(damped, subset.X)
+
+    def test_runtime_classes_are_not_pinned(self, loan_workload):
+        _, train, _, model, constraints = loan_workload
+        Custom = _custom_class()
+        generator_config(Custom(model, train.X, constraints=constraints, random_state=0))
+        released = weakref.ref(Custom)
+        del Custom
+        for _ in range(_init_parameters.cache_info().maxsize):
+            _init_parameters((lambda self, spare=0: None,))  # evicts the class's entry
+        gc.collect()
+        assert released() is None
+
+
 class TestCorruptionFallback:
     def _store_with_entry(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -554,19 +658,30 @@ class TestCorruptionFallback:
         ``n_features`` wide is corruption: a miss and a discard, never rows
         of the wrong width."""
         store = self._store_with_entry(tmp_path)
-        manifest_path = store._manifest_path("c" * 64)
-        manifest = json.loads(manifest_path.read_text())
-        payload_path = tmp_path / manifest["payload"]
-        with np.load(payload_path) as payload:
-            members = {name: payload[name] for name in payload.files}
+        members = dict(_some_results().columns)
         for name, width in widths.items():
             members[name] = np.resize(members[name], (members[name].shape[0], width))
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **members)
-        payload_path.write_bytes(buffer.getvalue())
-        manifest["payload_sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
+        manifest = _republish_payload(store, "c" * 64,
+                                      zlib.compress(_raw_stream(members), 1))
         assert manifest["n_features"] == 3
+        assert store.load("c" * 64) is None
+        assert store.entries() == []
+
+    @pytest.mark.parametrize("shape", [
+        {"n_rows": -1, "n_features": -3}, {"n_rows": 1.0, "n_features": 3},
+        {"n_rows": True, "n_features": 3}, {"n_rows": "1", "n_features": 3},
+        {"n_rows": 10**30, "n_features": 3}, {"n_rows": 0, "n_features": 10**30},
+    ], ids=["negative", "float", "bool", "string", "huge", "empty-but-huge"])
+    def test_manifest_shape_that_is_no_count_is_a_miss(self, tmp_path, shape):
+        """The manifest's shape fixes every column's offset, so anything but
+        two non-negative integers is corruption — even when it names the
+        intact one-row payload's shape by another value."""
+        store = CounterfactualStore(tmp_path)
+        store.save("c" * 64, _some_results().take([0]))
+        manifest_path = store._manifest_path("c" * 64)
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(shape)
+        manifest_path.write_text(json.dumps(manifest))
         assert store.load("c" * 64) is None
         assert store.entries() == []
 
@@ -818,19 +933,16 @@ class TestBatchRoundTrip:
             store = CounterfactualStore(directory)
             store.save("a" * 64, batch)
             manifest = json.loads(store._manifest_path("a" * 64).read_text())
-            payload = store.directory / manifest["payload"]
-            with np.load(payload) as members:
-                assert members.files == list(batch.columns)
-            on_disk = payload.stat().st_size
+            blob = (store.directory / manifest["payload"]).read_bytes()
             loaded = store.load("a" * 64)
-        assert manifest["format_version"] == STORE_FORMAT_VERSION == 3
-        uncompressed, compressed = io.BytesIO(), io.BytesIO()
-        np.savez(uncompressed, **batch.columns)
-        np.savez_compressed(compressed, **batch.columns)
-        assert on_disk == len(compressed.getvalue())
-        assert on_disk < len(uncompressed.getvalue())
+        assert manifest["format_version"] == STORE_FORMAT_VERSION == 4
+        assert list(batch.columns) == list(_FORMAT_4_COLUMNS)
+        raw = _raw_stream(batch.columns)
+        assert zlib.decompress(blob) == raw
+        assert blob == zlib.compress(raw, 1)
         for name, column in batch.columns.items():
             assert loaded.columns[name].dtype == column.dtype
+            assert loaded.columns[name].flags.writeable
             assert np.array_equal(loaded.columns[name], column, equal_nan=True)
 
         for k, (row, loaded_row) in enumerate(zip(batch, loaded)):
@@ -844,6 +956,70 @@ class TestBatchRoundTrip:
                 batch.distances[k:k + 1], batch.constraint_feasible[k:k + 1])
             assert _fields(batch[k]) == _fields(row) == _fields(loaded_row) \
                 == _fields(expected)
+
+
+@st.composite
+def _batches(draw, max_rows=4):
+    """Batches of 1-8 features mixing solved rows (-0.0, NaN and infinities
+    among their floats) with unsolved, NaN-filled ones."""
+    n_rows, n_features = draw(st.integers(1, max_rows)), draw(st.integers(1, 8))
+    floats = st.one_of(st.just(-0.0), st.floats(width=64))
+    batch = CounterfactualBatch.unsolved(
+        draw(st.lists(st.integers(0, 2**40), min_size=n_rows, max_size=n_rows,
+                      unique=True)), n_features)
+    solved = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    shape = (int(solved.sum()), n_features)
+    batch.has_result[solved] = True
+    batch.originals[solved] = draw(arrays(float, shape, elements=floats))
+    batch.counterfactuals[solved] = draw(arrays(float, shape, elements=floats))
+    batch.changed_masks[solved] = draw(arrays(bool, shape))
+    batch.distances[solved] = draw(arrays(float, shape[0], elements=floats))
+    batch.original_predictions[solved] = draw(arrays(np.int64, shape[0]))
+    batch.counterfactual_predictions[solved] = draw(arrays(np.int64, shape[0]))
+    batch.constraint_feasible[solved] = draw(arrays(bool, shape[0]))
+    return batch
+
+
+class TestPayloadStream:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=_batches(max_rows=12))
+    def test_round_trips_bitwise(self, batch):
+        with tempfile.TemporaryDirectory() as directory:
+            store = CounterfactualStore(directory)
+            store.save("e" * 64, batch)
+            loaded = store.load("e" * 64)
+        for name, column in batch.columns.items():
+            got = loaded.columns[name]
+            assert got.dtype == column.dtype and got.shape == column.shape
+            if column.dtype.kind == "f":
+                assert [v.hex() for v in got.ravel().tolist()] \
+                    == [v.hex() for v in column.ravel().tolist()]
+            else:
+                assert np.array_equal(got, column)
+
+    @settings(max_examples=8, deadline=None)
+    @given(batch=_batches(max_rows=3))
+    def test_any_other_length_is_a_miss(self, batch):
+        """Every strict prefix of a valid payload and the payload plus one
+        byte — inflated or as stored — and bytes that are no deflate stream
+        at all, each re-checksummed, are a miss that discards the entry."""
+        with tempfile.TemporaryDirectory() as directory:
+            store = CounterfactualStore(directory)
+            store.save("e" * 64, batch)
+            manifest_path = store._manifest_path("e" * 64)
+            manifest_text = manifest_path.read_text()
+            payload_path = store.directory / json.loads(manifest_text)["payload"]
+            blob = payload_path.read_bytes()
+            raw = zlib.decompress(blob)
+            damaged = [zlib.compress(raw[:k], 1) for k in range(len(raw))]
+            damaged.append(zlib.compress(raw + b"\0", 1))
+            damaged += [blob[:k] for k in range(len(blob))] + [blob + b"\0"]
+            damaged.append(b"not a deflate stream")
+            for bad in damaged:
+                manifest_path.write_text(manifest_text)
+                _republish_payload(store, "e" * 64, bad)
+                assert store.load("e" * 64) is None
+                assert store.entries() == []
 
 
 class TestCompressionAndFormatCompat:
@@ -876,30 +1052,38 @@ class TestStoreMetrics:
         store.reset_counts()
         assert store.bytes_read == 0
 
-    def test_load_reads_each_payload_member_once(self, tmp_path, monkeypatch):
-        """An open NpzFile re-inflates a member on every index; unpacking
-        row by row from it made warm reads slower than recomputing."""
+    def test_load_inflates_the_payload_once(self, tmp_path, monkeypatch):
+        """The whole payload is inflated in one call and every column sliced
+        from it: re-inflating per column or per row made warm reads slower
+        than recomputing."""
         store = CounterfactualStore(tmp_path)
         results = _uniform_results(64, 4, 1.0)
         results.counterfactuals[:] = np.arange(64.0)[:, None]
         results.distances[:] = np.arange(64.0)
         store.save("a" * 64, results)
         manifest = json.loads(store._manifest_path("a" * 64).read_text())
-        with np.load(tmp_path / manifest["payload"]) as payload:
-            n_members = len(payload.files)
+        blob = (tmp_path / manifest["payload"]).read_bytes()
 
-        npz_type = np.lib.npyio.NpzFile
-        original_getitem = npz_type.__getitem__
+        real_decompressobj = zlib.decompressobj
         calls = []
 
-        def counting_getitem(self, key):
-            calls.append(key)
-            return original_getitem(self, key)
+        class CountingInflater:
+            def __init__(self, *args):
+                self._inner = real_decompressobj(*args)
 
-        monkeypatch.setattr(npz_type, "__getitem__", counting_getitem)
+            def decompress(self, data, *args):
+                calls.append(len(data))
+                return self._inner.decompress(data, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        monkeypatch.setattr(zlib, "decompressobj", CountingInflater)
+        monkeypatch.setattr(zlib, "decompress", None)  # no second path either
         loaded = store.load("a" * 64)
         assert loaded is not None and len(loaded) == 64
-        assert len(calls) <= n_members
+        assert np.array_equal(loaded.counterfactuals, results.counterfactuals)
+        assert calls == [len(blob)]
 
     def test_stats_report_entry_ages(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -922,7 +1106,7 @@ class TestStoreMetrics:
         for detail in details:
             assert detail["n_rows"] == 2
             assert detail["bytes"] > 0
-            assert detail["format_version"] == 3
+            assert detail["format_version"] == 4
             assert (tmp_path / detail["payload"]).exists()
 
     def test_session_stats_fold_in_bytes_read(self, tmp_path, loan_workload):

@@ -113,6 +113,53 @@ class TestEvictAndClear:
         assert store.entries() == []
 
 
+#: Manifests that parse as JSON but describe no entry: no object at all, or
+#: an object whose counts are no numbers.
+_DAMAGED_MANIFESTS = {
+    "list": [],
+    "string": "x",
+    "null-rows": {"format_version": 4, "fingerprint": "d" * 64, "payload": "",
+                  "n_rows": None, "n_features": 3},
+    "list-features": {"format_version": 4, "fingerprint": "d" * 64, "payload": "",
+                      "n_rows": 2, "n_features": [3]},
+}
+
+
+@pytest.mark.parametrize("manifest", list(_DAMAGED_MANIFESTS.values()),
+                         ids=list(_DAMAGED_MANIFESTS))
+class TestDamagedManifest:
+    """A parsable but damaged manifest is skipped like a torn write: it must
+    crash neither inspection nor eviction nor a save past the bounds (which
+    would abort the audit that saves)."""
+
+    def _populate_with_damage(self, directory, manifest):
+        store = _populate(directory, fingerprints=("a",))
+        (directory / ("d" * 64 + ".json")).write_text(json.dumps(manifest))
+        return store
+
+    def test_inspect_lists_only_the_good_entry(self, tmp_path, capsys, manifest):
+        self._populate_with_damage(tmp_path, manifest)
+        assert main(["store", "inspect", "--dir", str(tmp_path), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [entry["fingerprint"] for entry in entries] == ["a" * 64]
+
+    def test_evict_succeeds(self, tmp_path, capsys, manifest):
+        store = self._populate_with_damage(tmp_path, manifest)
+        assert main(["store", "evict", "--dir", str(tmp_path),
+                     "--max-entries", "0"]) == 0
+        assert "evicted 1 entries" in capsys.readouterr().out
+        assert store.entries() == ["d" * 64]  # left for load to discard
+        assert store.load("d" * 64) is None
+        assert store.entries() == []
+
+    @pytest.mark.parametrize("bound", ["max_entries", "max_bytes"])
+    def test_save_past_the_bounds_succeeds(self, tmp_path, manifest, bound):
+        store = self._populate_with_damage(tmp_path, manifest)
+        setattr(store, bound, 1)
+        store.save("b" * 64, _results([0, 1]))
+        assert store.load("b" * 64) is not None
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_fairexp(self, tmp_path):
         """The documented invocation shape works end to end."""
