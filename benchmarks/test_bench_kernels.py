@@ -11,7 +11,10 @@ sides on 100x-E1-shaped inputs, asserts the kernels are bitwise-equal to
 the loops, and records each kernel's timings and its own speedup
 (``<kernel>_speedup`` = legacy / kernel seconds) to ``BENCH_KERNELS.json``.
 Speedups are reported per kernel, never as an aggregate: an aggregate lets
-one kernel's large win hide another's regression.
+one kernel's large win hide another's regression.  ``project_wave`` times a
+whole lockstep wave: the broadcast ``originals + table`` build followed by
+the in-place projection, against the projection's offsets form, which
+builds and projects the wave one feature plane at a time.
 """
 
 import time
@@ -116,6 +119,25 @@ def _workload():
         X_sparse, sparse_candidates
 
 
+def _wave_workload():
+    """One lockstep wave of the default geometric schedule: pending rows and
+    the one-key offsets table they all share (a separate stream, so the
+    other kernels' inputs stay as they were)."""
+    rng = np.random.default_rng(20261018)
+    x_rows = rng.normal(size=(N_WAVE_ROWS, N_FEATURES))
+    table = rng.normal(size=(1, N_CANDIDATES, N_FEATURES))
+    return x_rows, table
+
+
+def _legacy_build_then_project(kernels, x_rows, table, constraints):
+    """The wave as the engine built it before the offsets form: the
+    broadcast ``originals + table`` tensor, then the projection in place."""
+    originals = x_rows[:, None, :]
+    candidates = originals + table[0]
+    return kernels.project_candidates(originals, candidates, out=candidates,
+                                      **constraints)
+
+
 def _best_of(runs, fn):
     """Minimum wall time of ``fn`` over ``runs`` calls (returns last result)."""
     best = np.inf
@@ -153,6 +175,14 @@ def test_kernels_vs_legacy_loops(benchmark):
     assert np.array_equal(p_legacy, p_kernel)
     # The column-wise projection must beat the cascade it replaced.
     assert legacy_times["project"] / kernel_times["project"] > 1.0
+
+    # 2b. The whole wave: build + project against the fused offsets form.
+    x_rows, table = _wave_workload()
+    legacy_times["project_wave"], w_legacy = _best_of(3, lambda: (
+        _legacy_build_then_project(kernels, x_rows, table, constraints)))
+    kernel_times["project_wave"], w_kernel = _best_of(3, lambda: kernels.project_candidates(
+        x_rows, offsets=table, **constraints))
+    assert w_legacy.tobytes() == w_kernel.tobytes()
 
     # 3 + 4. Greedy ranking and the prefix-revert trial chains.
     legacy_times["rank"], orders_legacy = _best_of(3, lambda: _legacy_rank_changed(

@@ -89,24 +89,29 @@ class ActionabilityConstraints:
             constraints.monotone[j] = spec.monotone
         return constraints
 
-    def project(self, x_original: np.ndarray, candidate: np.ndarray, *,
+    def project(self, x_original: np.ndarray, candidate: np.ndarray | None = None, *,
+                offsets: np.ndarray | None = None, key_of: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Project candidate counterfactuals onto the feasible set.
 
         Accepts a single candidate of shape ``(d,)`` or any stacked candidate
         tensor of shape ``(..., d)`` — e.g. ``(n_candidates, d)`` for one
-        instance's candidate matrix, or ``(n_instances, n_candidates, d)``
-        with ``x_original`` of shape ``(n_instances, 1, d)`` for the batched
-        engine.  ``x_original`` must broadcast against ``candidate``; NaN
-        bounds are treated as unbounded.
+        instance's candidate matrix.  ``x_original`` must broadcast against
+        ``candidate``; NaN bounds are treated as unbounded.  The batched
+        engine instead passes its pending rows ``(n, d)`` with
+        ``offsets=table`` (the wave's distinct ``(k, m, d)`` offsets) and
+        ``key_of`` (each row's table key), and gets the ``(n, m, d)``
+        projection of ``x_original[i] + table[key_of[i]]`` without the
+        unprojected wave ever being built.
 
         The projection cascade is the
         :func:`~fairexp.explanations.kernels.project_candidates` kernel;
         ``out`` (e.g. ``candidate`` itself) receives the result in place.
         """
         return resolve_kernels().project_candidates(
-            x_original, candidate, immutable=self.immutable, lower=self.lower,
-            upper=self.upper, monotone=self.monotone, out=out,
+            x_original, candidate, offsets=offsets, key_of=key_of,
+            immutable=self.immutable, lower=self.lower, upper=self.upper,
+            monotone=self.monotone, out=out,
         )
 
     def is_feasible(self, x_original: np.ndarray, candidate: np.ndarray, *, atol=1e-9):

@@ -253,8 +253,10 @@ def lockstep_candidate_search(
     step gives each still-pending instance ``x`` the candidate matrix
     ``x[None, :] + offsets(rng, rung, d)`` at the rung its
     :class:`~fairexp.explanations.schedules.SearchSchedule` cursor planned,
-    projects the resulting ``(n_pending, n_candidates, d)`` tensor through
-    the actionability constraints in place, and issues a single
+    builds and projects the resulting ``(n_pending, n_candidates, d)``
+    tensor through the actionability constraints in one kernel call (from
+    the wave's distinct offsets, feature plane by feature plane), and
+    issues a single
     ``model.predict`` over all candidates of all pending instances — instead
     of ``n_instances × n_steps`` separate predicts.  The cursor observes
     the wave's hit counts in one call and decides which rung each instance
@@ -335,18 +337,15 @@ def lockstep_candidate_search(
             if shared and len(positions) == position + 1:
                 positions.append(rng.bit_generator.state)
         consumed[pending] += 1
-        originals = X[pending][:, None, :]
-        if len(table) == 1:
-            candidates = originals + table[0]
-        else:
-            candidates = np.stack(table)[key_of]
-            candidates += originals
-        projected = generator.constraints.project(originals, candidates, out=candidates)
+        # The kernel builds X[pending] + table[key_of] one feature plane at a
+        # time and projects it there: the unprojected wave never exists.
+        projected = generator.constraints.project(
+            X[pending], offsets=np.stack(table), key_of=key_of)
         predictions = generator._predict(
             projected.reshape(-1, n_features)
         ).reshape(pending.size, -1)
         steps_taken += 1
-        draws_issued += int(candidates.shape[0] * candidates.shape[1])
+        draws_issued += int(projected.shape[0] * projected.shape[1])
 
         # Row-major nonzero keeps each instance's hits contiguous, so one
         # distance call covers the wave and each instance's first

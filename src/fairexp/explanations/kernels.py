@@ -11,13 +11,20 @@ kernels:
 * :func:`project_candidates` — the actionability projection cascade over any
   stacked candidate tensor, one in-place pass per constrained feature
   column instead of a chain of full-tensor passes (optionally into the
-  candidate tensor itself);
+  candidate tensor itself).  Its offsets form builds a lockstep wave too:
+  given the pending rows, the wave's distinct offsets table and each row's
+  key, it computes each feature's ``(n, m)`` plane of ``row + offset`` in
+  one contiguous scratch buffer, projects it there and writes it into the
+  result once, so the unprojected wave is never built;
 * :func:`build_prefix_revert_trials` — one greedy round's cumulative
   prefix-revert trials for every active instance at once, stacked in one
   ``np.where`` over a rank-position matrix (replaces the per-feature
   ``trial.copy()`` chain and the per-instance call);
 * :func:`rank_changed_features` — the sparsifier's greedy revert order for a
   whole batch at once, as the rank-position matrix the trial kernel takes.
+  One stable ``argsort`` ranks every row; only rows with tied or
+  non-finite magnitudes, whose order an unstable sort decides, are ranked
+  again one by one.
 
 **Bitwise parity is the contract.**  Every kernel reproduces the pre-kernel
 loop implementation bit for bit (asserted in
@@ -83,13 +90,14 @@ def batch_counterfactual_distance(X, candidates, *, scale=None,
     raise ValidationError(f"unknown metric {metric!r}")
 
 
-def project_candidates(x_original, candidates, *, immutable, lower, upper,
-                       monotone, out=None) -> np.ndarray:
+def project_candidates(x_original, candidates=None, *, immutable, lower, upper,
+                       monotone, out=None, offsets=None, key_of=None) -> np.ndarray:
     """Project stacked candidates onto the feasible set (clip → monotone → freeze).
 
-    Accepts any ``(..., d)`` candidate tensor with ``x_original``
-    broadcastable to it; the result has ``candidates.shape``.  Same
-    semantics (and bitwise-identical output) as the historical clip →
+    Two forms.  The **absolute form** ``project_candidates(x_original,
+    candidates)`` accepts any ``(..., d)`` candidate tensor with
+    ``x_original`` broadcastable to it; the result has ``candidates.shape``.
+    Same semantics (and bitwise-identical output) as the historical clip →
     ``np.where`` cascade, but computed one feature at a time over that
     column's ``(...)`` slice: an immutable column is a copy of the
     original, a column with a finite bound is clipped to it, a monotone
@@ -97,13 +105,20 @@ def project_candidates(x_original, candidates, *, immutable, lower, upper,
     drawn.  NaN bounds are treated as unbounded.  ``out`` (which may be
     ``candidates`` itself) receives the projection instead of a fresh
     array.
+
+    The **offsets form** ``project_candidates(X, offsets=table,
+    key_of=key_of)`` builds a lockstep wave and projects it in one pass:
+    row ``i`` of ``X`` (``(n, d)``) gets the candidates
+    ``X[i] + table[key_of[i]]`` from the distinct offsets table ``(k, m,
+    d)``, and the result is the ``(n, m, d)`` projection of them —
+    bitwise-equal to ``project_candidates(X[:, None, :], X[:, None, :] +
+    table[key_of])``.  A one-key table is broadcast (``key_of`` may be
+    omitted); several keys are gathered per feature plane, so no ``(n, m,
+    d)`` offsets tensor is built.  Each feature's ``(n, m)`` plane is
+    computed, clipped and raised/lowered in one contiguous scratch buffer
+    and written into the result once; an immutable column is written
+    straight from ``X``.
     """
-    candidates = np.asarray(candidates, dtype=float)
-    if out is None:
-        out = candidates.copy()
-    elif out is not candidates:
-        out[...] = candidates
-    originals = np.broadcast_to(np.asarray(x_original, dtype=float), out.shape)
     immutable = np.asarray(immutable, dtype=bool)
     monotone = np.asarray(monotone)
     lower = np.asarray(lower, dtype=float)
@@ -111,6 +126,20 @@ def project_candidates(x_original, candidates, *, immutable, lower, upper,
     lower = np.where(np.isnan(lower), -np.inf, lower)
     upper = np.where(np.isnan(upper), np.inf, upper)
     bounded = np.isfinite(lower) | np.isfinite(upper)
+    if (candidates is None) == (offsets is None):
+        raise ValidationError("project_candidates takes candidates or offsets=, not both")
+    if offsets is not None:
+        if out is not None:
+            raise ValidationError("the offsets form of project_candidates builds its result")
+        return _project_offsets(np.asarray(x_original, dtype=float),
+                                np.asarray(offsets, dtype=float), key_of,
+                                immutable, lower, upper, bounded, monotone)
+    candidates = np.asarray(candidates, dtype=float)
+    if out is None:
+        out = candidates.copy()
+    elif out is not candidates:
+        out[...] = candidates
+    originals = np.broadcast_to(np.asarray(x_original, dtype=float), out.shape)
     for j in np.flatnonzero(immutable | bounded | (monotone != 0)):
         column = out[..., j]
         if immutable[j]:
@@ -122,6 +151,39 @@ def project_candidates(x_original, candidates, *, immutable, lower, upper,
             np.maximum(column, originals[..., j], out=column)
         elif monotone[j] == -1:
             np.minimum(column, originals[..., j], out=column)
+    return out
+
+
+def _project_offsets(X, offsets, key_of, immutable, lower, upper, bounded,
+                     monotone) -> np.ndarray:
+    """The offsets form of :func:`project_candidates` (bounds already
+    sanitized): one scratch plane per feature, one write into the result."""
+    n_rows, n_features = X.shape
+    n_keys, n_candidates, _ = offsets.shape
+    if n_keys > 1 and key_of is None:
+        raise ValidationError("an offsets table of several keys needs key_of")
+    # Feature-major copy of the (small) table, so each plane's offsets are
+    # contiguous whether broadcast or gathered.
+    planes = np.ascontiguousarray(np.moveaxis(offsets, -1, 0))
+    out = np.empty((n_rows, n_candidates, n_features))
+    plane = np.empty((n_rows, n_candidates))
+    for j in range(n_features):
+        column = X[:, j, None]
+        if immutable[j]:
+            out[..., j] = column
+            continue
+        if n_keys == 1:
+            np.add(column, planes[j, 0], out=plane)
+        else:
+            np.take(planes[j], key_of, axis=0, out=plane)
+            np.add(column, plane, out=plane)
+        if bounded[j]:
+            np.clip(plane, lower[j], upper[j], out=plane)
+        if monotone[j] == 1:
+            np.maximum(plane, column, out=plane)
+        elif monotone[j] == -1:
+            np.minimum(plane, column, out=plane)
+        out[..., j] = plane
     return out
 
 
@@ -152,18 +214,29 @@ def rank_changed_features(X_rows, candidates, scale) -> np.ndarray:
 
     ``position[k, j]`` is feature ``j``'s rank in row ``k``'s order — the
     features where candidate and original differ (``~np.isclose``), by
-    scaled absolute delta — and ``d`` for a feature outside it.  The
-    arithmetic runs once over the whole batch; the per-row ``argsort`` stays
-    on each row's few changed features so tie order matches the historical
-    per-row loop exactly even though the default sort is unstable.
+    scaled absolute delta — and ``d`` for a feature outside it.  One stable
+    ``argsort`` over ``where(changed, magnitude, inf)`` ranks the whole
+    batch.  A row whose changed magnitudes are finite and pairwise distinct
+    has only one sorted order, so it takes the batch result.  A row with a
+    tie or a non-finite magnitude keeps the per-row ``argsort`` over its
+    changed features, so its tie order matches the historical per-row loop
+    exactly even though the default sort is unstable.
     """
     X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     n_rows, n_features = candidates.shape
     changed = ~np.isclose(candidates, X_rows)
     magnitudes = np.abs((candidates - X_rows) / np.asarray(scale, dtype=float))
+    keyed = np.where(changed, magnitudes, np.inf)
+    order = np.argsort(keyed, axis=1, kind="stable")
+    ranked = np.take_along_axis(keyed, order, axis=1)
+    in_order = np.arange(n_features) < changed.sum(axis=1)[:, None]
+    tied = (ranked[:, 1:] == ranked[:, :-1]) & in_order[:, 1:]
+    per_row = (~np.isfinite(ranked) & in_order).any(axis=1) | tied.any(axis=1)
     position = np.full((n_rows, n_features), n_features, dtype=np.intp)
-    for k in range(n_rows):
+    rows, ranks = np.nonzero(in_order & ~per_row[:, None])
+    position[rows, order[rows, ranks]] = ranks
+    for k in np.flatnonzero(per_row):
         columns = np.flatnonzero(changed[k])
         position[k, columns[np.argsort(magnitudes[k, columns])]] = np.arange(columns.size)
     return position

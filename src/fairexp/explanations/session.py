@@ -441,7 +441,10 @@ class AuditSession:
         if population.fingerprint is not None:
             stored = self.store.load(population.fingerprint)
             if stored is not None:
-                population.batch = CounterfactualBatch.merge(stored)  # sorted for lookups
+                # Lookups need rows sorted by index.  Sessions publish them
+                # so; only an entry written otherwise pays for a sorting merge.
+                sorted_rows = bool(np.all(np.diff(stored.indices) > 0))
+                population.batch = stored if sorted_rows else CounterfactualBatch.merge(stored)
                 self.store_row_hits += len(stored)
         self._populations[key] = population
         return population

@@ -96,6 +96,11 @@ _FINGERPRINT_STEM = re.compile(r"[0-9a-f]{16,64}")
 #: manifest that will reference it.
 _ORPHAN_GRACE_SECONDS = 60.0
 
+#: How manifests are decoded: bytes that are no UTF-8 keep a stable text
+#: form, so a manifest that is no text fails to parse (and is discarded like
+#: any damaged one) instead of raising out of a load or an eviction.
+_UNDECODABLE = "surrogateescape"
+
 
 # --------------------------------------------------------------------------
 # Fingerprinting
@@ -497,16 +502,24 @@ class CounterfactualStore:
         ``bytes`` (manifest + payload), ``age_seconds`` (since the last
         recency bump — the quantity LRU eviction orders on),
         ``updated_at``, ``format_version`` and ``payload`` (the payload file
-        the manifest references).  Entries racing a concurrent
-        writer are skipped rather than reported half-read; ordering is by
-        age, oldest (next-to-evict) first.  This is what the
+        the manifest references).  Entries racing a concurrent writer and
+        damaged manifests are skipped rather than reported half-read;
+        ordering is by age, oldest (next-to-evict) first.  This is what the
         ``python -m fairexp store inspect`` CLI prints.
         """
+        return self._scan()[0]
+
+    def _scan(self) -> tuple[list[dict], list[tuple[str, str]]]:
+        """:meth:`entry_details`, plus ``(fingerprint, manifest text)`` of
+        every manifest that was read but is damaged (not JSON, no object, or
+        counts that are no numbers)."""
         now = time.time()
         details: list[dict] = []
+        damaged: list[tuple[str, str]] = []
         for manifest_path in self._entry_manifests():
             try:
-                manifest = json.loads(manifest_path.read_text())
+                text = manifest_path.read_text(errors=_UNDECODABLE)
+                manifest = json.loads(text)
                 size = manifest_path.stat().st_size
                 payload_name = str(manifest.get("payload", ""))
                 payload_path = self.directory / payload_name
@@ -523,10 +536,22 @@ class CounterfactualStore:
                     "format_version": manifest.get("format_version"),
                     "payload": payload_name,
                 }
-            except (OSError, ValueError, AttributeError, TypeError):
-                continue  # torn concurrent write, or a damaged one load discards
+            except OSError:
+                continue  # evicted or replaced by a concurrent process
+            except (ValueError, AttributeError, TypeError):
+                damaged.append((manifest_path.stem, text))
+                continue
             details.append(detail)
         details.sort(key=lambda d: (-d["age_seconds"], d["fingerprint"]))
+        return details, damaged
+
+    def _evictable_details(self) -> list[dict]:
+        """:meth:`entry_details` for eviction: damaged manifests are
+        discarded on the way (unless republished meanwhile), so they never
+        hold an LRU slot."""
+        details, damaged = self._scan()
+        for fingerprint, text in damaged:
+            self._discard_if_unchanged(fingerprint, text)
         return details
 
     def evict(self, *, max_entries: int | None = None,
@@ -540,7 +565,9 @@ class CounterfactualStore:
         the oldest entries are discarded until the directory fits the given
         bounds (the store's own configured bounds are untouched).  The
         criteria compose: the fingerprint eviction runs first, then the
-        bounds are enforced on what remains.  This is the
+        bounds are enforced on what remains.  Bound enforcement also
+        discards every damaged manifest it meets (as a ``load`` of it would);
+        those are not counted as evicted.  This is the
         ``python -m fairexp store evict`` CLI's backend.
         """
         removed = 0
@@ -557,7 +584,7 @@ class CounterfactualStore:
                 removed += 1
         if max_entries is None and max_bytes is None:
             return removed
-        return removed + self._evict_oldest(self.entry_details(), max_entries,
+        return removed + self._evict_oldest(self._evictable_details(), max_entries,
                                             max_bytes, keep_last=False)
 
     def _evict_oldest(self, details: list[dict], max_entries: int | None,
@@ -591,7 +618,7 @@ class CounterfactualStore:
         """
         manifest_path = self._manifest_path(fingerprint)
         try:
-            manifest_text = manifest_path.read_text()
+            manifest_text = manifest_path.read_text(errors=_UNDECODABLE)
         except OSError:
             return None  # no entry published (or it was concurrently evicted)
         try:
@@ -631,7 +658,7 @@ class CounterfactualStore:
         manifest on disk still reads exactly as the failing reader saw it.
         """
         try:
-            current_text = self._manifest_path(fingerprint).read_text()
+            current_text = self._manifest_path(fingerprint).read_text(errors=_UNDECODABLE)
         except OSError:
             return  # already gone
         if current_text == observed_text:
@@ -762,7 +789,7 @@ class CounterfactualStore:
         # expensive full parse.
         if len(manifests) <= self.max_entries and quick_total <= self.max_bytes:
             return
-        details = self.entry_details()
+        details = self._evictable_details()
         referenced = {d["payload"] for d in details}
         # Automatic enforcement keeps the last entry even when it alone
         # exceeds the byte bound: evicting it would just thrash.

@@ -7,6 +7,9 @@ pre-kernel loops are kept verbatim in this module as the parity oracle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairexp.datasets import make_loan_dataset
 from fairexp.exceptions import ValidationError
@@ -324,6 +327,94 @@ class TestProjectEdgeParity:
                 rng.normal(size=(3, 4)), rng.normal(size=4),
                 immutable=constraints.immutable, lower=constraints.lower,
                 upper=constraints.upper, monotone=constraints.monotone)
+
+
+# --------------------------------------------------------------------------
+# Property parity: the offsets form of the projection and the batch rank path.
+# --------------------------------------------------------------------------
+#: Finite values with signed zeros among them.
+_FINITE = st.floats(-20.0, 20.0, allow_nan=False, width=64) | st.sampled_from([-0.0, 0.0])
+_BOUNDS = st.floats(-5.0, 5.0) | st.sampled_from([np.nan, -np.inf, np.inf, -0.0])
+
+
+@st.composite
+def _offset_waves(draw):
+    """Pending rows, a distinct-offsets table of one or several keys, each
+    row's key, and constraints mixing NaN/infinite bounds, immutables and
+    both monotone directions.  Rows and offsets range past the bounds."""
+    n_rows, n_keys = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    n_candidates, n_features = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    X = draw(hnp.arrays(np.float64, (n_rows, n_features), elements=_FINITE))
+    table = draw(hnp.arrays(np.float64, (n_keys, n_candidates, n_features),
+                            elements=_FINITE))
+    if n_keys == 1 and draw(st.booleans()):
+        key_of = None
+    else:
+        key_of = draw(hnp.arrays(np.intp, n_rows, elements=st.integers(0, n_keys - 1)))
+    bounds = dict(
+        immutable=draw(hnp.arrays(bool, n_features)),
+        lower=draw(hnp.arrays(np.float64, n_features, elements=_BOUNDS)),
+        upper=draw(hnp.arrays(np.float64, n_features, elements=_BOUNDS)),
+        monotone=draw(hnp.arrays(np.int64, n_features, elements=st.integers(-1, 1))),
+    )
+    return X, table, key_of, bounds
+
+
+@st.composite
+def _rank_grids(draw):
+    """Rows and candidates on a small integer grid (so magnitudes tie),
+    scales with zeros (infinite and NaN magnitudes), rows left unchanged."""
+    n_rows, n_features = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+    X_rows = draw(hnp.arrays(np.float64, (n_rows, n_features),
+                             elements=st.integers(-2, 2).map(float)))
+    delta = draw(hnp.arrays(np.float64, (n_rows, n_features),
+                            elements=st.integers(-3, 3).map(float)))
+    delta[draw(hnp.arrays(bool, n_rows))] = 0.0  # all-unchanged rows
+    scale = draw(hnp.arrays(np.float64, n_features,
+                            elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
+    return X_rows, X_rows + delta, scale
+
+
+@pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+class TestPropertyParity:
+    @settings(max_examples=200, deadline=None)
+    @given(wave=_offset_waves())
+    def test_offsets_form_matches_absolute_candidates(self, kernel_set, wave):
+        X, table, key_of, bounds = wave
+        keys = np.zeros(X.shape[0], dtype=np.intp) if key_of is None else key_of
+        expected = kernel_set.project_candidates(
+            X[:, None, :], X[:, None, :] + table[keys], **bounds)
+        got = kernel_set.project_candidates(X, offsets=table, key_of=key_of, **bounds)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=_rank_grids())
+    def test_rank_matches_per_row_loop(self, kernel_set, grid):
+        X_rows, candidates, scale = grid
+        n_features = X_rows.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected, _ = rank_matrix(legacy_rank_changed(X_rows, candidates, scale),
+                                      n_features)
+            got = kernel_set.rank_changed_features(X_rows, candidates, scale)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected)
+
+
+class TestOffsetsFormArguments:
+    def test_candidates_and_offsets_are_exclusive(self):
+        bounds = dict(immutable=np.zeros(2, bool), lower=np.zeros(2),
+                      upper=np.ones(2), monotone=np.zeros(2, int))
+        with pytest.raises(ValidationError, match="not both"):
+            project_candidates(np.zeros((1, 2)), np.zeros((1, 2)),
+                               offsets=np.zeros((1, 1, 2)), **bounds)
+        with pytest.raises(ValidationError, match="not both"):
+            project_candidates(np.zeros((1, 2)), **bounds)
+        with pytest.raises(ValidationError, match="builds its result"):
+            project_candidates(np.zeros((1, 2)), offsets=np.zeros((1, 1, 2)),
+                               out=np.zeros((1, 1, 2)), **bounds)
+        with pytest.raises(ValidationError, match="needs key_of"):
+            project_candidates(np.zeros((1, 2)), offsets=np.zeros((2, 1, 2)), **bounds)
 
 
 # --------------------------------------------------------------------------

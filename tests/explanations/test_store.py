@@ -615,6 +615,19 @@ class TestCorruptionFallback:
         assert store.load("c" * 64) is None
         assert store.entries() == []
 
+    def test_manifest_that_is_no_text_is_a_miss_and_discarded(self, tmp_path):
+        store = self._store_with_entry(tmp_path)
+        store._manifest_path("c" * 64).write_bytes(b"\xff\xfe\x00garbage")
+        assert store.load("c" * 64) is None
+        assert store.entries() == []
+
+    def test_eviction_discards_a_manifest_that_is_no_text(self, tmp_path):
+        store = self._store_with_entry(tmp_path)
+        store._manifest_path("d" * 64).write_bytes(b"\xff\xfe\x00garbage")
+        assert store.entry_details()[0]["fingerprint"] == "c" * 64
+        assert store.evict(max_entries=5) == 0
+        assert store.entries() == ["c" * 64]
+
     def test_truncated_payload_fails_checksum(self, tmp_path):
         store = self._store_with_entry(tmp_path)
         manifest = json.loads(store._manifest_path("c" * 64).read_text())
@@ -864,6 +877,42 @@ class TestSessionIntegration:
         [fingerprint] = second.store.entries()
         loaded = CounterfactualStore(tmp_path).load(fingerprint)
         assert set(loaded.indices.tolist()) == set(range(8))
+
+    def _published(self, tmp_path, loan_workload):
+        """A cold session's batch for rows 0-7 and the entry it published."""
+        _, train, subset, model, constraints = loan_workload
+        cold = AuditSession(_generator(model, train, constraints), store=tmp_path)
+        batch = cold.counterfactuals_for(subset.X, np.arange(8))
+        [fingerprint] = cold.store.entries()
+        return subset, batch, fingerprint
+
+    def _warm_batch(self, tmp_path, loan_workload, subset, rows):
+        _, train, _, model, constraints = loan_workload
+        warm = AuditSession(_generator(model, train, constraints), store=tmp_path)
+        batch = warm.counterfactuals_for(subset.X, rows)
+        assert warm.engine_predict_call_count == 0
+        return batch
+
+    def test_sorted_entry_is_served_without_a_merge(self, tmp_path, loan_workload,
+                                                    monkeypatch):
+        subset, cold, _ = self._published(tmp_path, loan_workload)
+        merges = []
+        merge = CounterfactualBatch.merge.__func__
+        monkeypatch.setattr(CounterfactualBatch, "merge", classmethod(
+            lambda cls, *batches: merges.append(len(batches)) or merge(cls, *batches)))
+        warm = self._warm_batch(tmp_path, loan_workload, subset, np.arange(8))
+        assert merges == []
+        for name, column in cold.columns.items():
+            assert np.array_equal(warm.columns[name], column, equal_nan=True), name
+
+    def test_unsorted_entry_is_sorted_on_load(self, tmp_path, loan_workload):
+        subset, cold, fingerprint = self._published(tmp_path, loan_workload)
+        CounterfactualStore(tmp_path).save(fingerprint, cold.take(np.arange(8)[::-1]))
+        rows = np.array([5, 0, 7, 2])
+        warm = self._warm_batch(tmp_path, loan_workload, subset, rows)
+        expected = cold.take(rows)
+        for name, column in expected.columns.items():
+            assert np.array_equal(warm.columns[name], column, equal_nan=True), name
 
     def test_unfingerprintable_generator_skips_store(self, tmp_path, loan_workload):
         _, train, subset, model, constraints = loan_workload

@@ -128,9 +128,9 @@ _DAMAGED_MANIFESTS = {
 @pytest.mark.parametrize("manifest", list(_DAMAGED_MANIFESTS.values()),
                          ids=list(_DAMAGED_MANIFESTS))
 class TestDamagedManifest:
-    """A parsable but damaged manifest is skipped like a torn write: it must
-    crash neither inspection nor eviction nor a save past the bounds (which
-    would abort the audit that saves)."""
+    """A parsable but damaged manifest is skipped by inspection and
+    discarded by eviction: it must crash neither inspection nor eviction nor
+    a save past the bounds (which would abort the audit that saves)."""
 
     def _populate_with_damage(self, directory, manifest):
         store = _populate(directory, fingerprints=("a",))
@@ -148,9 +148,21 @@ class TestDamagedManifest:
         assert main(["store", "evict", "--dir", str(tmp_path),
                      "--max-entries", "0"]) == 0
         assert "evicted 1 entries" in capsys.readouterr().out
-        assert store.entries() == ["d" * 64]  # left for load to discard
-        assert store.load("d" * 64) is None
-        assert store.entries() == []
+        assert store.entries() == []  # the damaged manifest went too
+
+    def test_evict_within_bounds_discards_only_the_damage(self, tmp_path, manifest):
+        store = self._populate_with_damage(tmp_path, manifest)
+        assert store.evict(max_entries=10) == 0
+        assert store.entries() == ["a" * 64]
+        assert store.load("a" * 64) is not None
+
+    def test_evict_spares_an_entry_republished_after_the_scan(self, tmp_path, manifest):
+        store = self._populate_with_damage(tmp_path, manifest)
+        stale_scan = store._scan()
+        store.save("d" * 64, _results([0, 1]))  # a concurrent writer's republish
+        store._scan = lambda: stale_scan
+        store.evict(max_entries=10)
+        assert store.load("d" * 64) is not None
 
     @pytest.mark.parametrize("bound", ["max_entries", "max_bytes"])
     def test_save_past_the_bounds_succeeds(self, tmp_path, manifest, bound):
@@ -158,6 +170,7 @@ class TestDamagedManifest:
         setattr(store, bound, 1)
         store.save("b" * 64, _results([0, 1]))
         assert store.load("b" * 64) is not None
+        assert "d" * 64 not in store.entries()
 
 
 class TestModuleEntryPoint:
