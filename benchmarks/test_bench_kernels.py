@@ -129,13 +129,27 @@ def _wave_workload():
     return x_rows, table
 
 
-def _legacy_build_then_project(kernels, x_rows, table, constraints):
+def _legacy_build_then_project(x_rows, table, immutable, lower, upper, monotone):
     """The wave as the engine built it before the offsets form: the
-    broadcast ``originals + table`` tensor, then the projection in place."""
+    broadcast ``originals + table`` tensor, then the column-wise projection
+    in place on it."""
     originals = x_rows[:, None, :]
     candidates = originals + table[0]
-    return kernels.project_candidates(originals, candidates, out=candidates,
-                                      **constraints)
+    lower = np.where(np.isnan(lower), -np.inf, lower)
+    upper = np.where(np.isnan(upper), np.inf, upper)
+    bounded = np.isfinite(lower) | np.isfinite(upper)
+    for j in np.flatnonzero(immutable | bounded | (monotone != 0)):
+        column = candidates[..., j]
+        if immutable[j]:
+            column[...] = originals[..., j]
+            continue
+        if bounded[j]:
+            np.clip(column, lower[j], upper[j], out=column)
+        if monotone[j] == 1:
+            np.maximum(column, originals[..., j], out=column)
+        elif monotone[j] == -1:
+            np.minimum(column, originals[..., j], out=column)
+    return candidates
 
 
 def _best_of(runs, fn):
@@ -179,9 +193,10 @@ def test_kernels_vs_legacy_loops(benchmark):
     # 2b. The whole wave: build + project against the fused offsets form.
     x_rows, table = _wave_workload()
     legacy_times["project_wave"], w_legacy = _best_of(3, lambda: (
-        _legacy_build_then_project(kernels, x_rows, table, constraints)))
+        _legacy_build_then_project(x_rows, table, **constraints)))
+    key_of = np.zeros(len(x_rows), dtype=np.intp)
     kernel_times["project_wave"], w_kernel = _best_of(3, lambda: kernels.project_candidates(
-        x_rows, offsets=table, **constraints))
+        x_rows, offsets=table, key_of=key_of, **constraints))
     assert w_legacy.tobytes() == w_kernel.tobytes()
 
     # 3 + 4. Greedy ranking and the prefix-revert trial chains.

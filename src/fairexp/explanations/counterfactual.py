@@ -90,8 +90,8 @@ class ActionabilityConstraints:
         return constraints
 
     def project(self, x_original: np.ndarray, candidate: np.ndarray | None = None, *,
-                offsets: np.ndarray | None = None, key_of: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+                offsets: np.ndarray | None = None,
+                key_of: np.ndarray | None = None) -> np.ndarray:
         """Project candidate counterfactuals onto the feasible set.
 
         Accepts a single candidate of shape ``(d,)`` or any stacked candidate
@@ -105,13 +105,12 @@ class ActionabilityConstraints:
         unprojected wave ever being built.
 
         The projection cascade is the
-        :func:`~fairexp.explanations.kernels.project_candidates` kernel;
-        ``out`` (e.g. ``candidate`` itself) receives the result in place.
+        :func:`~fairexp.explanations.kernels.project_candidates` kernel.
         """
         return resolve_kernels().project_candidates(
             x_original, candidate, offsets=offsets, key_of=key_of,
             immutable=self.immutable, lower=self.lower, upper=self.upper,
-            monotone=self.monotone, out=out,
+            monotone=self.monotone,
         )
 
     def is_feasible(self, x_original: np.ndarray, candidate: np.ndarray, *, atol=1e-9):

@@ -10,8 +10,8 @@ kernels:
   pairs in one call (replaces the per-hit Python list comprehension);
 * :func:`project_candidates` — the actionability projection cascade over any
   stacked candidate tensor, one in-place pass per constrained feature
-  column instead of a chain of full-tensor passes (optionally into the
-  candidate tensor itself).  Its offsets form builds a lockstep wave too:
+  column of a copy instead of a chain of full-tensor passes.  Its offsets
+  form builds a lockstep wave too:
   given the pending rows, the wave's distinct offsets table and each row's
   key, it computes each feature's ``(n, m)`` plane of ``row + offset`` in
   one contiguous scratch buffer, projects it there and writes it into the
@@ -91,7 +91,7 @@ def batch_counterfactual_distance(X, candidates, *, scale=None,
 
 
 def project_candidates(x_original, candidates=None, *, immutable, lower, upper,
-                       monotone, out=None, offsets=None, key_of=None) -> np.ndarray:
+                       monotone, offsets=None, key_of=None) -> np.ndarray:
     """Project stacked candidates onto the feasible set (clip → monotone → freeze).
 
     Two forms.  The **absolute form** ``project_candidates(x_original,
@@ -102,9 +102,7 @@ def project_candidates(x_original, candidates=None, *, immutable, lower, upper,
     column's ``(...)`` slice: an immutable column is a copy of the
     original, a column with a finite bound is clipped to it, a monotone
     column is raised/lowered to the original, and a free column is left as
-    drawn.  NaN bounds are treated as unbounded.  ``out`` (which may be
-    ``candidates`` itself) receives the projection instead of a fresh
-    array.
+    drawn.  NaN bounds are treated as unbounded.
 
     The **offsets form** ``project_candidates(X, offsets=table,
     key_of=key_of)`` builds a lockstep wave and projects it in one pass:
@@ -112,12 +110,11 @@ def project_candidates(x_original, candidates=None, *, immutable, lower, upper,
     ``X[i] + table[key_of[i]]`` from the distinct offsets table ``(k, m,
     d)``, and the result is the ``(n, m, d)`` projection of them —
     bitwise-equal to ``project_candidates(X[:, None, :], X[:, None, :] +
-    table[key_of])``.  A one-key table is broadcast (``key_of`` may be
-    omitted); several keys are gathered per feature plane, so no ``(n, m,
-    d)`` offsets tensor is built.  Each feature's ``(n, m)`` plane is
-    computed, clipped and raised/lowered in one contiguous scratch buffer
-    and written into the result once; an immutable column is written
-    straight from ``X``.
+    table[key_of])``.  A one-key table is broadcast to every row; several
+    keys are gathered per feature plane, so no ``(n, m, d)`` offsets
+    tensor is built.  Each feature's ``(n, m)`` plane is computed, clipped
+    and raised/lowered in one contiguous scratch buffer and written into
+    the result once; an immutable column is written straight from ``X``.
     """
     immutable = np.asarray(immutable, dtype=bool)
     monotone = np.asarray(monotone)
@@ -129,16 +126,10 @@ def project_candidates(x_original, candidates=None, *, immutable, lower, upper,
     if (candidates is None) == (offsets is None):
         raise ValidationError("project_candidates takes candidates or offsets=, not both")
     if offsets is not None:
-        if out is not None:
-            raise ValidationError("the offsets form of project_candidates builds its result")
         return _project_offsets(np.asarray(x_original, dtype=float),
                                 np.asarray(offsets, dtype=float), key_of,
                                 immutable, lower, upper, bounded, monotone)
-    candidates = np.asarray(candidates, dtype=float)
-    if out is None:
-        out = candidates.copy()
-    elif out is not candidates:
-        out[...] = candidates
+    out = np.array(candidates, dtype=float)
     originals = np.broadcast_to(np.asarray(x_original, dtype=float), out.shape)
     for j in np.flatnonzero(immutable | bounded | (monotone != 0)):
         column = out[..., j]
@@ -160,8 +151,6 @@ def _project_offsets(X, offsets, key_of, immutable, lower, upper, bounded,
     sanitized): one scratch plane per feature, one write into the result."""
     n_rows, n_features = X.shape
     n_keys, n_candidates, _ = offsets.shape
-    if n_keys > 1 and key_of is None:
-        raise ValidationError("an offsets table of several keys needs key_of")
     # Feature-major copy of the (small) table, so each plane's offsets are
     # contiguous whether broadcast or gathered.
     planes = np.ascontiguousarray(np.moveaxis(offsets, -1, 0))

@@ -307,18 +307,9 @@ class TestProjectEdgeParity:
         expected = legacy_project(constraints, x_original, candidates)
         bounds = dict(immutable=constraints.immutable, lower=constraints.lower,
                       upper=constraints.upper, monotone=constraints.monotone)
-        fresh = kernel_set.project_candidates(x_original, candidates, **bounds)
-        buffer = np.empty_like(candidates)
-        into_buffer = kernel_set.project_candidates(x_original, candidates,
-                                                    out=buffer, **bounds)
-        in_place = candidates.copy()
-        into_self = kernel_set.project_candidates(x_original, in_place,
-                                                  out=in_place, **bounds)
-        assert into_buffer is buffer
-        assert into_self is in_place
-        for got in (fresh, buffer, in_place):
-            assert got.shape == candidates.shape
-            assert got.tobytes() == expected.tobytes()
+        got = kernel_set.project_candidates(x_original, candidates, **bounds)
+        assert got.shape == candidates.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_originals_must_broadcast_to_the_candidates(self, kernel_set, rng):
         constraints = _random_constraints(rng, 4)
@@ -347,10 +338,7 @@ def _offset_waves(draw):
     X = draw(hnp.arrays(np.float64, (n_rows, n_features), elements=_FINITE))
     table = draw(hnp.arrays(np.float64, (n_keys, n_candidates, n_features),
                             elements=_FINITE))
-    if n_keys == 1 and draw(st.booleans()):
-        key_of = None
-    else:
-        key_of = draw(hnp.arrays(np.intp, n_rows, elements=st.integers(0, n_keys - 1)))
+    key_of = draw(hnp.arrays(np.intp, n_rows, elements=st.integers(0, n_keys - 1)))
     bounds = dict(
         immutable=draw(hnp.arrays(bool, n_features)),
         lower=draw(hnp.arrays(np.float64, n_features, elements=_BOUNDS)),
@@ -381,9 +369,8 @@ class TestPropertyParity:
     @given(wave=_offset_waves())
     def test_offsets_form_matches_absolute_candidates(self, kernel_set, wave):
         X, table, key_of, bounds = wave
-        keys = np.zeros(X.shape[0], dtype=np.intp) if key_of is None else key_of
         expected = kernel_set.project_candidates(
-            X[:, None, :], X[:, None, :] + table[keys], **bounds)
+            X[:, None, :], X[:, None, :] + table[key_of], **bounds)
         got = kernel_set.project_candidates(X, offsets=table, key_of=key_of, **bounds)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -410,11 +397,6 @@ class TestOffsetsFormArguments:
                                offsets=np.zeros((1, 1, 2)), **bounds)
         with pytest.raises(ValidationError, match="not both"):
             project_candidates(np.zeros((1, 2)), **bounds)
-        with pytest.raises(ValidationError, match="builds its result"):
-            project_candidates(np.zeros((1, 2)), offsets=np.zeros((1, 1, 2)),
-                               out=np.zeros((1, 1, 2)), **bounds)
-        with pytest.raises(ValidationError, match="needs key_of"):
-            project_candidates(np.zeros((1, 2)), offsets=np.zeros((2, 1, 2)), **bounds)
 
 
 # --------------------------------------------------------------------------

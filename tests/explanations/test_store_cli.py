@@ -143,6 +143,11 @@ class TestDamagedManifest:
         entries = json.loads(capsys.readouterr().out)["entries"]
         assert [entry["fingerprint"] for entry in entries] == ["a" * 64]
 
+    def test_load_discards_the_damage(self, tmp_path, manifest):
+        store = self._populate_with_damage(tmp_path, manifest)
+        assert store.load("d" * 64) is None
+        assert store.entries() == ["a" * 64]
+
     def test_evict_succeeds(self, tmp_path, capsys, manifest):
         store = self._populate_with_damage(tmp_path, manifest)
         assert main(["store", "evict", "--dir", str(tmp_path),
