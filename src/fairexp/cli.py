@@ -40,16 +40,16 @@ Five command families:
 ``python -m fairexp sweep {plan,run,resume}``
     Declarative sweep orchestration over the registered
     :class:`~fairexp.sweep.SweepSpec` s.  ``plan`` crosses the selected
-    specs' factors and prints the emitted/pruned cell partition (with the
-    reason each pruned cell was dropped) without executing anything;
-    ``run`` executes the emitted cells (``--store DIR`` attaches the
+    specs' factors and prints the cells without executing anything;
+    ``run`` executes them (``--store DIR`` attaches the
     persistent counterfactual store + journal, ``--jobs N`` distributes
     cells over an executor pool, ``--bench PATH`` appends the sweep's
     accounting to a ``BENCH_SWEEP.json``-style trajectory); ``resume``
     re-enters a journaled sweep — already-completed cells replay against
     the warm store at zero engine predict calls and their metrics are
     verified against the journal.  ``--where factor=label[,label...]``
-    restricts factors; ``--set key=value`` overrides runner arguments
+    restricts factors (a factor or label no selected spec has is an
+    error); ``--set key=value`` overrides runner arguments
     (values parse as JSON, falling back to strings).
 
 ``python -m fairexp lint [PATHS]``
@@ -311,19 +311,11 @@ def _cmd_sweep_plan(args: argparse.Namespace) -> int:
         print(json.dumps({
             "summary": plan.summary(),
             "emitted": [cell.cell_id for cell in plan.emitted],
-            "pruned": [{"cell_id": cell.cell_id, "reasons": list(cell.reasons)}
-                       for cell in plan.pruned],
         }, indent=2))
         return 0
-    summary = plan.summary()
-    print(f"{summary['raw_cells']} raw cells -> {summary['emitted_cells']} emitted, "
-          f"{summary['pruned_cells']} pruned")
+    print(f"{len(plan.emitted)} cells")
     for cell in plan.emitted:
-        print(f"  run   {cell.cell_id}")
-    for cell in plan.pruned:
-        print(f"  prune {cell.cell_id}")
-        for reason in cell.reasons:
-            print(f"        - {reason}")
+        print(f"  {cell.cell_id}")
     return 0
 
 
@@ -345,7 +337,7 @@ def _run_sweep_command(args: argparse.Namespace, *, resume: bool) -> int:
         return 0
     summary = result.summary()
     print(f"{summary['emitted_cells']} cells in {summary['wall_time_seconds']:.2f}s "
-          f"({summary['pruned_cells']} pruned, {summary['replayed_cells']} replayed, "
+          f"({summary['replayed_cells']} replayed, "
           f"{summary['diverged_cells']} diverged); "
           f"{summary['engine_predict_calls']} engine predict calls, "
           f"{summary['store_row_hits']} store row hits")
@@ -484,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                metavar="FACTOR=LABEL[,LABEL...]",
                                help="restrict a factor to these levels "
                                     "(repeatable; ignored by specs lacking "
-                                    "the factor)")
+                                    "the factor, an error when every "
+                                    "selected spec lacks it)")
         subparser.add_argument("--set", action="append", default=None,
                                metavar="KEY=VALUE",
                                help="override a runner argument for every "
@@ -493,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="emit machine-readable JSON")
 
     plan_parser = sweep_actions.add_parser(
-        "plan", help="show the emitted/pruned cell partition without running"
+        "plan", help="list the cells a run would execute, without running"
     )
     add_selection(plan_parser)
     plan_parser.set_defaults(func=_cmd_sweep_plan)

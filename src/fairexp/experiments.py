@@ -6,12 +6,11 @@ Each experiment id (FIG1/FIG2/TAB1 and E1–E14 from DESIGN.md) is a
 workload implementation (:mod:`fairexp.workloads`), its fixed arguments,
 and the :class:`~fairexp.sweep.Factor` s it crosses — counterfactual
 explainer × search schedule × predict backend for E1/E2, model family ×
-backend for E4, dataset for E14, and so on.  The planner prunes infeasible
-cells through the explainer registry's structured compatibility checks
-plus declared resources (a gradient-based generator over a model without
-gradients, a remote backend for an unservable workload), so a spec's cross
-product is safe to enumerate blindly: ``python -m fairexp sweep plan``
-shows exactly which cells run and why the rest don't.
+backend for E4, dataset for E14, and so on.  Every level of every factor
+is feasible for its workload (each E1–E9 model family exports to a compute
+graph, and every E1/E2 explainer level is a registered counterfactual
+generator), so a spec's cells are its full cross product:
+``python -m fairexp sweep plan`` lists exactly the cells that run.
 
 **Every factor's first level reproduces the historical hard-coded run bit
 for bit** — ``SweepRegistry.get("E5").cell().spec.runner(**cell.params())``
@@ -70,23 +69,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Shared factor builders
 # --------------------------------------------------------------------------
-#: What the loan/adult tabular workloads offer the planner: the audited
-#: LogisticRegression exposes predictions, probabilities and input
-#: gradients, and the datasets carry labels + per-feature specs.
-_TABULAR_MODEL = ("predict", "predict_proba", "gradient_input")
-_TABULAR_DATA = ("labels", "feature-specs")
-
-#: Resources the servable tabular workloads provide.  ``"servable"`` gates
-#: the onnx/remote backend levels (every E1–E9 model family exports to a
-#: compute graph).
-_SERVABLE = frozenset({"servable"})
-
-
 def _backend_factor() -> Factor:
     return Factor(
         "backend",
         levels=(("numpy", "numpy"), ("onnx", "onnx"), ("remote", "remote")),
-        requires={"onnx": ("servable",), "remote": ("servable",)},
     )
 
 
@@ -102,8 +88,6 @@ def _explainer_factor() -> Factor:
         levels=(("growing_spheres", "growing_spheres"),
                 ("random_search", "random_search"),
                 ("gradient", "gradient")),
-        registry=True,
-        capability="counterfactual-generator",
     )
 
 
@@ -128,16 +112,12 @@ _spec(
     experiment="E1/E2", runner=run_e1_e2_burden_nawb,
     factors=(_explainer_factor(), _schedule_factor(), _backend_factor()),
     fixed={"n_samples": 600, "audit_size": 80},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="Burden + NAWB on biased vs fair loan models",
 )
 _spec(
     experiment="E3", runner=run_e3_precof,
     factors=(_schedule_factor(), _backend_factor()),
     fixed={"n_samples": 600, "audit_size": 80},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="PreCoF explicit/implicit bias, two-model fleet",
 )
 _spec(
@@ -146,48 +126,36 @@ _spec(
                                      ("forest", "forest"), ("mlp", "mlp"))),
              _backend_factor()),
     fixed={"n_samples": 700},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="FACTS subgroup recourse audit across model families",
 )
 _spec(
     experiment="E5", runner=run_e5_group_counterfactuals,
     factors=(_schedule_factor(), _backend_factor()),
     fixed={"n_samples": 600},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="GLOBE-CE + CF trees + recourse sets + generator ablation",
 )
 _spec(
     experiment="E6", runner=run_e6_causal_recourse,
     factors=(_backend_factor(),),
     fixed={"n_samples": 500, "audit_size": 12},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA + ("scm",),
-    resources=_SERVABLE,
     description="Causal recourse cost vs independent manipulation (SCM)",
 )
 _spec(
     experiment="E7", runner=run_e7_fair_recourse,
     factors=(_backend_factor(),),
     fixed={"n_samples": 600},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="Recourse gap report + causal recourse fairness",
 )
 _spec(
     experiment="E8", runner=run_e8_fairness_shap,
     factors=(_backend_factor(),),
     fixed={"n_samples": 600, "audit_size": 120},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="Fairness-Shapley + causal path decomposition",
 )
 _spec(
     experiment="E9", runner=run_e9_data_explanations,
     factors=(_backend_factor(),),
     fixed={"n_samples": 600},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
-    resources=_SERVABLE,
     description="Gopher data-based explanations (+ backend export parity)",
 )
 
@@ -197,32 +165,27 @@ _spec(
 _spec(
     experiment="E10", runner=run_e10_recsys,
     fixed={"n_users": 60, "n_items": 35},
-    modality="recsys", model_provides=("predict", "recommend_all"),
     description="CEF + CFairER + edge removal on exposure bias",
 )
 _spec(
     experiment="E11", runner=run_e11_ranking,
     fixed={"n_candidates": 200},
-    modality="ranking", model_provides=("rank",),
     description="Dexer top-k under-representation",
 )
 _spec(
     experiment="E12", runner=run_e12_graphs,
     fixed={"n_nodes": 90},
-    modality="graph", model_provides=("predict", "recommend_all"),
     description="Structural bias + node influence + GNNUERS",
 )
 _spec(
     experiment="E13", runner=run_e13_contrastive,
     fixed={"n_samples": 600},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
     description="Probabilistic contrastive scores before/after mitigation",
 )
 _spec(
     experiment="E14", runner=run_e14_mitigation,
     factors=(Factor("dataset", levels=(("adult", "adult"), ("loan", "loan"))),),
     fixed={"n_samples": 700},
-    model_provides=_TABULAR_MODEL, data_provides=_TABULAR_DATA,
     description="Pre-/in-/post-processing mitigation ladder",
 )
 

@@ -117,10 +117,8 @@ class RegisteredExplainer:
         model exposes ``predict_proba``), ``"scm"`` (the dataset carries a
         structural causal model) and ``"recommender"`` (the model exposes
         ``recommend_all``).  These extend the attribute-level
-        ``model_requirements``/``data_requirements`` with the vocabulary
-        the sweep planner (:mod:`fairexp.sweep`) prunes factorial designs
-        on — a declared resource prunes a cell with a *named* reason
-        instead of a missing-attribute message.
+        ``model_requirements``/``data_requirements`` with named reasons
+        instead of missing-attribute messages.
     """
 
     name: str

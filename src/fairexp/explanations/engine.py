@@ -96,12 +96,8 @@ class BatchModelAdapter:
     cache:
         When ``True``, the backend is wrapped in a memoizing backend so
         repeated ``predict`` calls on an identical matrix are served from a
-        memo.  Cache hits do not count as predict calls.
-    max_cache_rows:
-        Matrices with more rows than this are never cached (hashing huge
-        candidate batches would cost more than the predict it saves).
-    max_cache_entries:
-        The memo is cleared once it holds this many entries.
+        memo (with the memoizing backend's default row and entry bounds).
+        Cache hits do not count as predict calls.
 
     Attributes
     ----------
@@ -114,8 +110,7 @@ class BatchModelAdapter:
         Number of ``predict`` requests served from the memo.
     """
 
-    def __init__(self, model=None, *, backend=None, cache: bool = True,
-                 max_cache_rows: int = 2048, max_cache_entries: int = 256) -> None:
+    def __init__(self, model=None, *, backend=None, cache: bool = True) -> None:
         if backend is None:
             if model is None:
                 raise ValidationError("BatchModelAdapter needs a model or a backend")
@@ -125,8 +120,7 @@ class BatchModelAdapter:
             if model is None:
                 model = getattr(backend, "model", None)
         if cache and not isinstance(backend, MemoizingPredictBackend):
-            backend = MemoizingPredictBackend(backend, max_rows=max_cache_rows,
-                                              max_entries=max_cache_entries)
+            backend = MemoizingPredictBackend(backend)
         self.model = model
         self.backend = backend
 
@@ -530,15 +524,14 @@ class CounterfactualEngine:
     ----------
     generator:
         Any :class:`~fairexp.explanations.counterfactual.BaseCounterfactualGenerator`.
-    adapt_model:
-        When ``True`` (the default) the generator's model is wrapped in a
-        :class:`BatchModelAdapter` so every predict issued through the engine
-        is counted; an already-wrapped model is left alone, letting several
-        explainers share one adapter's counters.  The automatic wrap disables
-        the adapter's memo: a cached adapter would keep serving stale labels
-        if the underlying model were refit in place between audits.  Callers
-        who know their model is frozen can pre-wrap with
-        ``BatchModelAdapter(model, cache=True)`` themselves.
+        Its model is wrapped in a :class:`BatchModelAdapter` so every predict
+        issued through the engine is counted; an already-wrapped model is
+        left alone, letting several explainers share one adapter's
+        counters.  The automatic wrap disables the adapter's memo: a cached
+        adapter would keep serving stale labels if the underlying model were
+        refit in place between audits.  Callers who know their model is
+        frozen can pre-wrap with ``BatchModelAdapter(model, cache=True)``
+        themselves.
     n_jobs:
         Number of workers :meth:`generate_aligned` splits its
         work-list across.  ``1`` (the default) runs the single lockstep
@@ -572,13 +565,7 @@ class CounterfactualEngine:
         instances own their random streams.
     """
 
-    # Fingerprint-safety declarations for lint rule FX006 (params never
-    # stored as engine attributes, each covered elsewhere or neutral):
-    # - adapt_model only decides whether a counting BatchModelAdapter wraps
-    #   the model; predicted labels are identical either way.
-    FINGERPRINT_INVARIANT = ("adapt_model",)
-
-    def __init__(self, generator, *, adapt_model: bool = True, n_jobs: int = 1,
+    def __init__(self, generator, *, n_jobs: int = 1,
                  pool: ExecutorPool | None = None) -> None:
         if pool is not None and not isinstance(pool, ExecutorPool):
             raise ValidationError(
@@ -587,7 +574,7 @@ class CounterfactualEngine:
         self.generator = generator
         self.n_jobs = n_jobs
         self.pool = pool
-        if adapt_model and not isinstance(generator.model, BatchModelAdapter):
+        if not isinstance(generator.model, BatchModelAdapter):
             generator.model = BatchModelAdapter(generator.model, cache=False)
 
     # ------------------------------------------------------------ properties

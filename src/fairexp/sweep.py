@@ -9,17 +9,11 @@ families, datasets) into an execution tree of
 orchestration frameworks.  The spec composes pieces that already exist
 elsewhere in the package instead of re-implementing them:
 
-* **Pruning** — the raw cross product usually contains infeasible cells
-  (a gradient-based explainer over a model without gradients, a remote
-  backend for a model that does not export).  :meth:`SweepSpec.plan`
-  partitions the raw product *exhaustively* into emitted
-  :class:`SweepCell` s and :class:`PrunedCell` s: registry-backed factors
-  are checked through :meth:`ExplainerRegistry.compatible`'s structured
-  model/data/resource requirements (against lightweight proxies built
-  from the spec's declared workload capabilities), and every factor level
-  may declare free-form resource requirements checked against what the
-  spec's workload :attr:`~SweepSpec.resources` provide.  Each pruned cell
-  carries the reasons it was dropped — nothing disappears silently.
+* **Planning** — :meth:`SweepSpec.plan` is the cross product of the
+  factors' levels in factor-declaration order, restricted by an optional
+  ``where`` filter; it builds no workload.  A ``where`` label a factor
+  lacks, or a ``where`` factor no selected spec declares, raises instead
+  of silently widening or emptying the selection.
 * **Execution** — :func:`run_sweep` executes emitted cells sequentially
   or over an :class:`~fairexp.explanations.pool.ExecutorPool` (``jobs >
   1``).
@@ -60,13 +54,11 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .exceptions import ValidationError
-from .explanations.base import ExplainerRegistry
 
 __all__ = [
     "Factor",
     "SweepSpec",
     "SweepCell",
-    "PrunedCell",
     "SweepPlan",
     "CellResult",
     "SweepResult",
@@ -197,28 +189,10 @@ class Factor:
         receives.  The first level is the factor's default (used by
         :meth:`SweepSpec.cell` and the legacy-compatible single-cell path),
         so it must reproduce the pre-sweep behaviour.
-    registry:
-        When ``True`` the labels are :class:`ExplainerRegistry` names and
-        the planner prunes levels through the registry's structured
-        compatibility check (modality, model requirements, data
-        requirements, resource requirements) against the spec's declared
-        workload capabilities.
-    capability:
-        With ``registry=True``, additionally require the entry to carry
-        this capability flag (e.g. ``"counterfactual-generator"``) — a
-        level without it is pruned, not an error, so specs can cross over
-        broad registry slices.
-    requires:
-        Mapping ``label -> resource names`` that the spec's workload must
-        provide (:attr:`SweepSpec.resources`) for the level to be feasible,
-        e.g. ``{"remote": ("servable",)}``.
     """
 
     name: str
     levels: tuple[tuple[str, Any], ...]
-    registry: bool = False
-    capability: str | None = None
-    requires: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         levels = self.levels
@@ -253,33 +227,6 @@ class Factor:
         )
 
 
-class _ModelProxy:
-    """Plan-time stand-in for the workload's model: exposes declared attributes.
-
-    The planner must decide feasibility *before* building any workload, so
-    compatibility checks run against a proxy that ``hasattr``-answers for
-    exactly the capabilities the spec declares (``model_provides``).
-    """
-
-    def __init__(self, attrs: Iterable[str]) -> None:
-        for attr in attrs:
-            setattr(self, attr, True)
-
-
-class _DatasetProxy:
-    """Plan-time stand-in for the workload's dataset (modality + provisions)."""
-
-    def __init__(self, modality: str, provides: Iterable[str]) -> None:
-        self.modality = modality
-        provides = set(provides)
-        if "labels" in provides:
-            self.y = (1,)
-        if "scm" in provides:
-            self.scm = object()
-        if "feature-specs" in provides:
-            self.features = (object(),)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative factorial experiment: factors crossed into cells.
@@ -298,16 +245,6 @@ class SweepSpec:
     fixed:
         Constant runner kwargs (workload sizes); per-run ``overrides``
         (e.g. CLI ``--set n_samples=250``) replace them for every cell.
-    modality / model_provides / data_provides:
-        What the workload offers, for registry-backed pruning: the dataset
-        modality, the attributes of the audited model (``predict``,
-        ``predict_proba``, ``gradient_input``, ``recommend_all``, ...) and
-        the dataset provisions (``"labels"``, ``"scm"``,
-        ``"feature-specs"``).
-    resources:
-        Free-form resource tokens the workload provides, checked against
-        factor-level ``requires`` (e.g. ``"servable"`` — the model family
-        exports to a compute graph, so onnx/remote backends apply).
     description:
         One line for ``fairexp sweep plan`` listings.
     """
@@ -316,10 +253,6 @@ class SweepSpec:
     runner: Callable[..., dict]
     factors: tuple[Factor, ...] = ()
     fixed: Mapping[str, Any] = field(default_factory=dict)
-    modality: str = "tabular"
-    model_provides: tuple[str, ...] = ("predict",)
-    data_provides: tuple[str, ...] = ()
-    resources: frozenset[str] = frozenset()
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -329,14 +262,6 @@ class SweepSpec:
                 f"spec {self.experiment!r} has duplicate factor names: {names}"
             )
 
-    # ----------------------------------------------------------------- sizes
-    def raw_size(self) -> int:
-        """Size of the raw cross product (before pruning)."""
-        size = 1
-        for factor in self.factors:
-            size *= len(factor.levels)
-        return size
-
     def factor(self, name: str) -> Factor | None:
         """The factor named ``name``, or ``None`` when the spec lacks it."""
         for factor in self.factors:
@@ -345,108 +270,62 @@ class SweepSpec:
         return None
 
     # -------------------------------------------------------------- planning
-    def _proxies(self) -> tuple[_ModelProxy, _DatasetProxy]:
-        return (_ModelProxy(self.model_provides),
-                _DatasetProxy(self.modality, self.data_provides))
-
-    def _level_violations(self, factor: Factor, label: str,
-                          model: _ModelProxy, dataset: _DatasetProxy) -> list[str]:
-        """Why ``factor=label`` is infeasible for this workload ([] = feasible)."""
-        reasons: list[str] = []
-        for resource in factor.requires.get(label, ()):
-            if resource not in self.resources:
-                reasons.append(
-                    f"{factor.name}={label} requires resource {resource!r} "
-                    f"which the {self.experiment} workload does not provide"
-                )
-        if factor.registry:
-            try:
-                entry = ExplainerRegistry.entry(label)
-            except KeyError:
-                reasons.append(f"{factor.name}={label} is not a registered explainer")
-                return reasons
-            if factor.capability is not None and factor.capability not in entry.capabilities:
-                reasons.append(
-                    f"{factor.name}={label} lacks capability {factor.capability!r}"
-                )
-            check = entry.is_compatible(model, dataset)
-            reasons.extend(f"{factor.name}={label}: {reason}" for reason in check.reasons)
-        return reasons
-
     def _where_labels(self, factor: Factor,
-                      where: Mapping[str, set[str]] | None) -> tuple[str, ...]:
-        if not where or factor.name not in where:
+                      where: Mapping[str, set[str]]) -> tuple[str, ...]:
+        if factor.name not in where:
             return factor.labels
-        wanted = set(where[factor.name])
+        wanted = where[factor.name]
         unknown = wanted - set(factor.labels)
         if unknown:
             raise ValidationError(
                 f"unknown level(s) {sorted(unknown)} for factor "
                 f"{factor.name!r} of {self.experiment}; known: {list(factor.labels)}"
             )
-        selected = tuple(label for label in factor.labels if label in wanted)
-        return selected
+        return tuple(label for label in factor.labels if label in wanted)
 
     def plan(self, where: Mapping[str, Iterable[str]] | None = None,
              overrides: Mapping[str, Any] | None = None) -> "SweepPlan":
-        """Cross the factors and partition the product into emitted/pruned cells.
+        """Cross the factors into cells, in factor-declaration order.
 
         ``where`` restricts factors to subsets of their levels (factors the
-        spec lacks are ignored, so one filter can apply across many specs);
-        ``overrides`` replace ``fixed`` runner kwargs for every cell.  The
-        partition is exhaustive: every point of the (restricted) raw cross
-        product appears exactly once, either as a :class:`SweepCell` or as a
-        :class:`PrunedCell` carrying the reasons it was dropped.
+        spec lacks are ignored, so one filter can apply across many specs;
+        :func:`sweep_plan` rejects a factor no selected spec declares);
+        ``overrides`` replace ``fixed`` runner kwargs for every cell.  Every
+        assignment of the restricted cross product appears exactly once.
         """
         where = {name: set(labels) for name, labels in (where or {}).items()}
-        model, dataset = self._proxies()
         assignments: list[tuple[tuple[str, str], ...]] = [()]
         for factor in self.factors:
             labels = self._where_labels(factor, where)
-            if not labels:
-                assignments = []
-                break
             assignments = [
                 (*prefix, (factor.name, label))
                 for prefix in assignments for label in labels
             ]
-        emitted: list[SweepCell] = []
-        pruned: list[PrunedCell] = []
-        for assignment in assignments:
-            reasons: list[str] = []
-            for name, label in assignment:
-                reasons.extend(
-                    self._level_violations(self.factor(name), label, model, dataset)
-                )
-            if reasons:
-                pruned.append(PrunedCell(spec=self, assignment=assignment,
-                                         reasons=tuple(reasons)))
-            else:
-                emitted.append(SweepCell(spec=self, assignment=assignment,
-                                         overrides=dict(overrides or {})))
-        return SweepPlan(emitted=emitted, pruned=pruned,
-                         raw_size=len(assignments))
+        return SweepPlan(emitted=[
+            SweepCell(spec=self, assignment=assignment,
+                      overrides=dict(overrides or {}))
+            for assignment in assignments
+        ])
 
     def cell(self, where: Mapping[str, Iterable[str]] | None = None,
              overrides: Mapping[str, Any] | None = None) -> "SweepCell":
-        """The design's *default* cell: the first feasible level of each factor.
+        """The design's *default* cell: the first selected level of each factor.
 
         This is the cell that reproduces the legacy ``run_eN`` call —
         factor defaults are defined to match the old hard-coded behaviour.
         ``where`` can pin factors first (e.g. ``{"backend": ["onnx"]}``).
         """
-        plan = self.plan(where=where, overrides=overrides)
-        if not plan.emitted:
+        cells = self.plan(where=where, overrides=overrides).emitted
+        if not cells:
             raise ValidationError(
-                f"no feasible cell for {self.experiment} under {where!r}: "
-                + "; ".join(plan.pruned[0].reasons if plan.pruned else ("empty selection",))
+                f"no cell for {self.experiment} under {where!r}: empty selection"
             )
-        return plan.emitted[0]
+        return cells[0]
 
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One feasible point of a spec's cross product (an executable cell)."""
+    """One point of a spec's cross product (an executable cell)."""
 
     spec: SweepSpec
     assignment: tuple[tuple[str, str], ...]
@@ -485,25 +364,6 @@ class SweepCell:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class PrunedCell:
-    """One infeasible point of the cross product, with every violated reason."""
-
-    spec: SweepSpec
-    assignment: tuple[tuple[str, str], ...]
-    reasons: tuple[str, ...]
-
-    @property
-    def experiment(self) -> str:
-        """The owning spec's experiment id."""
-        return self.spec.experiment
-
-    @property
-    def cell_id(self) -> str:
-        """Stable address of the pruned point (same scheme as emitted cells)."""
-        return format_cell_id(self.experiment, self.assignment)
-
-
 def format_cell_id(experiment: str,
                    assignment: Sequence[tuple[str, str]]) -> str:
     """``"E1/E2[backend=onnx,schedule=adaptive]"`` (bare id for 0 factors)."""
@@ -515,23 +375,13 @@ def format_cell_id(experiment: str,
 
 @dataclass
 class SweepPlan:
-    """Exhaustive partition of one or more specs' cross products."""
+    """The cells of one or more specs' cross products, in execution order."""
 
     emitted: list[SweepCell]
-    pruned: list[PrunedCell]
-    raw_size: int
-
-    def extend(self, other: "SweepPlan") -> "SweepPlan":
-        """Fold another spec's plan into this one (multi-spec sweeps)."""
-        self.emitted.extend(other.emitted)
-        self.pruned.extend(other.pruned)
-        self.raw_size += other.raw_size
-        return self
 
     def summary(self) -> dict[str, int]:
-        """Raw / emitted / pruned cell counts."""
-        return {"raw_cells": self.raw_size, "emitted_cells": len(self.emitted),
-                "pruned_cells": len(self.pruned)}
+        """The planned cell count."""
+        return {"emitted_cells": len(self.emitted)}
 
 
 # --------------------------------------------------------------------------
@@ -627,11 +477,9 @@ class CellResult:
 
 @dataclass
 class SweepResult:
-    """Outcome of a whole sweep: per-cell results plus the pruned partition."""
+    """Outcome of a whole sweep: per-cell results plus wall time."""
 
     cells: list[CellResult]
-    pruned: list[PrunedCell]
-    raw_size: int
     wall_time_seconds: float
     store_dir: str | None = None
 
@@ -643,9 +491,7 @@ class SweepResult:
                         "store_row_hits", "n_results_reused"):
                 totals[key] = totals.get(key, 0) + cell.stats.get(key, 0)
         return {
-            "raw_cells": self.raw_size,
             "emitted_cells": len(self.cells),
-            "pruned_cells": len(self.pruned),
             "replayed_cells": sum(1 for c in self.cells if c.replayed),
             "diverged_cells": sum(1 for c in self.cells if c.status == "diverged"),
             "wall_time_seconds": self.wall_time_seconds,
@@ -658,10 +504,6 @@ class SweepResult:
             "summary": self.summary(),
             "store_dir": self.store_dir,
             "cells": [cell.to_json() for cell in self.cells],
-            "pruned": [
-                {"cell_id": cell.cell_id, "reasons": list(cell.reasons)}
-                for cell in self.pruned
-            ],
         }
 
     def bench_point(self) -> dict[str, Any]:
@@ -820,12 +662,21 @@ def sweep_plan(specs=None, *, where=None, overrides=None) -> SweepPlan:
 
     ``specs`` is a list of experiment ids and/or :class:`SweepSpec` objects
     (``None`` = every registered spec); ``where``/``overrides`` as in
-    :meth:`SweepSpec.plan`.
+    :meth:`SweepSpec.plan`, except that a ``where`` factor none of the
+    selected specs declares raises :class:`ValidationError`.
     """
-    plan = SweepPlan(emitted=[], pruned=[], raw_size=0)
-    for spec in _resolve_specs(specs):
-        plan.extend(spec.plan(where=where, overrides=overrides))
-    return plan
+    resolved = _resolve_specs(specs)
+    declared = {factor.name for spec in resolved for factor in spec.factors}
+    unknown = set(where or ()) - declared
+    if unknown:
+        raise ValidationError(
+            f"unknown factor(s) {sorted(unknown)} in where; the selected "
+            f"specs have: {sorted(declared)}"
+        )
+    return SweepPlan(emitted=[
+        cell for spec in resolved
+        for cell in spec.plan(where=where, overrides=overrides).emitted
+    ])
 
 
 def run_sweep(specs=None, *, where=None, overrides=None, store=None,
@@ -915,8 +766,6 @@ def run_sweep(specs=None, *, where=None, overrides=None, store=None,
 
     return SweepResult(
         cells=list(cells),
-        pruned=plan.pruned,
-        raw_size=plan.raw_size,
         wall_time_seconds=time.perf_counter() - start,
         store_dir=store_dir,
     )

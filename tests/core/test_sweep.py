@@ -1,13 +1,12 @@
-"""Sweep orchestration: factors, planning/pruning, journal, registry, CLI.
+"""Sweep orchestration: factors, planning, journal, registry, CLI.
 
-The pruning property tests verify the planner's contract *independently*:
-every cell a spec emits must satisfy the explainer registry's structured
-compatibility check plus the declared resource requirements, every cell it
-prunes must violate at least one, and the emitted/pruned partition must be
-exhaustive over the raw cross product — re-derived here with the test's
-own proxy objects, not the planner's.
+The planning property test re-derives the planner's contract with
+``itertools.product``: ``plan(where=...)`` is the ``where``-restricted cross
+product in factor-declaration order, each assignment exactly once, and
+``cell()`` is its first cell; an unknown ``where`` level or factor raises.
 """
 
+import itertools
 import json
 
 import pytest
@@ -79,30 +78,8 @@ class TestSpecPlanning:
 
     def test_zero_factor_spec_is_single_cell(self):
         plan = self._spec().plan()
-        assert plan.raw_size == 1
-        assert len(plan.emitted) == 1
-        assert plan.emitted[0].cell_id == "T"
-
-    def test_partition_is_exhaustive(self):
-        spec = self._spec(
-            factors=(Factor("a", levels=("x", "y")),
-                     Factor("b", levels={"p": 1, "q": 2}, requires={"q": ("gpu",)})),
-        )
-        plan = spec.plan()
-        assert plan.raw_size == 4
-        assert len(plan.emitted) + len(plan.pruned) == 4
-        pruned_ids = {cell.cell_id for cell in plan.pruned}
-        assert pruned_ids == {"T[a=x,b=q]", "T[a=y,b=q]"}
-        for cell in plan.pruned:
-            assert any("gpu" in reason for reason in cell.reasons)
-
-    def test_resources_satisfy_requires(self):
-        spec = self._spec(
-            factors=(Factor("b", levels={"q": 1}, requires={"q": ("gpu",)}),),
-            resources=frozenset({"gpu"}),
-        )
-        plan = spec.plan()
-        assert len(plan.emitted) == 1 and not plan.pruned
+        assert [cell.cell_id for cell in plan.emitted] == ["T"]
+        assert plan.summary() == {"emitted_cells": 1}
 
     def test_where_restricts_and_ignores_missing_factors(self):
         spec = self._spec(factors=(Factor("a", levels=("x", "y")),))
@@ -113,23 +90,6 @@ class TestSpecPlanning:
         spec = self._spec(factors=(Factor("a", levels=("x",)),))
         with pytest.raises(ValidationError):
             spec.plan(where={"a": ["nope"]})
-
-    def test_registry_factor_prunes_capability_and_compat(self):
-        spec = self._spec(
-            factors=(Factor("explainer",
-                            levels=(("growing_spheres", "growing_spheres"),
-                                    ("gradient", "gradient"),
-                                    ("burden", "burden")),
-                            registry=True, capability="counterfactual-generator"),),
-            model_provides=("predict",),  # no gradient_input
-            data_provides=("labels", "feature-specs"),
-        )
-        plan = spec.plan()
-        emitted = {cell.assignment[0][1] for cell in plan.emitted}
-        assert emitted == {"growing_spheres"}
-        reasons = {cell.assignment[0][1]: cell.reasons for cell in plan.pruned}
-        assert any("gradient" in r for r in reasons["gradient"])  # missing gradients
-        assert any("capability" in r for r in reasons["burden"])  # not a generator
 
     def test_default_cell_uses_first_levels(self):
         spec = self._spec(factors=(Factor("a", levels=("x", "y")),), fixed={"n": 3})
@@ -146,128 +106,103 @@ class TestSpecPlanning:
         assert spec.cell(overrides={"n": 7}).digest() == \
             spec.cell(overrides={"n": 7}).digest()
 
-    def test_infeasible_default_cell_raises(self):
-        spec = self._spec(
-            factors=(Factor("b", levels={"q": 1}, requires={"q": ("gpu",)}),),
-        )
+    def test_empty_selection_has_no_default_cell(self):
+        spec = self._spec(factors=(Factor("a", levels=("x",)),))
+        assert spec.plan(where={"a": []}).emitted == []
         with pytest.raises(ValidationError):
-            spec.cell()
+            spec.cell(where={"a": []})
+
+    def test_sweep_plan_rejects_a_factor_no_selected_spec_declares(self):
+        with pytest.raises(ValidationError) as excinfo:
+            sweep_plan(["E1/E2"], where={"backnd": ["onnx"]})
+        message = str(excinfo.value)
+        assert "backnd" in message
+        for factor in ("backend", "explainer", "schedule"):
+            assert factor in message
+
+    def test_sweep_plan_factor_of_one_spec_restricts_only_that_spec(self):
+        plan = sweep_plan(["FIG1", "E6"], where={"backend": ["onnx"]})
+        assert [cell.cell_id for cell in plan.emitted] == ["FIG1", "E6[backend=onnx]"]
 
 
-# Registry names usable as levels of a randomized registry factor, plus a
-# few unregistered ones so pruning covers the unknown-name path.
-_GENERATOR_POOL = ("growing_spheres", "random_search", "gradient",
-                   "burden", "nawb", "causal_recourse", "dexer", "cef",
-                   "not_a_registered_name")
-_MODEL_ATTRS = ("predict", "predict_proba", "gradient_input", "recommend_all", "rank")
-_DATA_PROVIDES = ("labels", "scm", "feature-specs")
-_RESOURCE_POOL = ("servable", "gpu", "disk")
+@st.composite
+def _design(draw):
+    """Random factors (unique names and labels) plus a ``where`` selection
+    holding a non-empty level subset for some of them."""
+    names = draw(st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
+    factors = tuple(
+        Factor(name, levels=tuple(
+            (label, f"{name}:{label}")
+            for label in draw(st.lists(st.sampled_from("pqrs"), min_size=1,
+                                       max_size=3, unique=True))))
+        for name in names
+    )
+    where = {}
+    for factor in factors:
+        if draw(st.booleans()):
+            where[factor.name] = draw(st.lists(st.sampled_from(factor.labels),
+                                               min_size=1, unique=True))
+    return factors, where
 
 
-class _Model:
-    def __init__(self, attrs):
-        for attr in attrs:
-            setattr(self, attr, True)
-
-
-class _Dataset:
-    def __init__(self, modality, provides):
-        self.modality = modality
-        if "labels" in provides:
-            self.y = (1,)
-        if "scm" in provides:
-            self.scm = object()
-        if "feature-specs" in provides:
-            self.features = (object(),)
-
-
-class TestPruningProperties:
-    """Emitted ⟺ feasible, pruned ⟺ violated, partition exhaustive —
-    over randomized factor subsets and workload declarations."""
+class TestPlanProperties:
+    """The planner against an ``itertools.product`` oracle over random designs."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        levels=st.lists(st.sampled_from(_GENERATOR_POOL), min_size=1, max_size=5,
-                        unique=True),
-        model_attrs=st.sets(st.sampled_from(_MODEL_ATTRS)),
-        data_provides=st.sets(st.sampled_from(_DATA_PROVIDES)),
-        modality=st.sampled_from(("tabular", "graph", "recsys")),
-        resources=st.sets(st.sampled_from(_RESOURCE_POOL)),
-        required=st.dictionaries(st.sampled_from(("fast", "slow")),
-                                 st.sets(st.sampled_from(_RESOURCE_POOL), max_size=2)),
-        capability=st.sampled_from((None, "counterfactual-generator",
-                                    "fairness-explainer")),
-    )
-    def test_partition_matches_independent_check(self, levels, model_attrs,
-                                                 data_provides, modality, resources,
-                                                 required, capability):
-        model_attrs = {"predict"} | model_attrs
-        factors = [
-            Factor("explainer", levels=tuple(levels), registry=True,
-                   capability=capability),
-            Factor("speed", levels=(("fast", 1), ("slow", 2)),
-                   requires={k: tuple(v) for k, v in required.items()}),
+    @given(design=_design())
+    def test_plan_is_the_restricted_cross_product(self, design):
+        factors, where = design
+        spec = SweepSpec(experiment="PROP", runner=_noop_runner, factors=factors,
+                         fixed={"n": 1})
+        selected = [
+            [label for label in factor.labels
+             if factor.name not in where or label in where[factor.name]]
+            for factor in factors
         ]
-        spec = SweepSpec(
-            experiment="PROP", runner=_noop_runner, factors=tuple(factors),
-            modality=modality, model_provides=tuple(sorted(model_attrs)),
-            data_provides=tuple(sorted(data_provides)),
-            resources=frozenset(resources),
-        )
-        plan = spec.plan()
+        expected = [
+            tuple(zip([factor.name for factor in factors], labels))
+            for labels in itertools.product(*selected)
+        ]
 
-        # Exhaustive: every raw-product point appears exactly once.
-        assert plan.raw_size == len(levels) * 2
-        assert len(plan.emitted) + len(plan.pruned) == plan.raw_size
-        all_ids = [c.cell_id for c in plan.emitted] + [c.cell_id for c in plan.pruned]
-        assert len(set(all_ids)) == plan.raw_size
+        plan = spec.plan(where=where)
+        assert [cell.assignment for cell in plan.emitted] == expected
+        assert len({cell.cell_id for cell in plan.emitted}) == len(expected)
 
-        # Re-derive feasibility with the test's own proxies.
-        model = _Model(model_attrs)
-        dataset = _Dataset(modality, data_provides)
+        cell = spec.cell(where=where)
+        assert cell.assignment == tuple(
+            (factor.name, labels[0]) for factor, labels in zip(factors, selected))
+        assert cell.params() == {"n": 1, **{
+            factor.name: f"{factor.name}:{labels[0]}"
+            for factor, labels in zip(factors, selected)}}
 
-        def feasible(assignment):
-            for name, label in assignment:
-                if name == "explainer":
-                    try:
-                        entry = ExplainerRegistry.entry(label)
-                    except KeyError:
-                        return False
-                    if capability is not None and capability not in entry.capabilities:
-                        return False
-                    if not entry.is_compatible(model, dataset):
-                        return False
-                else:
-                    if not set(required.get(label, ())) <= resources:
-                        return False
-            return True
-
-        for cell in plan.emitted:
-            assert feasible(cell.assignment), cell.cell_id
-        for cell in plan.pruned:
-            assert not feasible(cell.assignment), cell.cell_id
-            assert cell.reasons  # nothing is pruned silently
+    @settings(max_examples=30, deadline=None)
+    @given(design=_design(), data=st.data())
+    def test_unknown_level_or_factor_raises(self, design, data):
+        factors, where = design
+        spec = SweepSpec(experiment="PROP", runner=_noop_runner, factors=factors)
+        if factors:
+            factor = data.draw(st.sampled_from(factors))
+            bad_level = {**where, factor.name: [*where.get(factor.name, ()), "zz"]}
+            with pytest.raises(ValidationError, match="zz"):
+                spec.plan(where=bad_level)
+        with pytest.raises(ValidationError, match="zz"):
+            sweep_plan([spec], where={**where, "zz": ["p"]})
 
 
-class TestDefaultSpecsPruning:
-    """The registered experiment specs' own partitions hold the same contract."""
+class TestDefaultSpecs:
+    def test_e1_e2_explainer_levels_are_registered_generators(self):
+        import fairexp.core  # noqa: F401  (populates the explainer registry)
 
-    @pytest.mark.parametrize("experiment", ["E1/E2", "E3", "E4", "E5"])
-    def test_emitted_cells_are_feasible(self, experiment):
-        spec = SweepRegistry.get(experiment)
-        plan = spec.plan()
-        assert plan.raw_size == spec.raw_size()
-        assert len(plan.emitted) + len(plan.pruned) == plan.raw_size
-        for cell in plan.emitted:
-            for name, label in cell.assignment:
-                factor = spec.factor(name)
-                assert set(factor.requires.get(label, ())) <= spec.resources
-                if factor.registry:
-                    entry = ExplainerRegistry.entry(label)
-                    if factor.capability:
-                        assert factor.capability in entry.capabilities
-        for cell in plan.pruned:
-            assert cell.reasons
+        for label in SweepRegistry.get("E1/E2").factor("explainer").labels:
+            entry = ExplainerRegistry.entry(label)
+            assert "counterfactual-generator" in entry.capabilities, label
+
+    def test_every_spec_plans_its_full_cross_product(self):
+        for spec in SweepRegistry.specs():
+            size = 1
+            for factor in spec.factors:
+                size *= len(factor.levels)
+            assert len(spec.plan().emitted) == size, spec.experiment
 
 
 class TestJournal:
@@ -434,8 +369,18 @@ class TestRegistryAndCli:
         payload = json.loads(capsys.readouterr().out)
         planned = {cell_id.split("[")[0] for cell_id in payload["emitted"]}
         assert planned == set(SweepRegistry.ids())
-        assert payload["summary"]["raw_cells"] == \
-            payload["summary"]["emitted_cells"] + payload["summary"]["pruned_cells"]
+        assert payload["summary"] == {"emitted_cells": len(payload["emitted"])}
+
+    @pytest.mark.parametrize("action", ["plan", "run"])
+    def test_cli_sweep_unknown_factor_exits_nonzero(self, action, tmp_path):
+        from fairexp.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", action, "--spec", "E1/E2", "--where", "backnd=onnx",
+                  *(["--store", str(tmp_path / "store")] if action == "run" else [])])
+        message = str(excinfo.value)
+        assert "backnd" in message and "backend" in message
+        assert not (tmp_path / "store").exists()
 
     def test_cli_sweep_run_executes_and_journals(self, tmp_path, capsys):
         from fairexp.cli import main
@@ -458,7 +403,7 @@ class TestRegistryAndCli:
 
     def test_sweep_plan_helper_combines_specs(self):
         plan = sweep_plan(["FIG1", "FIG2"])
-        assert plan.raw_size == 2 and len(plan.emitted) == 2
+        assert [cell.cell_id for cell in plan.emitted] == ["FIG1", "FIG2"]
 
     def test_unknown_spec_id_raises(self):
         with pytest.raises(ValidationError):
