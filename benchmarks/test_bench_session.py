@@ -98,29 +98,3 @@ def test_session_sweep_beats_independent_audits(benchmark):
         "prediction_cache_hits": stats["predict_cache_hits"],
     }, adapter=shared_session, experiment="SESSION")
 
-
-def test_sharded_generation_bitwise_equal(benchmark):
-    _, train, subset, model, constraints = _workload()
-    rejected = subset.X[model.predict(subset.X) == 0]
-
-    sequential_session = AuditSession(_generator(model, train, constraints), n_jobs=1)
-    sequential = sequential_session.engine.generate_aligned(rejected)
-
-    sharded_session = AuditSession(_generator(model, train, constraints), n_jobs=4)
-    sharded = benchmark.pedantic(
-        lambda: sharded_session.engine.generate_aligned(rejected), rounds=1, iterations=1,
-    )
-
-    assert len(sharded) == len(sequential)
-    for seq, par in zip(sequential, sharded):
-        assert (seq is None) == (par is None)
-        if seq is None:
-            continue
-        assert np.array_equal(seq.counterfactual, par.counterfactual)
-        assert seq.changed_features == par.changed_features
-        assert seq.distance == par.distance
-    record(benchmark, {
-        "n_instances": len(rejected),
-        "sequential_predict_calls": sequential_session.predict_call_count,
-        "sharded_predict_calls": sharded_session.predict_call_count,
-    }, experiment="SESSION_SHARDED")

@@ -34,11 +34,6 @@ class AttributeContrastiveResult:
     scores_protected: ContrastiveScores
     scores_reference: ContrastiveScores
 
-    @property
-    def disparity_in_sufficiency(self) -> float:
-        """Sufficiency gap between reference and protected group (positive = attribute helps the reference group more)."""
-        return self.scores_reference.sufficiency - self.scores_protected.sufficiency
-
 
 @ExplainerRegistry.register(
     "probabilistic_contrastive", capabilities=("fairness-explainer", "contrastive")

@@ -13,9 +13,13 @@ generator), so a spec's cells are its full cross product:
 ``python -m fairexp sweep plan`` lists exactly the cells that run.
 
 **Every factor's first level reproduces the historical hard-coded run bit
-for bit** — ``SweepRegistry.get("E5").cell().spec.runner(**cell.params())``
-computes exactly what ``run_e5_group_counterfactuals()`` always did, which
-``tests/core/test_sweep_parity.py`` asserts for all experiments.
+for bit** — ``SweepRegistry.get("E5").cell().params()`` are exactly the
+signature defaults of ``run_e5_group_counterfactuals``.  A cell's results
+do not depend on its ``backend`` level, the shard count (``n_jobs``) or a
+warm store: ``tests/test_invariance.py`` builds that matrix from the
+registry and compares every result key bitwise except the accounting keys
+(``predict_calls*``, ``engine_predict_calls*``, ``schedule_steps*``,
+``schedule_draws*``, ``cf_reused*``, ``predict_backend``).
 
 The legacy ``run_*`` functions are re-exported from
 :mod:`fairexp.workloads` unchanged (same names, signatures and defaults)

@@ -591,7 +591,10 @@ class ScoringServer:
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._httpd.daemon_threads = True
+        # serve_forever only notices shutdown() between polls: the default
+        # 0.5 s poll made every close() wait up to half a second.
         self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.02},
                                         name="fairexp-scoring-server", daemon=True)
         self._thread.start()
 

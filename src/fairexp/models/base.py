@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import NotFittedError
-from ..utils import check_array, check_binary_labels, check_consistent_length
+from ..utils import check_array, check_consistent_length
 
 __all__ = ["BaseClassifier", "ProbabilisticClassifier"]
 
@@ -92,9 +92,3 @@ class BaseClassifier(ABC):
 
 class ProbabilisticClassifier(BaseClassifier):
     """Marker base class for classifiers with calibrated probability output."""
-
-
-def fit_binary(model: BaseClassifier, X, y) -> BaseClassifier:
-    """Fit ``model`` after validating that ``y`` is a 0/1 label vector."""
-    check_binary_labels(y)
-    return model.fit(X, y)

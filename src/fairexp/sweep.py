@@ -12,8 +12,8 @@ elsewhere in the package instead of re-implementing them:
 * **Planning** — :meth:`SweepSpec.plan` is the cross product of the
   factors' levels in factor-declaration order, restricted by an optional
   ``where`` filter; it builds no workload.  A ``where`` label a factor
-  lacks, or a ``where`` factor no selected spec declares, raises instead
-  of silently widening or emptying the selection.
+  lacks, a factor given no labels, or a ``where`` factor no selected spec
+  declares, raises instead of silently widening or emptying the selection.
 * **Execution** — :func:`run_sweep` executes emitted cells sequentially
   or over an :class:`~fairexp.explanations.pool.ExecutorPool` (``jobs >
   1``).
@@ -276,10 +276,11 @@ class SweepSpec:
             return factor.labels
         wanted = where[factor.name]
         unknown = wanted - set(factor.labels)
-        if unknown:
+        if unknown or not wanted:
+            problem = f"unknown level(s) {sorted(unknown)}" if unknown else "no level"
             raise ValidationError(
-                f"unknown level(s) {sorted(unknown)} for factor "
-                f"{factor.name!r} of {self.experiment}; known: {list(factor.labels)}"
+                f"{problem} for factor {factor.name!r} of {self.experiment}; "
+                f"known: {list(factor.labels)}"
             )
         return tuple(label for label in factor.labels if label in wanted)
 
@@ -315,12 +316,7 @@ class SweepSpec:
         factor defaults are defined to match the old hard-coded behaviour.
         ``where`` can pin factors first (e.g. ``{"backend": ["onnx"]}``).
         """
-        cells = self.plan(where=where, overrides=overrides).emitted
-        if not cells:
-            raise ValidationError(
-                f"no cell for {self.experiment} under {where!r}: empty selection"
-            )
-        return cells[0]
+        return self.plan(where=where, overrides=overrides).emitted[0]
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,13 @@ class TestSpecPlanning:
         plan = spec.plan(where={"a": ["y"], "unrelated": ["z"]})
         assert [cell.cell_id for cell in plan.emitted] == ["T[a=y]"]
 
-    def test_where_unknown_level_raises(self):
+    @pytest.mark.parametrize("labels", [["nope"], []], ids=["unknown", "empty"])
+    def test_where_unknown_level_raises(self, labels):
         spec = self._spec(factors=(Factor("a", levels=("x",)),))
-        with pytest.raises(ValidationError):
-            spec.plan(where={"a": ["nope"]})
+        with pytest.raises(ValidationError, match="'a'"):
+            spec.plan(where={"a": labels})
+        with pytest.raises(ValidationError, match="'a'"):
+            sweep_plan([spec], where={"a": labels})
 
     def test_default_cell_uses_first_levels(self):
         spec = self._spec(factors=(Factor("a", levels=("x", "y")),), fixed={"n": 3})
@@ -108,7 +111,6 @@ class TestSpecPlanning:
 
     def test_empty_selection_has_no_default_cell(self):
         spec = self._spec(factors=(Factor("a", levels=("x",)),))
-        assert spec.plan(where={"a": []}).emitted == []
         with pytest.raises(ValidationError):
             spec.cell(where={"a": []})
 
@@ -372,14 +374,17 @@ class TestRegistryAndCli:
         assert payload["summary"] == {"emitted_cells": len(payload["emitted"])}
 
     @pytest.mark.parametrize("action", ["plan", "run"])
-    def test_cli_sweep_unknown_factor_exits_nonzero(self, action, tmp_path):
+    @pytest.mark.parametrize("where, named", [("backnd=onnx", "backnd"),
+                                              ("backend=", "no level")])
+    def test_cli_sweep_unknown_factor_exits_nonzero(self, action, where, named,
+                                                    tmp_path):
         from fairexp.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", action, "--spec", "E1/E2", "--where", "backnd=onnx",
+            main(["sweep", action, "--spec", "E1/E2", "--where", where,
                   *(["--store", str(tmp_path / "store")] if action == "run" else [])])
         message = str(excinfo.value)
-        assert "backnd" in message and "backend" in message
+        assert named in message and "backend" in message
         assert not (tmp_path / "store").exists()
 
     def test_cli_sweep_run_executes_and_journals(self, tmp_path, capsys):

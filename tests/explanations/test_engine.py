@@ -328,16 +328,6 @@ class TestProcessExecutor:
     """Process-based sharding: picklable shard specs, bitwise merges,
     GIL-aware selection by the backend, and graceful fallbacks."""
 
-    def test_process_shards_bitwise_equal_to_sequential(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        make = lambda model: GrowingSpheresCounterfactual(  # noqa: E731
-            model, background, constraints=constraints, random_state=0
-        )
-        sequential = CounterfactualEngine(make(model), n_jobs=1).generate_aligned(rejected)
-        engine = CounterfactualEngine(make(_gil_holding(model)), n_jobs=2)
-        assert engine._resolve_executor() == "process"
-        _assert_same_results(sequential, engine.generate_aligned(rejected))
-
     def test_process_shards_absorb_worker_predict_counts(self, loan_workload):
         model, background, constraints, rejected = loan_workload
         engines = [
@@ -392,18 +382,6 @@ class TestProcessExecutor:
                                                  constraints=constraints, random_state=0)
         engine = CounterfactualEngine(generator, n_jobs=2)
         assert engine._resolve_executor() == "process"
-
-    def test_gil_holding_backend_process_run_matches_sequential(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        sequential = CounterfactualEngine(
-            GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                         random_state=0),
-            n_jobs=1,
-        ).generate_aligned(rejected[:10])
-        generator = GrowingSpheresCounterfactual(_gil_holding(model), background,
-                                                 constraints=constraints, random_state=0)
-        engine = CounterfactualEngine(generator, n_jobs=2)  # auto -> process
-        _assert_same_results(sequential, engine.generate_aligned(rejected[:10]))
 
     def test_process_workers_honour_custom_callable_backend(self, loan_workload):
         """The shard spec must ship the callable's decision boundary, not the

@@ -16,8 +16,6 @@ from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
-    BatchModelAdapter,
-    CallablePredictBackend,
     CounterfactualEngine,
     GrowingSpheresCounterfactual,
     KernelSet,
@@ -464,27 +462,6 @@ class TestIntegration:
         generator = RandomSearchCounterfactual(model, background, random_state=0)
         with pytest.raises(TypeError, match="kernels"):
             CounterfactualEngine(generator, kernels="numpy")
-
-    def test_process_sharded_search_matches_sequential(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        sequential = CounterfactualEngine(
-            GrowingSpheresCounterfactual(model, background,
-                                         constraints=constraints, random_state=0),
-        ).generate_aligned(rejected)
-        # A backend that holds the GIL makes n_jobs=2 shard on processes.
-        gil_holding = BatchModelAdapter(
-            model, backend=CallablePredictBackend(model.predict), cache=False)
-        sharded = CounterfactualEngine(
-            GrowingSpheresCounterfactual(gil_holding, background,
-                                         constraints=constraints, random_state=0),
-            n_jobs=2,
-        ).generate_aligned(rejected)
-        for a, b in zip(sequential, sharded):
-            if a is None or b is None:
-                assert a is b
-                continue
-            assert np.array_equal(a.counterfactual, b.counterfactual)
-            assert a.distance == b.distance
 
     def test_kernels_are_called_through_the_kernel_set(self, loan_workload,
                                                        monkeypatch):

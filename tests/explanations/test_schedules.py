@@ -41,16 +41,6 @@ def _gil_holding(model):
                              cache=False)
 
 
-# The backend picks the sharding path: NumPy shards on threads, a
-# GIL-holding callable on processes.  The ids name the path exercised.
-SHARDING_BACKENDS = pytest.mark.parametrize(
-    "backend", ["numpy", "callable"], ids=["thread", "process"])
-
-
-def _with_backend(model, backend):
-    return _gil_holding(model) if backend == "callable" else model
-
-
 class EagerAdaptiveSchedule(AdaptiveSchedule):
     """An adaptive schedule that shortcuts only on near-saturated hits."""
 
@@ -99,26 +89,6 @@ class TestGeometricParity:
             assert np.array_equal(seq.counterfactual, bat.counterfactual)
             assert seq.changed_features == bat.changed_features
             assert seq.distance == bat.distance
-
-    @SHARDING_BACKENDS
-    def test_geometric_parity_across_executors(self, backend, workload):
-        """Sharded geometric runs (threads AND processes) stay bitwise-equal
-        to the sequential n_jobs=1 pass."""
-        train, model, constraints, rejected = workload
-        reference = CounterfactualEngine(
-            _generator(GrowingSpheresCounterfactual, train, model, constraints),
-            n_jobs=1,
-        ).generate_aligned(rejected)
-        sharded = CounterfactualEngine(
-            _generator(GrowingSpheresCounterfactual, train,
-                       _with_backend(model, backend), constraints),
-            n_jobs=3,
-        ).generate_aligned(rejected)
-        for seq, par in zip(reference, sharded):
-            assert (seq is None) == (par is None)
-            if seq is not None:
-                assert np.array_equal(seq.counterfactual, par.counterfactual)
-                assert seq.distance == par.distance
 
     def test_explicit_schedule_argument_overrides_generator(self, workload):
         """lockstep_candidate_search(schedule=...) wins over generator.schedule."""
@@ -271,26 +241,6 @@ class TestAdaptiveSchedule:
         alone = drive(AdaptiveSchedule().begin(1, 12))
         crowded = drive(AdaptiveSchedule().begin(9, 12), companions=(7, 8))
         assert alone == crowded == [11, 5, 2]
-
-    @SHARDING_BACKENDS
-    def test_adaptive_sharded_bitwise_equal_to_sequential(self, backend,
-                                                          workload):
-        """Per-instance-only cursor state makes sharded adaptive runs
-        bitwise-identical to the sequential pass (like geometric)."""
-        train, model, constraints, rejected = workload
-
-        def build(model):
-            return _generator(GrowingSpheresCounterfactual, train, model,
-                              constraints, schedule=AdaptiveSchedule())
-
-        sequential = CounterfactualEngine(build(model), n_jobs=1).generate_aligned(rejected)
-        sharded = CounterfactualEngine(build(_with_backend(model, backend)),
-                                       n_jobs=3).generate_aligned(rejected)
-        for seq, par in zip(sequential, sharded):
-            assert (seq is None) == (par is None)
-            if seq is not None:
-                assert np.array_equal(seq.counterfactual, par.counterfactual)
-                assert seq.distance == par.distance
 
 
 class TestCursorOracle:

@@ -905,37 +905,6 @@ class TestServeCLI:
             main(["serve", "--stats-url", "http://127.0.0.1:9"])
 
 
-class TestRemoteSession:
-    def test_audit_session_over_remote_backend_matches_in_process(
-            self, zoo, loan_cf_generator):
-        models, train, test = zoo
-        model = models["logistic"]
-        constraints = loan_cf_generator.constraints
-        rejected_idx = np.flatnonzero(model.predict(test.X) == 0)[:6]
-
-        reference_session = AuditSession(
-            GrowingSpheresCounterfactual(model, train.X, constraints=constraints,
-                                         random_state=0))
-        reference = reference_session.counterfactuals_for(test.X, rejected_idx).solved()
-
-        with serve_fleet([model]) as server:
-            backend = _remote(server)
-            session = AuditSession(
-                GrowingSpheresCounterfactual(model, train.X,
-                                             constraints=constraints,
-                                             random_state=0),
-                backend=backend,
-            )
-            remote = session.counterfactuals_for(test.X, rejected_idx).solved()
-            backend.close()
-            backend.client.close()
-        assert set(remote) == set(reference)
-        for i in reference:
-            assert np.array_equal(remote[i].counterfactual,
-                                  reference[i].counterfactual)
-        assert session.predict_row_count == reference_session.predict_row_count
-
-
 class TestBackendClose:
     def test_double_close_keeps_peers_registered(self, zoo):
         """close() is idempotent: a second close (the natural finally-block
@@ -954,81 +923,3 @@ class TestBackendClose:
             stays.predict(test.X[:5])  # dispatches immediately, no 5s stall
             assert time.monotonic() - start < 2.0
             client.close()
-
-
-class TestServingStoreIntegration:
-    def test_onnx_sessions_persist_and_warm_start(self, zoo, loan_cf_generator,
-                                                  tmp_path):
-        """An ONNX-backed session stores its rows under the graph's content
-        hash: a second session over the same graph warm-starts with zero
-        engine predict calls, and in-process sessions key separately."""
-        from fairexp.explanations import CounterfactualStore
-
-        models, train, test = zoo
-        model = models["logistic"]
-        constraints = loan_cf_generator.constraints
-        rejected_idx = np.flatnonzero(model.predict(test.X) == 0)[:5]
-
-        def onnx_session():
-            return AuditSession(
-                GrowingSpheresCounterfactual(model, train.X,
-                                             constraints=constraints,
-                                             random_state=0),
-                backend=OnnxExportBackend(model), store=tmp_path,
-            )
-
-        first = onnx_session()
-        first.counterfactuals_for(test.X, rejected_idx)
-        assert first.engine_predict_call_count > 0
-        assert len(CounterfactualStore(tmp_path).entries()) == 1
-
-        warm = onnx_session()
-        warm.counterfactuals_for(test.X, rejected_idx)
-        assert warm.engine_predict_call_count == 0      # pure store read
-        assert warm.store_row_hits == len(rejected_idx)
-
-        # An in-process session over the same population keys a NEW entry:
-        # graph-backed and model-backed dispatch never alias by design.
-        plain = AuditSession(
-            GrowingSpheresCounterfactual(model, train.X, constraints=constraints,
-                                         random_state=0),
-            store=tmp_path,
-        )
-        plain.counterfactuals_for(test.X, rejected_idx)
-        assert len(CounterfactualStore(tmp_path).entries()) == 2
-
-    def test_remote_sessions_persist_and_warm_start(self, zoo, loan_cf_generator,
-                                                    tmp_path):
-        """A remote session stores its rows under the graph's content hash,
-        not the server endpoint: a session over a NEW server (new port) for
-        the same graph warm-starts with zero engine predict calls."""
-        from fairexp.explanations import CounterfactualStore
-
-        models, train, test = zoo
-        model = models["logistic"]
-        rejected_idx = np.flatnonzero(model.predict(test.X) == 0)[:5]
-
-        def remote_session():
-            with serve_fleet([model]) as server:
-                backend = _remote(server)
-                with AuditSession(
-                    GrowingSpheresCounterfactual(
-                        model, train.X, constraints=loan_cf_generator.constraints,
-                        random_state=0),
-                    backend=backend, store=tmp_path,
-                ) as session:
-                    results = session.counterfactuals_for(test.X, rejected_idx).solved()
-                backend.close()
-                backend.client.close()
-            return session, results
-
-        first, cold = remote_session()
-        assert first.engine_predict_call_count > 0
-        assert len(CounterfactualStore(tmp_path).entries()) == 1
-
-        warm, replayed = remote_session()
-        assert warm.engine_predict_call_count == 0      # pure store read
-        assert warm.store_row_hits == len(rejected_idx)
-        assert set(replayed) == set(cold)
-        for i in cold:
-            assert np.array_equal(replayed[i].counterfactual, cold[i].counterfactual)

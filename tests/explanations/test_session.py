@@ -10,7 +10,6 @@ from fairexp.explanations import (
     BatchModelAdapter,
     CounterfactualEngine,
     GrowingSpheresCounterfactual,
-    RandomSearchCounterfactual,
     shard_indices,
 )
 
@@ -47,35 +46,9 @@ class TestShardIndices:
         assert shard_indices(0, 4) == []
 
 
-class TestShardMergeParity:
-    """n_jobs=4 must be bitwise-equal to n_jobs=1 under fixed seeds."""
-
-    @pytest.mark.parametrize("generator_cls", [
-        GrowingSpheresCounterfactual, RandomSearchCounterfactual,
-    ])
-    def test_sharded_bitwise_equal_to_sequential(self, generator_cls, workload,
-                                                 loan_cf_generator):
-        dataset, train, test, model, rejected_idx = workload
-        constraints = loan_cf_generator.constraints
-        rejected = test.X[rejected_idx]
-
-        sequential = CounterfactualEngine(
-            _generator(generator_cls, train, model, constraints), n_jobs=1
-        ).generate_aligned(rejected)
-        sharded = CounterfactualEngine(
-            _generator(generator_cls, train, model, constraints), n_jobs=4
-        ).generate_aligned(rejected)
-
-        assert len(sharded) == len(sequential)
-        assert any(result is not None for result in sequential)
-        for seq, par in zip(sequential, sharded):
-            assert (seq is None) == (par is None)
-            if seq is None:
-                continue
-            assert np.array_equal(seq.counterfactual, par.counterfactual)
-            assert seq.changed_features == par.changed_features
-            assert seq.distance == par.distance
-            assert seq.counterfactual_prediction == par.counterfactual_prediction
+class TestShardedSession:
+    """Sharded sessions; their bitwise equality with ``n_jobs=1`` is a case
+    of the invariance matrix (``tests/test_invariance.py``)."""
 
     def test_negative_n_jobs_means_cpu_count(self, workload, loan_cf_generator):
         dataset, train, test, model, rejected_idx = workload
