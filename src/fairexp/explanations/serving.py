@@ -523,7 +523,7 @@ class ScoringServer:
 
             def _reply(self, status: int, body: bytes,
                        content_type: str = "application/octet-stream",
-                       headers: dict | None = None) -> None:
+                       headers: dict | None = None, unread: int = 0) -> None:
                 self.send_response(status)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
@@ -535,6 +535,12 @@ class ScoringServer:
                     self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
+                # Lingering close: read the ``unread`` request bytes off the
+                # socket first.  Closing with them unread resets the
+                # connection, and a client still sending a batch larger
+                # than the socket buffers would see the reset, not this reply.
+                while unread > 0 and (chunk := self.rfile.read(min(unread, 1 << 16))):
+                    unread -= len(chunk)
 
             def do_GET(self):
                 """Serve the ``/healthz`` probe and the ``/stats`` counters."""
@@ -548,15 +554,15 @@ class ScoringServer:
 
             def do_POST(self):
                 """Score one ``/score`` batch: ``.npy`` matrix in, labels out."""
-                if self.path != "/score":
-                    self._reply(404, b"not found", "text/plain")
-                    return
                 key = self.headers.get("X-Fairexp-Graph")
                 length = self.headers.get("Content-Length", "0")
-                refusal = server._refusal(key, length)
+                unread = int(length) if length.isdigit() else 0
+                refusal = ((404, "not found") if self.path != "/score"
+                           else server._refusal(key, length))
                 if refusal is not None:
                     status, message = refusal
-                    self._reply(status, message.encode(), "text/plain")
+                    self._reply(status, message.encode(), "text/plain",
+                                unread=unread)
                     return
                 if not server._admit(key):
                     # Fast shed: the client backs off and retries instead of
@@ -566,6 +572,7 @@ class ScoringServer:
                         b"shed: server at its admission limit",
                         "text/plain",
                         headers={"Retry-After": f"{server.retry_after:.3f}"},
+                        unread=unread,
                     )
                     return
                 # The inflight gauge covers decode + score + count — the

@@ -504,15 +504,19 @@ class TestDynamicWindow:
 
 
 class TestAdmissionControl:
-    def test_exhausted_retries_raise_and_count_nothing(self, zoo):
+    # 134,400 rows of 6 features is a 6.4 MB body, larger than the socket
+    # buffers: the server sheds it before the client has sent it all.
+    @pytest.mark.parametrize("n_rows", [8, 134_400])
+    def test_exhausted_retries_raise_and_count_nothing(self, zoo, n_rows):
         """A server wedged past its admission limit sheds every attempt; the
         client gives up after MAX_RETRIES with a clean error and ZERO
         call/row accounting."""
         models, _, test = zoo
+        X = np.resize(test.X, (n_rows, test.X.shape[1]))
         with serve_fleet([models["logistic"]], max_inflight=0) as server:
             backend = _remote(server, client=_TwoRetryClient)
             with pytest.raises(ValidationError, match="shed"):
-                backend.predict(test.X[:8])
+                backend.predict(X)
             assert backend.call_count == 0
             assert backend.row_count == 0
             client = backend.client
