@@ -14,7 +14,13 @@ wire that
   with per-caller row accounting intact;
 * those wire calls reuse keep-alive connections: the 4 callers open at
   most 4 TCP connections (the server's ``/stats`` ``connections``), and
-  fewer connections than wire calls.
+  fewer connections than wire calls;
+* a batch of more than 8 MB — larger than the socket buffers, so both
+  bodies stream in many sends — comes back bitwise-equal too.
+
+A server launched with ``--max-inflight 0`` sheds such a large batch, and
+the client must report the shed, not an unreachable server: the server
+drains the refused body before it closes the connection.
 
 It then relaunches the server as a TWO-graph fleet
 (``--graph a.npz --graph b.npz``) and asserts cross-graph routing
@@ -46,6 +52,7 @@ import urllib.request
 import numpy as np
 
 from fairexp.datasets import make_loan_dataset
+from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     CoalescingScoringClient,
     RemoteScoringBackend,
@@ -67,9 +74,27 @@ def build_workload(n_samples: int = 500):
     return model, tree, test.X
 
 
-def launch_server(graph_paths) -> tuple[subprocess.Popen, str]:
+#: Rows of the large-batch checks: 180,000 x 6 float64 is 8.6 MB.
+LARGE_ROWS = 180_000
+
+
+class _OneRetryClient(CoalescingScoringClient):
+    """Gives up on a shed batch after one quick retry."""
+
+    MAX_RETRIES = 1
+    BACKOFF = 0.001
+
+
+def large_batch(X: np.ndarray) -> np.ndarray:
+    """``LARGE_ROWS`` rows drawn around the rows of ``X``."""
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, X.shape[0], size=LARGE_ROWS)
+    return X[rows] + rng.normal(scale=0.5, size=(LARGE_ROWS, X.shape[1]))
+
+
+def launch_server(graph_paths, *options: str) -> tuple[subprocess.Popen, str]:
     """Start ``python -m fairexp serve`` over one or more ``.npz`` archives
-    and return (process, base URL)."""
+    (plus any further CLI ``options``) and return (process, base URL)."""
     if isinstance(graph_paths, str):
         graph_paths = [graph_paths]
     env = dict(os.environ)
@@ -79,6 +104,7 @@ def launch_server(graph_paths) -> tuple[subprocess.Popen, str]:
     argv = [sys.executable, "-m", "fairexp", "serve"]
     for path in graph_paths:
         argv += ["--graph", path]
+    argv += options
     process = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env)
     # First line is the launcher contract ("serving … on <url>"); the
     # per-graph hash lines that follow are informational.
@@ -104,6 +130,11 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
                                 graph=graph)
     remote = solo.predict(X)
     assert np.array_equal(remote, reference), "remote labels diverge from model.predict"
+    # A batch larger than the socket buffers, streamed both ways.
+    big = large_batch(X)
+    assert big.nbytes >= 8_000_000
+    assert np.array_equal(solo.predict(big), model.predict(big)), \
+        "remote labels of an 8 MB batch diverge from model.predict"
     solo.close()
     solo.client.close()
 
@@ -172,6 +203,7 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
         "experiment": "SERVING_SUBPROCESS",
         "n_rows_scored": int(X.shape[0]),
         "parity_bitwise": True,
+        "large_batch_bytes": int(big.nbytes),
         "independent_wire_calls": independent_wire_calls,
         "coalesced_wire_calls": client.wire_call_count,
         "coalescing_factor": independent_wire_calls / max(client.wire_call_count, 1),
@@ -179,6 +211,24 @@ def run_checks(url: str, model, graph, X: np.ndarray) -> dict:
         "rows_per_caller": coalesced_rows,
         "coalesced_wall_seconds": elapsed,
     }
+
+
+def run_shed_check(url: str, graph, X: np.ndarray) -> dict:
+    """Against a server launched with ``--max-inflight 0``: a large batch
+    is shed on every attempt and the client says so."""
+    backend = RemoteScoringBackend(_OneRetryClient(url, window=0.0), graph=graph)
+    try:
+        backend.predict(large_batch(X))
+        raise AssertionError("a max-inflight 0 server scored a batch")
+    except ValidationError as error:
+        assert "shed" in str(error) and "unreachable" not in str(error), error
+    finally:
+        backend.close()
+        backend.client.close()
+    client, stats = backend.client, server_stats(url)
+    assert client.shed_count == stats["shed"] == 2, (client.shed_count, stats)
+    assert (backend.row_count, client.wire_row_count) == (0, 0)
+    return {"large_batch_shed": stats["shed"]}
 
 
 def run_fleet_checks(url: str, fleet: dict, X: np.ndarray) -> dict:
@@ -245,6 +295,12 @@ def main() -> dict:
         process, url = launch_server(graph_path)
         try:
             point = run_checks(url, model, model_graph, X)
+        finally:
+            process.terminate()
+            process.wait(timeout=30)
+        process, url = launch_server(graph_path, "--max-inflight", "0")
+        try:
+            point.update(run_shed_check(url, model_graph, X))
         finally:
             process.terminate()
             process.wait(timeout=30)

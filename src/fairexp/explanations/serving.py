@@ -1,10 +1,6 @@
 """Out-of-process serving: ONNX-style model export and remote scoring.
 
-PRs 1–4 built the predict plumbing — the
-:class:`~fairexp.explanations.backends.PredictBackend` protocol, process
-sharding, the session-scoped executor pool — but every predict still ran
-in-process against the from-scratch training classes.  This module supplies
-the two real out-of-process backends the ROADMAP asks for:
+Out-of-process predict backends and the export they score through:
 
 * :class:`ComputeGraph` / :func:`export_model` — an "ONNX-style" export: a
   fitted linear / MLP / tree / forest model is compiled to a serializable
@@ -41,14 +37,18 @@ finally succeeds, so shed-then-retry never skews session accounting.
 
 The wire format is deliberately boring: ``POST /score`` with a raw ``.npy``
 payload of the candidate matrix, answered with a raw ``.npy`` payload of the
-labels.  No pickle crosses the wire, so a server never executes anything a
-client sends.
+labels — byte for byte what ``np.save`` writes, yet never copied in Python:
+the sender writes the ``.npy`` header and then the array's own buffer, the
+receiver parses the header off the socket, checks its size against
+``Content-Length`` and reads the data straight into a new array.  No pickle
+crosses the wire, so a server never executes anything a client sends.
 
 Connections are persistent (HTTP/1.1 keep-alive): the client keeps a small
 pool of idle connections — one per concurrent wire call — and reuses them,
 so a batch pays no TCP handshake and the server starts no new handler
 thread for it.  Every non-200 reply (refusals, shed, decode errors) carries
-``Connection: close``, because its request body may be unread.  A reused
+``Connection: close`` and then drains the request's unread body, so a client
+still sending a large batch reads the reply rather than a reset.  A reused
 connection that fails before any status line arrives is retried once on a
 fresh one.  :meth:`CoalescingScoringClient.close` closes the idle pool and
 :meth:`ScoringServer.close` shuts down every open connection.
@@ -60,6 +60,7 @@ import hashlib
 import http.client
 import io
 import json
+import math
 import socket
 import threading
 import time
@@ -410,14 +411,53 @@ class OnnxExportBackend(CallablePredictBackend):
 # ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------
-def _encode_array(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return buffer.getvalue()
+def _npy_chunks(array: np.ndarray) -> tuple[bytes, memoryview]:
+    """The bytes ``np.save`` writes for ``array``, without copying the data:
+    the ``.npy`` header, then a view of the (C-contiguous) array's buffer."""
+    array = np.ascontiguousarray(array)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array))
+    return header.getvalue(), memoryview(array.reshape(-1).view(np.uint8))
 
 
-def _decode_array(blob: bytes) -> np.ndarray:
-    return np.load(io.BytesIO(blob), allow_pickle=False)
+class _Body:
+    """The ``length`` declared bytes of one message on a buffered stream;
+    ``remaining`` counts what is still unread."""
+
+    def __init__(self, stream, length: int) -> None:
+        self.stream, self.remaining = stream, length
+
+    def read(self, size: int) -> bytes:
+        """Up to ``size`` declared bytes (``np.lib.format`` parses with it)."""
+        data = self.stream.read(min(size, self.remaining))
+        self.remaining -= len(data)
+        return data
+
+    def read_array(self) -> np.ndarray:
+        """The body as a ``.npy`` payload, read in place into a new array.
+
+        The header's data size must be exactly the bytes left, checked
+        before allocating: a header claiming more would block the read
+        until the socket times out, and trailing bytes would be parsed as
+        the next request.  Object dtypes are refused (no pickle).
+        """
+        if np.lib.format.read_magic(self) != (1, 0):
+            raise ValueError("the wire carries version 1.0 .npy payloads")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(self)
+        if dtype.hasobject:
+            raise ValueError("object arrays cannot cross the wire")
+        if dtype.itemsize * math.prod(shape) != self.remaining:
+            raise ValueError(f".npy header declares shape {shape} of {dtype}, "
+                             f"but {self.remaining} body bytes follow it")
+        array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+        view = memoryview(array.reshape(-1, order="A").view(np.uint8))
+        while self.remaining:
+            filled = self.stream.readinto(view[view.nbytes - self.remaining:])
+            if not filled:
+                raise ValueError("message body ended early")
+            self.remaining -= filled
+        return array
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +480,11 @@ class ScoringServer:
     **Persistent connections.**  The handler speaks HTTP/1.1, so a client
     keeps one TCP connection open across many ``/score`` calls instead of
     paying a handshake and a new handler thread per batch.  Every non-200
-    reply carries ``Connection: close``: a refused request's body is never
-    read, and a reused connection would otherwise parse those bytes as
-    the next request.  :meth:`close` shuts down every open connection.
+    reply carries ``Connection: close``, then reads the request's declared
+    body off the socket (a lingering close): closing with it unread would
+    reset the connection under a client still sending it, and a kept
+    connection would parse it as the next request.  :meth:`close` shuts
+    down every open connection.
 
     **Routing.**  ``graphs`` is a sequence of :class:`ComputeGraph`\\ s,
     each keyed by its content hash (:meth:`ComputeGraph.signature`, the
@@ -521,12 +563,14 @@ class ScoringServer:
             def log_message(self, *args):
                 """Silence per-request stderr noise (stats are on /stats)."""
 
-            def _reply(self, status: int, body: bytes,
+            def _reply(self, status: int, body,
                        content_type: str = "application/octet-stream",
                        headers: dict | None = None, unread: int = 0) -> None:
+                """Write one reply; ``body`` is bytes or a tuple of buffers."""
+                chunks = (body,) if isinstance(body, bytes) else body
                 self.send_response(status)
                 self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Content-Length", str(sum(map(len, chunks))))
                 for name, value in (headers or {}).items():
                     self.send_header(name, value)
                 if status != 200:
@@ -534,11 +578,10 @@ class ScoringServer:
                     # the next request on this connection.
                     self.send_header("Connection", "close")
                 self.end_headers()
-                self.wfile.write(body)
-                # Lingering close: read the ``unread`` request bytes off the
-                # socket first.  Closing with them unread resets the
-                # connection, and a client still sending a batch larger
-                # than the socket buffers would see the reset, not this reply.
+                for chunk in chunks:
+                    self.wfile.write(chunk)
+                # Lingering close: a close with request bytes unread resets
+                # the connection under a client still sending a large batch.
                 while unread > 0 and (chunk := self.rfile.read(min(unread, 1 << 16))):
                     unread -= len(chunk)
 
@@ -556,13 +599,13 @@ class ScoringServer:
                 """Score one ``/score`` batch: ``.npy`` matrix in, labels out."""
                 key = self.headers.get("X-Fairexp-Graph")
                 length = self.headers.get("Content-Length", "0")
-                unread = int(length) if length.isdigit() else 0
+                body = _Body(self.rfile, int(length) if length.isdigit() else 0)
                 refusal = ((404, "not found") if self.path != "/score"
                            else server._refusal(key, length))
                 if refusal is not None:
                     status, message = refusal
                     self._reply(status, message.encode(), "text/plain",
-                                unread=unread)
+                                unread=body.remaining)
                     return
                 if not server._admit(key):
                     # Fast shed: the client backs off and retries instead of
@@ -572,21 +615,21 @@ class ScoringServer:
                         b"shed: server at its admission limit",
                         "text/plain",
                         headers={"Retry-After": f"{server.retry_after:.3f}"},
-                        unread=unread,
+                        unread=body.remaining,
                     )
                     return
-                # The inflight gauge covers decode + score + count — the
-                # work admission control bounds — and is released BEFORE the
+                # The inflight gauge covers read + score + count — the work
+                # admission control bounds — and is released BEFORE any
                 # reply is written, so a client reading /stats right after
                 # its response never observes its own finished batch as
-                # still in flight.
+                # still in flight, and a refused body drains slot-free.
                 try:
-                    try:
-                        X = _decode_array(self.rfile.read(int(length)))
-                        labels = np.asarray(server._graphs[key](X))
-                    except Exception as error:  # noqa: BLE001 - wire boundary
-                        self._reply(400, str(error).encode(), "text/plain")
-                        return
+                    X = body.read_array()
+                    labels = np.asarray(server._graphs[key](X))
+                except Exception as error:  # noqa: BLE001 - wire boundary
+                    reply = (400, str(error).encode(), "text/plain")
+                else:
+                    reply = (200, _npy_chunks(labels))
                     server._count(
                         key, int(np.atleast_2d(X).shape[0]),
                         self.headers.get("X-Fairexp-Batches"),
@@ -594,7 +637,7 @@ class ScoringServer:
                     )
                 finally:
                     server._leave()
-                self._reply(200, _encode_array(labels))
+                self._reply(*reply, unread=body.remaining)
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._httpd.daemon_threads = True
@@ -615,8 +658,8 @@ class ScoringServer:
         body length, else the ``(status, message)`` it is refused with.
 
         Runs before admission: a negative length would make the handler's
-        ``rfile.read(-1)`` block until the client hangs up, holding an
-        admission slot all the while.
+        body read block until the client hangs up, holding an admission
+        slot all the while.
         """
         if not length.isdigit():
             return (400, "Content-Length must be a non-negative integer, "
@@ -872,9 +915,8 @@ class CoalescingScoringClient:
     into ONE ``POST /score`` wire call (carrying the graph hash) and fans
     the label slices back out.  Concurrent sessions sharing a client
     therefore issue strictly fewer wire calls than the same sessions with
-    private clients — the tentpole's serving acceptance criterion — and a
-    fleet of graphs multiplexes over one client without cross-graph
-    batches ever mixing.
+    private clients, and a fleet of graphs multiplexes over one client
+    without cross-graph batches ever mixing.
 
     A failed wire call raises in **every** coalesced caller; backends count
     calls/rows only after a successful dispatch (see
@@ -1066,11 +1108,6 @@ class CoalescingScoringClient:
         return http.client.HTTPConnection(self._host, self._port,
                                           timeout=self.timeout)
 
-    def _exchange(self, connection: http.client.HTTPConnection, body: bytes,
-                  headers: dict) -> http.client.HTTPResponse:
-        connection.request("POST", "/score", body=body, headers=headers)
-        return connection.getresponse()
-
     def _wire_call(self, X: np.ndarray, lane: _Lane, n_batches: int) -> np.ndarray:
         headers = {
             "Content-Type": "application/octet-stream",
@@ -1081,13 +1118,18 @@ class CoalescingScoringClient:
             "X-Fairexp-Window": f"{self.window:.6f}",
             "X-Fairexp-Graph": lane.key,
         }
-        body = _encode_array(X)
+        # The .npy header, then the stacked matrix's own buffer.  Without an
+        # explicit Content-Length http.client would chunk-encode the tuple,
+        # which the server does not parse.
+        body = _npy_chunks(X)
+        headers["Content-Length"] = str(sum(map(len, body)))
         with self._cond:
             pooled = self._idle.pop() if self._idle else None
         connection = self._connect() if pooled is None else pooled
         try:
             try:
-                response = self._exchange(connection, body, headers)
+                connection.request("POST", "/score", body=body, headers=headers)
+                response = connection.getresponse()
             except (http.client.RemoteDisconnected, ConnectionResetError,
                     BrokenPipeError):
                 if pooled is None:
@@ -1098,8 +1140,12 @@ class CoalescingScoringClient:
                 # scored twice is still one correct answer.
                 connection.close()
                 connection = self._connect()
-                response = self._exchange(connection, body, headers)
-            payload = response.read()
+                connection.request("POST", "/score", body=body, headers=headers)
+                response = connection.getresponse()
+            if response.status == 200:
+                labels = _Body(response, response.length or 0).read_array()
+            else:
+                detail = response.read().decode(errors="replace")
         except (OSError, http.client.HTTPException) as error:
             # Connection refused / reset / timed out (e.g. the server closed
             # with this batch in flight) surfaces as the library's own
@@ -1109,14 +1155,16 @@ class CoalescingScoringClient:
             raise ValidationError(
                 f"scoring server unreachable at {self.url}: {error}"
             ) from error
+        except ValueError as error:  # a malformed .npy reply
+            connection.close()
+            raise ValidationError(f"bad reply from {self.url}: {error}") from error
         if response.will_close:
             connection.close()
         else:
             with self._cond:
                 self._idle.append(connection)
         if response.status == 200:
-            return np.asarray(_decode_array(payload))
-        detail = payload.decode(errors="replace")
+            return labels
         if response.status == 429:
             try:
                 retry_after = float(response.getheader("Retry-After") or 0.0)

@@ -2,12 +2,16 @@
 the loopback fleet scoring server (hash routing, admission control) and the
 coalescing remote client (per-graph lanes, fixed windows, shed retry)."""
 
+import http.client
 import io
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
@@ -21,6 +25,7 @@ from fairexp.explanations import (
     export_model,
     serve_fleet,
 )
+from fairexp.explanations.serving import _Body, _npy_chunks
 from fairexp.fairness.mitigation import (
     FairLogisticRegression,
     RecourseRegularizedClassifier,
@@ -223,6 +228,111 @@ class TestScoringServer:
             assert out.shape == (test.X.shape[0],)
             assert backend.call_count == 1
             backend.client.close()
+
+
+def _post(server, body: bytes, timeout: float = 10.0):
+    """POST a hand-made ``/score`` body to the server's first graph:
+    (status, Connection header, reply bytes, seconds until the reply)."""
+    host, port = server.url.rsplit("/", 1)[-1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=timeout)
+    start = time.perf_counter()
+    connection.request("POST", "/score", body=body,
+                       headers={"X-Fairexp-Graph": server.graph_keys()[0]})
+    reply = connection.getresponse()
+    payload = reply.read()
+    elapsed = time.perf_counter() - start
+    connection.close()
+    return reply.status, reply.getheader("Connection"), payload, elapsed
+
+
+class TestWireFormat:
+    """The wire streams ``np.save``'s exact bytes and reads them in place."""
+
+    @staticmethod
+    def _assert_round_trip(array):
+        chunks = _npy_chunks(array)
+        blob = b"".join(chunks)
+        assert blob == _npy(array)
+        assert sum(map(len, chunks)) == len(blob)
+        body = _Body(io.BytesIO(blob), len(blob))
+        back = body.read_array()
+        assert body.remaining == 0
+        assert (back.dtype, back.shape) == (array.dtype, array.shape)
+        assert back.tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 134_400])
+    def test_stacked_matrix_bytes_are_np_save_bytes(self, n_rows):
+        X = np.random.default_rng(n_rows).normal(size=(n_rows, 6))
+        self._assert_round_trip(X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   min_side=0, max_side=40)),
+           hnp.arrays(np.int64, st.integers(0, 200)))
+    def test_any_matrix_and_label_vector_are_np_save_bytes(self, X, labels):
+        self._assert_round_trip(X)
+        self._assert_round_trip(labels)
+
+    def test_eight_megabyte_batch_is_bitwise_equal(self, zoo):
+        """A batch larger than the socket buffers, streamed both ways."""
+        models, _, test = zoo
+        model = models["logistic"]
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, test.X.shape[0], size=180_000)
+        X = test.X[rows] + rng.normal(scale=0.5, size=(rows.size, test.X.shape[1]))
+        assert X.nbytes >= 8_000_000
+        with serve_fleet([model]) as server:
+            backend = _remote(server)
+            labels = backend.predict(X)
+            reference = model.predict(X)
+            assert labels.dtype == reference.dtype
+            assert labels.tobytes() == reference.tobytes()
+            assert len(np.unique(reference)) == 2
+            assert server.row_count == X.shape[0]
+            backend.client.close()
+
+    def test_fortran_order_payload_scores_in_order(self, zoo):
+        models, _, test = zoo
+        model = models["mlp"]
+        X = np.asfortranarray(test.X[:30])
+        with serve_fleet([model]) as server:
+            status, _, payload, _ = _post(server, _npy(X))
+            assert status == 200
+            labels = np.load(io.BytesIO(payload), allow_pickle=False)
+            assert np.array_equal(labels, model.predict(X))
+
+    @pytest.mark.parametrize("case", ["short", "long", "object", "bad-magic"])
+    def test_malformed_body_is_a_prompt_400(self, zoo, case):
+        """A body whose ``.npy`` header disagrees with ``Content-Length``,
+        holds objects or is not ``.npy`` gets a 400 at once.  The server
+        holds no admission slot and no stray bytes afterwards: on a
+        ``max_inflight=1`` server the next batch scores, unshed."""
+        models, _, test = zoo
+        model = models["logistic"]
+        valid = _npy(test.X[:10])
+        header_length = len(_npy(test.X[:0]))
+        payload = io.BytesIO()
+        np.save(payload, np.array([{"a": 1}, None], dtype=object))
+        body = {
+            # The header declares 10 rows; 5 follow it.
+            "short": valid[:header_length + 5 * test.X.shape[1] * 8],
+            # A valid request line trails the payload: a server that kept
+            # the connection would answer it as the next request.
+            "long": valid + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            "object": payload.getvalue(),
+            "bad-magic": b"NOTNUMPY" + valid[8:],
+        }[case]
+        with serve_fleet([model], max_inflight=1) as server:
+            status, connection, reply, elapsed = _post(server, body, timeout=5.0)
+            assert status == 400, reply
+            assert connection == "close"
+            assert elapsed < 2.0
+            assert server.stats()["inflight"] == 0
+            backend = _remote(server)
+            assert np.array_equal(backend.predict(test.X[:6]),
+                                  model.predict(test.X[:6]))
+            backend.client.close()
+            assert (server.shed_count, server.request_count) == (0, 1)
 
 
 class TestCoalescing:
@@ -589,12 +699,10 @@ class TestAdmissionControl:
 
     @pytest.mark.parametrize("refusal", ["unknown-graph", "no-graph-header"])
     def test_refusal_closes_the_connection(self, zoo, refusal):
-        """A refused request's body is never read, so the refusal carries
-        ``Connection: close``: the next request on the same client
-        connection scores correctly instead of being parsed out of the
-        unread body."""
-        import http.client
-
+        """A refused request's body is drained, never parsed, and the
+        refusal carries ``Connection: close``: the next request on the same
+        client connection scores correctly instead of being parsed out of
+        the refused body."""
         models, _, test = zoo
         model = models["logistic"]
         with serve_fleet([model]) as server:
