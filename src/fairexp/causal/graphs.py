@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import ValidationError
@@ -27,6 +26,8 @@ class CausalGraph:
     """A thin wrapper over :class:`networkx.DiGraph` with validation and helpers."""
 
     def __init__(self, edges: Sequence[tuple[str, str]]) -> None:
+        import networkx as nx
+
         self.graph = nx.DiGraph()
         self.graph.add_edges_from(edges)
         if not nx.is_directed_acyclic_graph(self.graph):
@@ -52,19 +53,27 @@ class CausalGraph:
 
     def descendants(self, node: str) -> set[str]:
         """Every variable reachable from ``node``."""
+        import networkx as nx
+
         return set(nx.descendants(self.graph, node))
 
     def ancestors(self, node: str) -> set[str]:
         """Every variable with a directed path into ``node``."""
+        import networkx as nx
+
         return set(nx.ancestors(self.graph, node))
 
     def topological_order(self) -> list[str]:
         """The variables in one topological order of the DAG."""
+        import networkx as nx
+
         return list(nx.topological_sort(self.graph))
 
 
 def all_causal_paths(graph: CausalGraph, source: str, target: str) -> list[tuple[str, ...]]:
     """Return every directed path from ``source`` to ``target`` as a tuple of nodes."""
+    import networkx as nx
+
     if source not in graph.graph or target not in graph.graph:
         return []
     return [tuple(path) for path in nx.all_simple_paths(graph.graph, source, target)]

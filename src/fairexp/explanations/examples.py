@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..exceptions import ValidationError
 from .base import ExampleExplanation, ExplainerInfo
@@ -17,6 +16,8 @@ __all__ = [
 
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     return np.exp(-gamma * cdist(A, B, metric="sqeuclidean"))
 
 
@@ -72,6 +73,8 @@ def nearest_neighbor_explanation(
     x, X_reference, y_reference=None, *, n_neighbors: int = 5, metric: str = "euclidean"
 ) -> ExampleExplanation:
     """Explain a prediction by the most similar reference instances (and their labels)."""
+    from scipy.spatial.distance import cdist
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     X_reference = np.asarray(X_reference, dtype=float)
     distances = cdist(x, X_reference, metric=metric)[0]
@@ -92,6 +95,8 @@ def contrastive_example(x, X_reference, predictions, *, target_class: int = 1,
     (Karimi et al. [13]) restricted to observed data points, sometimes called
     a native counterfactual.
     """
+    from scipy.spatial.distance import cdist
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     X_reference = np.asarray(X_reference, dtype=float)
     predictions = np.asarray(predictions)

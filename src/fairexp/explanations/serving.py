@@ -872,6 +872,25 @@ def _retry_backoff_sleep(delay: float) -> None:
     time.sleep(delay)
 
 
+def _seconds(name: str, value, *, allow_zero: bool) -> float:
+    """A finite duration in seconds: ``>= 0`` or ``> 0`` per ``allow_zero``.
+
+    A NaN window would make the lane leader's ``Condition.wait`` return at
+    once and spin; a negative timeout would surface as a bad reply.
+    """
+    seconds = math.nan
+    if not isinstance(value, str):
+        try:
+            seconds = float(value)
+        except (TypeError, ValueError):
+            pass
+    bound = ">= 0" if allow_zero else "> 0"
+    if not math.isfinite(seconds) or seconds < 0 or (seconds == 0 and not allow_zero):
+        raise ValidationError(
+            f"{name} must be a finite number of seconds {bound}, got {value!r}")
+    return seconds
+
+
 def _graph_key(graph) -> str:
     """A graph's routing key: the content hash of a :class:`ComputeGraph`,
     or a hash string (as ``python -m fairexp serve`` prints them)."""
@@ -940,9 +959,11 @@ class CoalescingScoringClient:
     window:
         Seconds a lane's leader waits for peers before dispatching.  ``0``
         disables coalescing (every batch is its own wire call).  ``"auto"``
-        is accepted as a name for the default window.
+        is accepted as a name for the default window; any other string, a
+        negative or a non-finite value raises
+        :class:`~fairexp.exceptions.ValidationError`.
     timeout:
-        Socket timeout for the wire call.
+        Socket timeout for the wire call, in seconds: finite and positive.
 
     Attributes
     ----------
@@ -966,8 +987,9 @@ class CoalescingScoringClient:
     def __init__(self, url: str, *, window=DEFAULT_WINDOW,
                  timeout: float = 30.0) -> None:
         self.url = url.rstrip("/")
-        self.window = self.DEFAULT_WINDOW if window == "auto" else float(window)
-        self.timeout = float(timeout)
+        self.window = self.DEFAULT_WINDOW if window == "auto" else _seconds(
+            "window", window, allow_zero=True)
+        self.timeout = _seconds("timeout", timeout, allow_zero=False)
         self.wire_call_count = 0
         self.wire_row_count = 0
         self.coalesced_count = 0

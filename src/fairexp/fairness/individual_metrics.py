@@ -13,7 +13,6 @@ Individual fairness asks that *similar individuals are treated similarly*
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from ..exceptions import ValidationError
 
@@ -26,6 +25,8 @@ def consistency_score(X, y_pred, *, n_neighbors: int = 5) -> float:
     A score of 1.0 means every individual receives the same decision as its
     ``n_neighbors`` most similar peers.
     """
+    from scipy.spatial.distance import cdist
+
     X = np.asarray(X, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if X.shape[0] != y_pred.shape[0]:
@@ -45,6 +46,8 @@ def lipschitz_violation(X, scores, *, epsilon: float = 1e-8) -> float:
     Small values indicate the model treats similar individuals similarly in
     the "fairness through awareness" (distance-based) sense.
     """
+    from scipy.spatial.distance import pdist
+
     X = np.asarray(X, dtype=float)
     scores = np.asarray(scores, dtype=float)
     if X.shape[0] != scores.shape[0]:

@@ -10,7 +10,6 @@ along with simple representation metrics used by Dexer-style explanations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import ValidationError
 from ..utils import safe_divide
@@ -103,6 +102,8 @@ def ranking_binomial_pvalue(ranking_groups, k: int, *, protected_value=1) -> flo
     candidate pool.  Small p-values indicate the prefix composition is
     unlikely under an unbiased process.
     """
+    from scipy import stats
+
     ranking_groups = np.asarray(ranking_groups)
     pool_share = float(np.mean(ranking_groups == protected_value))
     top = ranking_groups[: min(k, ranking_groups.shape[0])]

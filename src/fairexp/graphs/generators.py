@@ -12,12 +12,15 @@ features and group-dependent labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import ValidationError
 from ..utils import check_random_state, sigmoid
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["AttributedGraph", "make_biased_sbm"]
 
@@ -88,6 +91,8 @@ class AttributedGraph:
 
     def to_networkx(self) -> nx.Graph:
         """The graph as a ``networkx.Graph`` with node attributes attached."""
+        import networkx as nx
+
         graph = nx.from_numpy_array(self.adjacency)
         for node in graph.nodes:
             graph.nodes[node]["group"] = int(self.groups[node])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..exceptions import ValidationError
 from .base import BaseClassifier
@@ -53,6 +52,8 @@ class KNeighborsClassifier(BaseClassifier):
 
     def kneighbors(self, X, n_neighbors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(distances, indices)`` of the nearest training samples."""
+        from scipy.spatial.distance import cdist
+
         X = self._validate_predict_input(X)
         k = n_neighbors or self.n_neighbors
         metric = "cityblock" if self.metric == "manhattan" else self.metric

@@ -612,6 +612,21 @@ class TestDynamicWindow:
             backend.close()
             client.close()
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -0.01, "fast",
+                                        "0.02", None])
+    def test_bad_window_is_refused(self, window):
+        """A NaN window would spin the lane leader (``Condition.wait(nan)``
+        returns at once); every window but a finite ``>= 0`` or ``"auto"``
+        is refused at construction."""
+        with pytest.raises(ValidationError, match="window"):
+            CoalescingScoringClient("http://127.0.0.1:1", window=window)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1.0, "30",
+                                         None])
+    def test_bad_timeout_is_refused(self, timeout):
+        with pytest.raises(ValidationError, match="timeout"):
+            CoalescingScoringClient("http://127.0.0.1:1", timeout=timeout)
+
 
 class TestAdmissionControl:
     # 134,400 rows of 6 features is a 6.4 MB body, larger than the socket
