@@ -62,10 +62,7 @@ class FairLogisticRegression(BaseClassifier):
         group_masks(sensitive)  # validates two groups exist
         centered_group = sensitive - sensitive.mean()
         n_samples, n_features = X.shape
-        if sample_weight is None:
-            sample_weight = np.ones(n_samples)
-        else:
-            sample_weight = np.asarray(sample_weight, dtype=float)
+        sample_weight = self._validate_sample_weight(sample_weight, n_samples)
         sample_weight = sample_weight / sample_weight.mean()
 
         # Train in standardized space; fold coefficients back at the end.
@@ -159,9 +156,7 @@ class RecourseRegularizedClassifier(BaseClassifier):
         sensitive = np.asarray(sensitive, dtype=float)
         masks = group_masks(sensitive)
         n_samples, n_features = X.shape
-        if sample_weight is None:
-            sample_weight = np.ones(n_samples)
-        sample_weight = np.asarray(sample_weight, dtype=float)
+        sample_weight = self._validate_sample_weight(sample_weight, n_samples)
         sample_weight = sample_weight / sample_weight.mean()
 
         # Train in standardized space; fold coefficients back at the end.

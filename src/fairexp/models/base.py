@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from ..exceptions import NotFittedError
+from ..exceptions import NotFittedError, ValidationError
 from ..utils import check_array, check_consistent_length
 
 __all__ = ["BaseClassifier", "ProbabilisticClassifier"]
@@ -67,6 +67,32 @@ class BaseClassifier(ABC):
             y = y.ravel()
         self.classes_ = np.unique(y)
         return X, y
+
+    def _validate_sample_weight(self, sample_weight, n_samples: int) -> np.ndarray:
+        """Return ``sample_weight`` as a float array, all ones for ``None``.
+
+        Weights must be one finite, non-negative entry per sample with a
+        positive, finite sum: every weighted ``fit`` normalises them, and a
+        zero, infinite or NaN sum would otherwise surface as a diverged fit,
+        negative weights as a silently sign-flipped one.
+        """
+        if sample_weight is None:
+            return np.ones(n_samples)
+        weights = np.asarray(sample_weight, dtype=float)
+        if weights.shape != (n_samples,):
+            raise ValidationError(
+                f"sample_weight must have one entry per sample: expected shape "
+                f"({n_samples},), got {weights.shape}"
+            )
+        if not np.all(np.isfinite(weights)):
+            raise ValidationError("sample_weight contains NaN or infinite values")
+        if np.any(weights < 0):
+            raise ValidationError("sample_weight must be non-negative")
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not 0 < total < np.inf:
+            raise ValidationError("sample_weight must have a positive, finite sum")
+        return weights
 
     def _validate_predict_input(self, X) -> np.ndarray:
         self._check_fitted()

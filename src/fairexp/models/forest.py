@@ -54,6 +54,8 @@ class RandomForestClassifier(BaseClassifier):
         n_samples = X.shape[0]
         self.estimators_ = []
         importances = np.zeros(X.shape[1])
+        if sample_weight is not None:
+            sample_weight = self._validate_sample_weight(sample_weight, n_samples)
 
         for i in range(self.n_estimators):
             tree = DecisionTreeClassifier(
@@ -67,7 +69,7 @@ class RandomForestClassifier(BaseClassifier):
                 idx = rng.integers(0, n_samples, size=n_samples)
             else:
                 idx = np.arange(n_samples)
-            weights = None if sample_weight is None else np.asarray(sample_weight)[idx]
+            weights = None if sample_weight is None else sample_weight[idx]
             tree.fit(X[idx], y[idx], sample_weight=weights)
             importances += tree.feature_importances_
             self.estimators_.append(tree)

@@ -66,12 +66,7 @@ class LogisticRegression(BaseClassifier):
         y = y.astype(float)
         n_samples, n_features = X.shape
 
-        if sample_weight is None:
-            weights = np.ones(n_samples)
-        else:
-            weights = np.asarray(sample_weight, dtype=float)
-            if weights.shape != (n_samples,):
-                raise ValidationError("sample_weight must have one entry per sample")
+        weights = self._validate_sample_weight(sample_weight, n_samples)
         weights = weights / weights.sum() * n_samples
 
         # Optimize in standardized feature space so gradient descent is robust

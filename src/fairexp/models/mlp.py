@@ -77,10 +77,7 @@ class MLPClassifier(BaseClassifier):
         self._scale = X.std(axis=0)
         self._scale[self._scale == 0] = 1.0
         X = (X - self._mean) / self._scale
-        if sample_weight is None:
-            sample_weight = np.ones(n_samples)
-        else:
-            sample_weight = np.asarray(sample_weight, dtype=float)
+        sample_weight = self._validate_sample_weight(sample_weight, n_samples)
         sample_weight = sample_weight / sample_weight.mean()
 
         sizes = [n_features, *self.hidden_sizes, n_classes]

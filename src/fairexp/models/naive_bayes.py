@@ -31,10 +31,7 @@ class GaussianNaiveBayes(BaseClassifier):
         X, y = self._validate_fit_input(X, y)
         n_classes = self.classes_.shape[0]
         n_features = X.shape[1]
-        if sample_weight is None:
-            sample_weight = np.ones(X.shape[0])
-        else:
-            sample_weight = np.asarray(sample_weight, dtype=float)
+        sample_weight = self._validate_sample_weight(sample_weight, X.shape[0])
 
         self.theta_ = np.zeros((n_classes, n_features))
         self.var_ = np.zeros((n_classes, n_features))

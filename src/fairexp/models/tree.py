@@ -108,10 +108,7 @@ class DecisionTreeClassifier(BaseClassifier):
         y_idx = np.array([self._class_index[label] for label in y])
         self._rng = check_random_state(self.random_state)
         self._importance_accumulator = np.zeros(self.n_features_)
-        if sample_weight is None:
-            sample_weight = np.ones(X.shape[0])
-        else:
-            sample_weight = np.asarray(sample_weight, dtype=float)
+        sample_weight = self._validate_sample_weight(sample_weight, X.shape[0])
         self.root_ = self._build(X, y_idx, sample_weight, depth=0)
         total = self._importance_accumulator.sum()
         self.feature_importances_ = (

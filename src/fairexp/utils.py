@@ -81,14 +81,16 @@ def safe_divide(numerator, denominator, *, default: float = 0.0):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
+    """Numerically stable logistic sigmoid, as a float64 array of ``z``'s shape.
+
+    ``1 / (1 + exp(-z))`` for ``z >= 0`` and ``exp(z) / (1 + exp(z))`` below
+    zero, written without sign masks: ``exp(-|z|)`` is the exponential each
+    branch takes, so every element goes through the same operations as a
+    masked two-branch version, without its gathers and scatters.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.asarray(np.where(z >= 0, 1.0, e) / (1.0 + e))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fairexp.exceptions import NotFittedError, ValidationError
+import fairexp.fairness.mitigation.inprocessing as inprocessing_module
+import fairexp.models.logistic as logistic_module
+from fairexp.datasets import make_loan_dataset
+from fairexp.exceptions import ConvergenceError, NotFittedError, ValidationError
+from fairexp.fairness.mitigation import FairLogisticRegression
 from fairexp.models import LogisticRegression
+from sigmoid_oracle import masked_sigmoid
 
 
 def make_separable(rng, n=300, gap=3.0):
@@ -126,3 +134,92 @@ class TestGradientsAndBoundary:
         free = LogisticRegression(n_iter=800, l2=0.0).fit(X, y)
         shrunk = LogisticRegression(n_iter=800, l2=5.0).fit(X, y)
         assert np.linalg.norm(shrunk.coef_) < np.linalg.norm(free.coef_)
+
+
+# ----------------------------------------------------------------------------
+# Fit parity: the masked reference sigmoid patched into each training loop
+# must fit the same model, bit for bit.
+# ----------------------------------------------------------------------------
+#: E1's two loan populations (label, direct_bias, recourse_gap) at the
+#: benchmark's audit-cold size, seed 0.
+E1_POPULATIONS = (("biased", 1.2, 1.0), ("fair", 0.0, 0.0))
+E1_SAMPLES = 12000
+
+PARITY_SETTINGS = settings(max_examples=40, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+def _fitted_state(fit):
+    """``(coef_, intercept_, n_iter_)`` of ``fit()`` as bytes, or the error it raised."""
+    try:
+        model = fit()
+    except ConvergenceError as error:
+        return type(error)
+    return (model.coef_.tobytes(), float(model.intercept_).hex(),
+            getattr(model, "n_iter_", None))
+
+
+def _assert_fit_unchanged_by_masked_sigmoid(module, fit):
+    current = _fitted_state(fit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "sigmoid", masked_sigmoid)
+        reference = _fitted_state(fit)
+    assert current == reference
+
+
+@pytest.fixture(scope="module")
+def e1_trains():
+    trains = []
+    for _label, direct_bias, recourse_gap in E1_POPULATIONS:
+        dataset = make_loan_dataset(E1_SAMPLES, direct_bias=direct_bias,
+                                    recourse_gap=recourse_gap, random_state=0)
+        trains.append(dataset.split(test_size=0.3, random_state=1)[0])
+    return trains
+
+
+@st.composite
+def weighted_binary_problems(draw):
+    n = draw(st.integers(4, 60))
+    d = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, d),
+                        elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    sensitive = np.arange(n) % 2
+    weights = draw(st.one_of(
+        st.none(), hnp.arrays(np.float64, n, elements=st.floats(0.01, 100.0))))
+    return X, y, sensitive, weights
+
+
+class TestMaskedSigmoidFitParity:
+    @PARITY_SETTINGS
+    @given(problem=weighted_binary_problems(), l2=st.sampled_from([0.0, 0.1]))
+    def test_logistic_regression_hypothesis_data(self, problem, l2):
+        X, y, _, weights = problem
+        _assert_fit_unchanged_by_masked_sigmoid(
+            logistic_module,
+            lambda: LogisticRegression(n_iter=60, l2=l2).fit(X, y, sample_weight=weights))
+
+    @PARITY_SETTINGS
+    @given(problem=weighted_binary_problems())
+    def test_fair_logistic_regression_hypothesis_data(self, problem):
+        X, y, sensitive, weights = problem
+        _assert_fit_unchanged_by_masked_sigmoid(
+            inprocessing_module,
+            lambda: FairLogisticRegression(fairness_weight=2.0, n_iter=60).fit(
+                X, y, sensitive=sensitive, sample_weight=weights))
+
+    @pytest.mark.parametrize("population", [0, 1], ids=[p[0] for p in E1_POPULATIONS])
+    def test_logistic_regression_e1_populations(self, e1_trains, population):
+        train = e1_trains[population]
+        _assert_fit_unchanged_by_masked_sigmoid(
+            logistic_module,
+            lambda: LogisticRegression(n_iter=1200, random_state=0).fit(train.X, train.y))
+
+    @pytest.mark.parametrize("population", [0, 1], ids=[p[0] for p in E1_POPULATIONS])
+    def test_fair_logistic_regression_e1_populations(self, e1_trains,
+                                                     population):
+        train = e1_trains[population]
+        _assert_fit_unchanged_by_masked_sigmoid(
+            inprocessing_module,
+            lambda: FairLogisticRegression(fairness_weight=5.0, n_iter=300).fit(
+                train.X, train.y, sensitive=train.sensitive_values))

@@ -24,6 +24,7 @@ from fairexp.fairness import (
 from fairexp.models import confusion_matrix, f1_score, precision_score, recall_score
 from fairexp.models.metrics import roc_curve
 from fairexp.utils import one_hot, safe_divide, sigmoid, softmax
+from sigmoid_oracle import assert_same_floats, masked_sigmoid
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -40,6 +41,39 @@ def test_sigmoid_bounded_and_monotone(z):
     assert np.all((values >= 0) & (values <= 1))
     order = np.argsort(z)
     assert np.all(np.diff(values[order]) >= -1e-12)
+
+
+#: Where the two branches meet (0, -0), saturate (|z| > 36), underflow to a
+#: subnormal or to 0 (|z| > 708, > 745), and what no finite score reaches.
+SIGMOID_EDGES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, -2.2250738585072014e-308, 36.8, -36.8,
+                 708.5, -708.5, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=8),
+                  elements=st.one_of(st.floats(), st.sampled_from(SIGMOID_EDGES))))
+def test_sigmoid_bitwise_equal_to_masked_reference(z):
+    assert_same_floats(sigmoid(z), masked_sigmoid(z))
+    # A transposed view is a non-contiguous input.
+    assert_same_floats(sigmoid(z.T), masked_sigmoid(z.T))
+
+
+def test_sigmoid_edge_values_bitwise_equal_to_masked_reference():
+    z = np.array(SIGMOID_EDGES)
+    assert_same_floats(sigmoid(z), masked_sigmoid(z))
+    assert_same_floats(sigmoid(z.reshape(1, -1)[:, ::2]), masked_sigmoid(z[::2])[None])
+
+
+@pytest.mark.parametrize("z", [0.5, -3, np.float32(2.0), np.array(0.5), [0.5, -1.0],
+                               np.array([1.0, -2.0], dtype=np.float32), [[1.0], [-1.0]]],
+                         ids=["float", "int", "float32-scalar", "0-d", "list",
+                              "float32-array", "nested-list"])
+def test_sigmoid_returns_float64_array_of_input_shape(z):
+    out = sigmoid(z)
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64 and out.shape == np.shape(z)
+    assert_same_floats(out, masked_sigmoid(z))
 
 
 @SETTINGS
