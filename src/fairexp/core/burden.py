@@ -26,7 +26,7 @@ from ..explanations.base import (
 )
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean, group_rate, group_ratio
 from ..utils import check_consistent_length
 
 __all__ = ["GroupBurden", "BurdenResult", "BurdenExplainer"]
@@ -44,10 +44,9 @@ class GroupBurden:
 
     @property
     def coverage(self) -> float:
-        """Fraction of negatively classified members for which a counterfactual was found."""
-        if self.n_negative == 0:
-            return 0.0
-        return self.n_with_recourse / self.n_negative
+        """Fraction of negatively classified members for which a counterfactual
+        was found; NaN when the group has none."""
+        return group_rate(self.n_with_recourse, self.n_negative)
 
 
 @dataclass
@@ -80,9 +79,7 @@ class BurdenResult:
     @property
     def ratio(self) -> float:
         """Burden(protected) / Burden(reference); 1.0 is parity."""
-        if self.reference.burden == 0:
-            return float("inf") if self.protected.burden > 0 else 1.0
-        return self.protected.burden / self.reference.burden
+        return group_ratio(self.protected.burden, self.reference.burden)
 
     def as_dict(self) -> dict[str, float]:
         """The burden metrics as a plain JSON-serializable dict."""
@@ -168,7 +165,7 @@ class BurdenExplainer:
                 group=group_value,
                 n_negative=len(batch),
                 n_with_recourse=len(distances),
-                burden=float(distances.mean()) if distances.size else 0.0,
+                burden=group_mean(distances),
                 distances=distances,
             )
             batches[group_value] = batch

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean
 from .facts import Action
 
 __all__ = ["CFTreeNode", "CFTreeResult", "CounterfactualExplanationTree"]
@@ -213,16 +213,13 @@ class CounterfactualExplanationTree:
         masks = group_masks(sensitive, protected_value=protected_value)
 
         def side(mask: np.ndarray) -> tuple[float, float]:
-            idx = np.flatnonzero(mask & affected)
-            if idx.shape[0] == 0:
-                return 0.0, 0.0
             successes, costs = [], []
-            for i in idx:
+            for i in np.flatnonzero(mask & affected):
                 action = self.assigned_action(X[i])
                 modified = action.apply(X[i][None, :])
                 successes.append(int(np.asarray(self.model.predict(modified))[0] == 1))
                 costs.append(float(action.cost(X[i][None, :], self._scale)[0]))
-            return float(np.mean(successes)), float(np.mean(costs))
+            return group_mean(successes), group_mean(costs)
 
         validity_protected, cost_protected = side(masks.protected)
         validity_reference, cost_reference = side(masks.reference)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.rules import Predicate, discretize_features, frequent_predicate_sets
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean
 from ..utils import check_random_state
 
 __all__ = ["Action", "SubgroupAudit", "FACTSResult", "FACTSExplainer"]
@@ -233,24 +233,21 @@ class FACTSExplainer:
         reference_idx = np.flatnonzero(affected_mask & ~protected_mask)
 
         def audit_side(idx: np.ndarray) -> tuple[float, int, float, list[float]]:
-            if idx.shape[0] == 0:
-                return 0.0, 0, 0.0, []
             rows = X[idx]
             achieved = np.zeros(idx.shape[0], dtype=bool)
             best_cost = np.full(idx.shape[0], np.inf)
             effectiveness_values = []
             for action in actions:
-                modified = action.apply(rows)
-                success = np.asarray(self.model.predict(modified)) == 1
-                effectiveness_values.append(float(success.mean()))
+                # An empty side has no row to score (models reject empty input).
+                success = (np.asarray(self.model.predict(action.apply(rows))) == 1
+                           if idx.size else np.zeros(0, dtype=bool))
+                effectiveness_values.append(group_mean(success))
                 achieved |= success
                 cost = action.cost(rows, scale)
                 best_cost = np.where(success & (cost < best_cost), cost, best_cost)
-            aggregate = float(achieved.mean())
             n_effective = int(sum(1 for e in effectiveness_values if e >= self.phi))
             finite_costs = best_cost[np.isfinite(best_cost)]
-            mean_cost = float(finite_costs.mean()) if finite_costs.size else 0.0
-            return aggregate, n_effective, mean_cost, effectiveness_values
+            return group_mean(achieved), n_effective, group_mean(finite_costs), effectiveness_values
 
         eff_protected, n_eff_protected, cost_protected, per_action_protected = audit_side(
             protected_idx
@@ -264,11 +261,7 @@ class FACTSExplainer:
                 "effectiveness_protected": ep,
                 "effectiveness_reference": er,
             }
-            for action, ep, er in zip(
-                actions,
-                per_action_protected or [0.0] * len(actions),
-                per_action_reference or [0.0] * len(actions),
-            )
+            for action, ep, er in zip(actions, per_action_protected, per_action_reference)
         ]
         return SubgroupAudit(
             predicates=predicates,

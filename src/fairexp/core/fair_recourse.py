@@ -24,7 +24,7 @@ import numpy as np
 from ..causal.scm import StructuralCausalModel
 from ..exceptions import ValidationError
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean, group_ratio
 from .actionable_recourse import CausalRecourseExplainer
 
 __all__ = [
@@ -53,9 +53,7 @@ class RecourseGapReport:
     @property
     def ratio(self) -> float:
         """Protected-over-reference recourse cost ratio (1.0 = parity)."""
-        if self.recourse_reference == 0:
-            return float("inf") if self.recourse_protected > 0 else 1.0
-        return self.recourse_protected / self.recourse_reference
+        return group_ratio(self.recourse_protected, self.recourse_reference)
 
 
 @ExplainerRegistry.register(
@@ -95,8 +93,8 @@ def recourse_gap_report(model=None, X=None, sensitive=None, *, protected_value=1
     protected_idx = negative & masks.protected
     reference_idx = negative & masks.reference
     return RecourseGapReport(
-        recourse_protected=float(distances[protected_idx].mean()) if protected_idx.any() else 0.0,
-        recourse_reference=float(distances[reference_idx].mean()) if reference_idx.any() else 0.0,
+        recourse_protected=group_mean(distances[protected_idx]),
+        recourse_reference=group_mean(distances[reference_idx]),
         n_protected=int(protected_idx.sum()),
         n_reference=int(reference_idx.sum()),
     )

@@ -18,7 +18,7 @@ from ..exceptions import ValidationError
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import ActionabilityConstraints
 from ..explanations.session import AuditSession
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean
 from ..utils import check_random_state
 
 __all__ = ["GlobalDirection", "GlobeCEGroupResult", "GlobeCEResult", "GlobeCEExplainer"]
@@ -210,7 +210,7 @@ class GlobeCEExplainer:
         best_direction, best_coverage, best_scales = None, -1.0, None
         for direction in self._candidate_directions(X_affected):
             scales = self._min_scales(X_affected, direction)
-            coverage = float(np.isfinite(scales).mean()) if scales.size else 0.0
+            coverage = float(np.isfinite(scales).mean()) if scales.size else 0.0  # fairexp: noqa[FX009] - ranks directions over the whole affected set, not a group
             if coverage > best_coverage:
                 best_direction, best_coverage, best_scales = direction, coverage, scales
 
@@ -218,16 +218,15 @@ class GlobeCEExplainer:
         direction = GlobalDirection(direction=best_direction, feature_names=names)
 
         group_results = {}
-        affected_sensitive = sensitive[affected_mask]
         for group_value, group_mask in ((1, masks.protected), (0, masks.reference)):
-            member = (affected_sensitive == protected_value) == (group_value == 1)
+            member = group_mask[affected_mask]
             scales = best_scales[member]
             finite = scales[np.isfinite(scales)]
             group_results[group_value] = GlobeCEGroupResult(
                 group=group_value,
                 n_affected=int(member.sum()),
-                coverage=float(np.isfinite(scales).mean()) if scales.size else 0.0,
-                mean_cost=float(finite.mean()) if finite.size else 0.0,
+                coverage=group_mean(np.isfinite(scales)),
+                mean_cost=group_mean(finite),
                 costs=finite,
             )
         return GlobeCEResult(

@@ -20,7 +20,7 @@ import numpy as np
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean, group_rate
 from ..utils import check_consistent_length
 
 __all__ = ["NAWBGroupResult", "NAWBResult", "NAWBExplainer"]
@@ -113,15 +113,11 @@ class NAWBExplainer:
 
             n_positive = int(positive_label.sum())
             total_distance = float(distances.sum())
-            nawb = total_distance / (n_features * n_positive) if n_positive else 0.0
-            fnr = float(false_negatives.sum() / n_positive) if n_positive else 0.0
             results[group_value] = NAWBGroupResult(
                 group=group_value,
-                nawb=nawb,
-                false_negative_rate=fnr,
-                mean_burden_of_false_negatives=(
-                    float(distances.mean()) if distances.size else 0.0
-                ),
+                nawb=group_rate(total_distance, n_features * n_positive),
+                false_negative_rate=group_rate(len(fn_idx), n_positive),
+                mean_burden_of_false_negatives=group_mean(distances),
                 n_positive_label=n_positive,
                 n_false_negatives=int(fn_idx.shape[0]),
                 n_with_recourse=int(distances.shape[0]),

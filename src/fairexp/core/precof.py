@@ -23,10 +23,16 @@ from ..exceptions import ValidationError
 from ..explanations.base import CounterfactualBatch, ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_rate
 from ..utils import check_consistent_length
 
 __all__ = ["AttributeChangeProfile", "PreCoFResult", "PreCoFExplainer"]
+
+
+def _ranked(values: dict[str, float], k: int) -> list[tuple[str, float]]:
+    """The ``k`` largest entries, largest first; NaN entries measured nothing."""
+    measured = [item for item in values.items() if not np.isnan(item[1])]
+    return sorted(measured, key=lambda item: -item[1])[:k]
 
 
 @dataclass
@@ -39,9 +45,9 @@ class AttributeChangeProfile:
     mean_change_magnitude: dict[str, float] = field(default_factory=dict)
 
     def top_changed(self, k: int = 3) -> list[tuple[str, float]]:
-        """Attributes most frequently changed in this group's counterfactuals."""
-        ranked = sorted(self.change_frequency.items(), key=lambda item: -item[1])
-        return ranked[:k]
+        """Attributes most frequently changed in this group's counterfactuals
+        (none when the group has no counterfactual: every frequency is NaN)."""
+        return _ranked(self.change_frequency, k)
 
 
 @dataclass
@@ -73,9 +79,9 @@ class PreCoFResult:
     mode: str  # "explicit" or "implicit"
 
     def implicit_bias_attributes(self, k: int = 3) -> list[tuple[str, float]]:
-        """Attributes with the largest protected-vs-reference change-frequency gap."""
-        ranked = sorted(self.frequency_gap.items(), key=lambda item: -item[1])
-        return ranked[:k]
+        """Attributes with the largest protected-vs-reference change-frequency gap
+        (none when either group has no counterfactual: every gap is NaN)."""
+        return _ranked(self.frequency_gap, k)
 
 
 @ExplainerRegistry.register("precof", capabilities=("fairness-explainer", "counterfactual-based"))
@@ -140,12 +146,12 @@ class PreCoFExplainer:
         delta = (batch.counterfactuals - batch.originals)[batch.has_result]
         magnitudes = np.abs(delta) / self.generator.scale_
         counts = changed.sum(axis=0)
-        frequency = counts / max(n_explained, 1)  # every count is 0 when nothing was explained
-        magnitude = [float(magnitudes[changed[:, j], j].mean()) if counts[j] else 0.0
+        frequency = [group_rate(count, n_explained) for count in counts.tolist()]
+        magnitude = [float(magnitudes[changed[:, j], j].mean()) if counts[j] else 0.0  # fairexp: noqa[FX009] - a feature no counterfactual changed moved by 0.0
                      for j in range(len(counts))]
         return AttributeChangeProfile(
             group=group, n_explained=n_explained,
-            change_frequency=dict(zip(self.feature_names, frequency.tolist())),
+            change_frequency=dict(zip(self.feature_names, frequency)),
             mean_change_magnitude=dict(zip(self.feature_names, magnitude)),
         )
 
@@ -172,12 +178,12 @@ class PreCoFExplainer:
 
         explicit_bias_rate = 0.0
         sensitive_change_rate = 0.0
-        if self.sensitive_feature in self.feature_names and protected_profile.n_explained:
+        if self.sensitive_feature in self.feature_names:
             sensitive_change_rate = protected_profile.change_frequency[self.sensitive_feature]
             changed = protected.changed_masks[protected.has_result]
             only_sensitive = (changed[:, self.feature_names.index(self.sensitive_feature)]
                               & (changed.sum(axis=1) == 1))
-            explicit_bias_rate = int(only_sensitive.sum()) / protected_profile.n_explained
+            explicit_bias_rate = group_rate(int(only_sensitive.sum()), protected_profile.n_explained)
 
         frequency_gap = {
             name: protected_profile.change_frequency[name]

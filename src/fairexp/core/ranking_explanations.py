@@ -17,6 +17,7 @@ import numpy as np
 
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.shapley import sampled_shapley_values
+from ..fairness.groups import group_mean
 from ..fairness.ranking_metrics import (
     ranking_binomial_pvalue,
     representation_difference,
@@ -173,12 +174,8 @@ class DexerExplainer:
             evidence.append(
                 AttributeEvidence(
                     attribute=name,
-                    mean_shapley_group=(
-                        float(group_attributions[:, j].mean()) if group_attributions.size else 0.0
-                    ),
-                    mean_shapley_topk=(
-                        float(topk_attributions[:, j].mean()) if topk_attributions.size else 0.0
-                    ),
+                    mean_shapley_group=group_mean(group_attributions[:, j]),
+                    mean_shapley_topk=group_mean(topk_attributions[:, j]),
                     group_values=candidates.X[group_idx, j],
                     topk_values=candidates.X[topk_sample, j],
                 )

@@ -21,7 +21,7 @@ from ..exceptions import ValidationError
 from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.rules import Predicate, discretize_features
 from ..explanations.session import AuditSession
-from ..fairness.groups import group_masks
+from ..fairness.groups import group_masks, group_mean
 from .facts import Action
 
 __all__ = ["RecourseRule", "TwoLevelRecourseSet", "RecourseSetExplainer"]
@@ -139,11 +139,10 @@ class RecourseSetExplainer:
     def explain(self, X, sensitive, *, protected_value=1) -> TwoLevelRecourseSet:
         """Build the recourse-set summary on the negatively classified population."""
         X = np.asarray(X, dtype=float)
-        sensitive = np.asarray(sensitive)
+        masks = group_masks(sensitive, protected_value=protected_value)
         predictions = np.asarray(self.model.predict(X))
         affected_mask = predictions == 0
         X_affected = X[affected_mask]
-        sensitive_affected = sensitive[affected_mask]
         scale = X.std(axis=0)
         scale[scale == 0] = 1.0
 
@@ -195,32 +194,16 @@ class RecourseSetExplainer:
             selected.append(best_rule)
             covered |= best_mask
 
-        masks = group_masks(sensitive_affected, protected_value=protected_value) if (
-            np.unique(sensitive_affected).shape[0] > 1
-        ) else None
-
-        def side_coverage(group_mask: np.ndarray) -> tuple[float, float]:
-            if group_mask.sum() == 0:
-                return 0.0, 0.0
-            coverage = float(covered[group_mask].mean())
-            # correctness among covered members of the group
-            covered_members = covered & group_mask
-            correctness = float(covered_members.sum() / max(group_mask.sum(), 1))
-            return coverage, correctness
-
-        if masks is not None:
-            coverage_protected, correctness_protected = side_coverage(masks.protected)
-            coverage_reference, correctness_reference = side_coverage(masks.reference)
-        else:
-            coverage_protected = coverage_reference = float(covered.mean())
-            correctness_protected = correctness_reference = float(covered.mean())
-
+        # A covered member is one a selected rule's action corrects, so each
+        # group's correctness equals its coverage.
+        coverage_protected = group_mean(covered[masks.protected[affected_mask]])
+        coverage_reference = group_mean(covered[masks.reference[affected_mask]])
         return TwoLevelRecourseSet(
             rules=selected,
             total_coverage=float(covered.mean()),
             coverage_protected=coverage_protected,
             coverage_reference=coverage_reference,
-            correctness_protected=correctness_protected,
-            correctness_reference=correctness_reference,
+            correctness_protected=coverage_protected,
+            correctness_reference=coverage_reference,
             feature_names=self.feature_names,
         )

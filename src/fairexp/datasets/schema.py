@@ -236,7 +236,7 @@ class Dataset:
         rates = {}
         for value in np.unique(self.sensitive_values):
             mask = self.sensitive_values == value
-            rates[int(value)] = float(self.y[mask].mean()) if mask.any() else 0.0
+            rates[int(value)] = float(self.y[mask].mean())
         return rates
 
     def describe(self) -> dict:

@@ -10,7 +10,9 @@ Covers the fairness-model families in the paper's taxonomy (Figure 1):
 
 All "difference" metrics follow the convention *protected minus reference*,
 so a negative statistical parity difference means the protected group
-receives the favourable outcome less often.
+receives the favourable outcome less often.  A group rate with nobody to
+measure (TPR of a group without positive labels, precision of a group with
+no positive prediction) is NaN, and so is the difference built from it.
 """
 
 from __future__ import annotations
@@ -20,13 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..models.calibration import expected_calibration_error
-from ..models.metrics import (
-    false_negative_rate,
-    false_positive_rate,
-    true_positive_rate,
-)
 from ..utils import safe_divide
-from .groups import group_masks
+from .groups import group_masks, group_mean, group_rate
 
 __all__ = [
     "statistical_parity_difference",
@@ -43,6 +40,13 @@ __all__ = [
     "GroupFairnessReport",
     "group_fairness_report",
 ]
+
+
+def _conditional_rate(y_true, y_pred, mask, *, label: int, predicted: int) -> float:
+    """P(ŷ = predicted | y = label) within ``mask``; NaN when no row has ``label``."""
+    given = np.asarray(y_true, dtype=int)[mask] == label
+    hits = given & (np.asarray(y_pred, dtype=int)[mask] == predicted)
+    return group_rate(int(hits.sum()), int(given.sum()))
 
 
 def statistical_parity_difference(y_pred, sensitive, *, protected_value=1) -> float:
@@ -63,34 +67,28 @@ def disparate_impact(y_pred, sensitive, *, protected_value=1) -> float:
 
 def equal_opportunity_difference(y_true, y_pred, sensitive, *, protected_value=1) -> float:
     """TPR(protected) - TPR(reference)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
     masks = group_masks(sensitive, protected_value=protected_value)
     return float(
-        true_positive_rate(y_true[masks.protected], y_pred[masks.protected])
-        - true_positive_rate(y_true[masks.reference], y_pred[masks.reference])
+        _conditional_rate(y_true, y_pred, masks.protected, label=1, predicted=1)
+        - _conditional_rate(y_true, y_pred, masks.reference, label=1, predicted=1)
     )
 
 
 def false_positive_rate_difference(y_true, y_pred, sensitive, *, protected_value=1) -> float:
     """FPR(protected) - FPR(reference)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
     masks = group_masks(sensitive, protected_value=protected_value)
     return float(
-        false_positive_rate(y_true[masks.protected], y_pred[masks.protected])
-        - false_positive_rate(y_true[masks.reference], y_pred[masks.reference])
+        _conditional_rate(y_true, y_pred, masks.protected, label=0, predicted=1)
+        - _conditional_rate(y_true, y_pred, masks.reference, label=0, predicted=1)
     )
 
 
 def false_negative_rate_difference(y_true, y_pred, sensitive, *, protected_value=1) -> float:
     """FNR(protected) - FNR(reference)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
     masks = group_masks(sensitive, protected_value=protected_value)
     return float(
-        false_negative_rate(y_true[masks.protected], y_pred[masks.protected])
-        - false_negative_rate(y_true[masks.reference], y_pred[masks.reference])
+        _conditional_rate(y_true, y_pred, masks.protected, label=1, predicted=0)
+        - _conditional_rate(y_true, y_pred, masks.reference, label=1, predicted=0)
     )
 
 
@@ -100,7 +98,7 @@ def equalized_odds_difference(y_true, y_pred, sensitive, *, protected_value=1) -
                                            protected_value=protected_value)
     fpr_gap = false_positive_rate_difference(y_true, y_pred, sensitive,
                                              protected_value=protected_value)
-    return float(max(abs(tpr_gap), abs(fpr_gap)))
+    return float(np.maximum(abs(tpr_gap), abs(fpr_gap)))  # NaN-propagating, unlike max()
 
 
 def average_odds_difference(y_true, y_pred, sensitive, *, protected_value=1) -> float:
@@ -119,10 +117,7 @@ def predictive_parity_difference(y_true, y_pred, sensitive, *, protected_value=1
     masks = group_masks(sensitive, protected_value=protected_value)
 
     def precision(mask):
-        predicted_positive = y_pred[mask] == 1
-        if not predicted_positive.any():
-            return 0.0
-        return float(np.mean(y_true[mask][predicted_positive] == 1))
+        return group_mean(y_true[mask][y_pred[mask] == 1] == 1)
 
     return precision(masks.protected) - precision(masks.reference)
 
@@ -211,11 +206,16 @@ class GroupFairnessReport:
         return out
 
     def worst_violation(self) -> tuple[str, float]:
-        """Return the metric with the largest absolute deviation from its ideal value."""
+        """Return the metric with the largest absolute deviation from its ideal value.
+
+        A NaN metric (a group with nothing to measure) deviates by nothing
+        measurable and is never the worst.
+        """
         deviations = {}
         for name, value in self.as_dict().items():
             ideal = 1.0 if name == "disparate_impact" else 0.0
-            deviations[name] = abs(value - ideal)
+            if not np.isnan(value):
+                deviations[name] = abs(value - ideal)
         worst = max(deviations, key=deviations.get)
         return worst, deviations[worst]
 

@@ -1,4 +1,11 @@
-"""Group handling utilities shared by all fairness metrics."""
+"""Group handling utilities shared by all fairness metrics.
+
+The empty-selection rule lives here, once: a group metric over a selection
+with nobody to measure (no rejected members, no positive labels, no
+counterfactual found) is NaN, and so is every gap and ratio built from it.
+:func:`group_mean`, :func:`group_rate` and :func:`group_ratio` apply it; a
+selection with members gives exactly the plain arithmetic.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["GroupMasks", "group_masks", "groupwise"]
+__all__ = ["GroupMasks", "group_masks", "group_mean", "group_rate", "group_ratio", "groupwise"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,30 @@ def group_masks(sensitive, *, protected_value=1) -> GroupMasks:
             f"(protected_value={protected_value!r} produced a single group)"
         )
     return GroupMasks(protected=protected, reference=~protected)
+
+
+def group_mean(values) -> float:
+    """``float(values.mean())``, or NaN when ``values`` is empty."""
+    values = np.asarray(values)
+    return float(values.mean()) if values.size else np.nan
+
+
+def group_rate(count, total):
+    """``count / total``, or NaN when ``total`` is 0 (nobody to count)."""
+    return count / total if total else np.nan
+
+
+def group_ratio(protected: float, reference: float) -> float:
+    """``protected / reference``; 1.0 is parity.
+
+    NaN when either side is NaN.  A zero reference gives ``inf`` against a
+    positive protected value and 1.0 otherwise.
+    """
+    if np.isnan(protected) or np.isnan(reference):
+        return np.nan
+    if reference == 0:
+        return float("inf") if protected > 0 else 1.0
+    return protected / reference
 
 
 def groupwise(values, sensitive, statistic=np.mean, *, protected_value=1) -> dict[str, float]:

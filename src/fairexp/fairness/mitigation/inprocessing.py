@@ -17,7 +17,7 @@ from ...exceptions import ValidationError
 from ...models.base import BaseClassifier
 from ...models.logistic import LogisticRegression
 from ...utils import check_random_state, sigmoid
-from ..groups import group_masks
+from ..groups import group_masks, group_mean
 
 __all__ = ["FairLogisticRegression", "RecourseRegularizedClassifier"]
 
@@ -58,9 +58,8 @@ class FairLogisticRegression(BaseClassifier):
             raise ValidationError("FairLogisticRegression.fit requires the sensitive vector")
         X, y = self._validate_fit_input(X, y)
         y = y.astype(float)
-        sensitive = np.asarray(sensitive, dtype=float)
-        group_masks(sensitive)  # validates two groups exist
-        centered_group = sensitive - sensitive.mean()
+        protected = group_masks(sensitive).protected.astype(float)
+        centered_group = protected - protected.mean()
         n_samples, n_features = X.shape
         sample_weight = self._validate_sample_weight(sample_weight, n_samples)
         sample_weight = sample_weight / sample_weight.mean()
@@ -153,7 +152,6 @@ class RecourseRegularizedClassifier(BaseClassifier):
             )
         X, y = self._validate_fit_input(X, y)
         y = y.astype(float)
-        sensitive = np.asarray(sensitive, dtype=float)
         masks = group_masks(sensitive)
         n_samples, n_features = X.shape
         sample_weight = self._validate_sample_weight(sample_weight, n_samples)
@@ -168,6 +166,7 @@ class RecourseRegularizedClassifier(BaseClassifier):
         rng = check_random_state(self.random_state)
         coef = rng.normal(scale=0.01, size=n_features)
         intercept = 0.0
+        # group_masks guarantees both groups have members.
         protected = masks.protected.astype(float)
         reference = masks.reference.astype(float)
 
@@ -182,12 +181,12 @@ class RecourseRegularizedClassifier(BaseClassifier):
             # large for individuals deep on the unfavourable side.
             softplus = np.logaddexp(0.0, -scores)
             d_softplus = -sigmoid(-scores)
-            recourse_protected = float(np.sum(protected * softplus) / max(protected.sum(), 1.0))
-            recourse_reference = float(np.sum(reference * softplus) / max(reference.sum(), 1.0))
+            recourse_protected = float(np.sum(protected * softplus) / protected.sum())
+            recourse_reference = float(np.sum(reference * softplus) / reference.sum())
             gap = recourse_protected - recourse_reference
 
             weight_vector = (
-                protected / max(protected.sum(), 1.0) - reference / max(reference.sum(), 1.0)
+                protected / protected.sum() - reference / reference.sum()
             )
             d_gap_scores = weight_vector * d_softplus
             grad_coef += self.recourse_weight * 2.0 * gap * (Z.T @ d_gap_scores)
@@ -231,12 +230,6 @@ class RecourseRegularizedClassifier(BaseClassifier):
         distances = self.distance_to_boundary(X)
         negative = self.predict(X) == 0
         masks = group_masks(sensitive)
-        protected_negative = negative & masks.protected
-        reference_negative = negative & masks.reference
-        recourse_protected = (
-            float(np.abs(distances[protected_negative]).mean()) if protected_negative.any() else 0.0
-        )
-        recourse_reference = (
-            float(np.abs(distances[reference_negative]).mean()) if reference_negative.any() else 0.0
-        )
+        recourse_protected = group_mean(np.abs(distances[negative & masks.protected]))
+        recourse_reference = group_mean(np.abs(distances[negative & masks.reference]))
         return abs(recourse_protected - recourse_reference)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import NotFittedError, ValidationError
-from ..groups import group_masks
+from ..groups import group_masks, group_mean
 
 __all__ = ["GroupThresholdOptimizer", "RejectOptionClassifier"]
 
@@ -52,6 +52,13 @@ class GroupThresholdOptimizer:
         scores = np.asarray(scores, dtype=float)
         y_true = np.asarray(y_true, dtype=int)
         masks = group_masks(sensitive, protected_value=protected_value)
+        if self.criterion == "equal_opportunity":
+            for name, mask in (("protected", masks.protected), ("reference", masks.reference)):
+                if not (y_true[mask] == 1).any():
+                    raise ValidationError(
+                        f"equal_opportunity needs positive labels in both groups; "
+                        f"the {name} group has none, so its true positive rate is undefined"
+                    )
         grid = np.linspace(0.0, 1.0, self.grid_size)
 
         best = None
@@ -79,10 +86,7 @@ class GroupThresholdOptimizer:
             return abs(float(pred_protected.mean()) - float(pred_reference.mean()))
         # equal opportunity: TPR gap
         def tpr(pred, y):
-            positives = y == 1
-            if not positives.any():
-                return 0.0
-            return float(pred[positives].mean())
+            return group_mean(pred[y == 1])
 
         return abs(tpr(pred_protected, y_protected) - tpr(pred_reference, y_reference))
 

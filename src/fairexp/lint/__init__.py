@@ -10,7 +10,7 @@ those conventions into machine-checked rules:
 * :mod:`fairexp.lint.engine` — an AST-walking rule engine with per-file
   visitor dispatch, ``# fairexp: noqa[RULE]`` suppressions and a
   JSON-serializable baseline for grandfathered findings.
-* :mod:`fairexp.lint.rules` — the FX001–FX008 rule set (one module per
+* :mod:`fairexp.lint.rules` — the FX001–FX009 rule set (one module per
   rule; see ``docs/api/lint.md`` for the table).
 * :mod:`fairexp.lint.tsan` — the dynamic half: ``FAIREXP_TSAN=1`` swaps
   the lock primitives in ``backends.py``/``pool.py``/``serving.py`` for

@@ -13,6 +13,7 @@ from .fx005_counter_locks import CounterLockRule
 from .fx006_fingerprint import FingerprintCoverageRule
 from .fx007_sleep import SleepRule
 from .fx008_process_env import ProcessEnvRule
+from .fx009_zero_fallback import ZeroFallbackRule
 
 ALL_RULES = (
     ExecutorConstructionRule,
@@ -23,6 +24,7 @@ ALL_RULES = (
     FingerprintCoverageRule,
     SleepRule,
     ProcessEnvRule,
+    ZeroFallbackRule,
 )
 
 __all__ = ["ALL_RULES"] + [rule.__name__ for rule in ALL_RULES]

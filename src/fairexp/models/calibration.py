@@ -55,7 +55,7 @@ class CalibratedClassifier(BaseClassifier):
         self.n_iter = n_iter
         self.calibrator_ = PlattCalibrator(n_iter=n_iter)
 
-    def fit(self, X, y, sample_weight=None) -> "CalibratedClassifier":
+    def fit(self, X, y) -> "CalibratedClassifier":
         """Fit the base model (if needed) and its calibrator; returns ``self``."""
         if not getattr(self.base_model, "_fitted", False):
             self.base_model.fit(X, y)

@@ -40,7 +40,7 @@ class KNeighborsClassifier(BaseClassifier):
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
 
-    def fit(self, X, y, sample_weight=None) -> "KNeighborsClassifier":
+    def fit(self, X, y) -> "KNeighborsClassifier":
         """Store the training set (lazy learner); returns ``self``."""
         X, y = self._validate_fit_input(X, y)
         if self.n_neighbors > X.shape[0]:

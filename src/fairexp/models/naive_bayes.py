@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ValidationError
 from .base import BaseClassifier
 
 __all__ = ["GaussianNaiveBayes"]
@@ -40,6 +41,11 @@ class GaussianNaiveBayes(BaseClassifier):
         for i, cls in enumerate(self.classes_):
             mask = y == cls
             weights = sample_weight[mask]
+            if weights.sum() == 0:
+                raise ValidationError(
+                    f"sample_weight sums to 0 over class {cls}; its Gaussian "
+                    "parameters would be undefined"
+                )
             weights = weights / weights.sum()
             self.theta_[i] = np.average(X[mask], axis=0, weights=weights)
             self.var_[i] = np.average((X[mask] - self.theta_[i]) ** 2, axis=0, weights=weights)

@@ -392,7 +392,7 @@ def run_e3_precof(n_samples: int = 600, audit_size: int = 80, schedule=None,
         "explicit_sensitive_change_rate": explicit.sensitive_change_rate,
         "explicit_bias_rate": explicit.explicit_bias_rate,
         "implicit_top_attribute": implicit_top[0][0] if implicit_top else "",
-        "implicit_top_gap": implicit_top[0][1] if implicit_top else 0.0,
+        "implicit_top_gap": implicit_top[0][1] if implicit_top else np.nan,
         "proxy_gap": implicit.frequency_gap.get("occupation_score", 0.0),
         "predict_calls_explicit": session_explicit.predict_call_count,
         "predict_calls_implicit": session_blind.predict_call_count,

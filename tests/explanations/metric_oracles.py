@@ -9,6 +9,9 @@ at a time, with per-row comprehensions and a dict-of-lists change profile.
 They share the session (and so the counterfactuals) with the audits under
 test and nothing of their arithmetic, so the column reductions are checked
 against an independent implementation.
+
+The empty-selection rule is written out here too (a group with nothing to
+measure reads NaN), not imported from ``fairexp.fairness.groups``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def burden_oracle(session, X, sensitive, *, y_true=None, error_based=False,
             group=group_value,
             n_negative=int(member_idx.shape[0]),
             n_with_recourse=int(distances.shape[0]),
-            burden=float(distances.mean()) if distances.size else 0.0,
+            burden=float(distances.mean()) if distances.size else np.nan,
             distances=distances,
         )
         counterfactuals[group_value] = group_counterfactuals
@@ -69,12 +72,12 @@ def nawb_oracle(session, X, y_true, sensitive, *, protected_value=1) -> NAWBResu
         total_distance = float(distances.sum())
         results[group_value] = NAWBGroupResult(
             group=group_value,
-            nawb=total_distance / (n_features * n_positive) if n_positive else 0.0,
+            nawb=total_distance / (n_features * n_positive) if n_positive else np.nan,
             false_negative_rate=(
-                float(false_negatives.sum() / n_positive) if n_positive else 0.0
+                float(false_negatives.sum() / n_positive) if n_positive else np.nan
             ),
             mean_burden_of_false_negatives=(
-                float(distances.mean()) if distances.size else 0.0
+                float(distances.mean()) if distances.size else np.nan
             ),
             n_positive_label=n_positive,
             n_false_negatives=int(fn_idx.shape[0]),
@@ -97,7 +100,7 @@ def _profile(counterfactuals, feature_names, scale, group) -> AttributeChangePro
         group=group,
         n_explained=n_explained,
         change_frequency={
-            name: (count / n_explained if n_explained else 0.0)
+            name: (count / n_explained if n_explained else np.nan)
             for name, count in change_counts.items()
         },
         mean_change_magnitude={
@@ -124,14 +127,15 @@ def precof_oracle(session, X, sensitive, feature_names, sensitive_feature, *,
 
     explicit_bias_rate = 0.0
     sensitive_change_rate = 0.0
-    if sensitive_feature in feature_names and protected_profile.n_explained:
+    if sensitive_feature in feature_names:
         sensitive_change_rate = protected_profile.change_frequency[sensitive_feature]
         sensitive_index = feature_names.index(sensitive_feature)
         only_sensitive = sum(
             counterfactual.changed_features == (sensitive_index,)
             for counterfactual in protected
         )
-        explicit_bias_rate = only_sensitive / protected_profile.n_explained
+        explicit_bias_rate = (only_sensitive / protected_profile.n_explained
+                              if protected_profile.n_explained else np.nan)
     return PreCoFResult(
         explicit_bias_rate=explicit_bias_rate,
         sensitive_change_rate=sensitive_change_rate,

@@ -452,6 +452,58 @@ class TestFX008ProcessEnv:
                      path="benchmarks/serving_workload.py") == []
 
 
+# --------------------------------------------------------------- FX009
+# Pre-fix copy: BurdenExplainer read a group without rejected rows as a
+# burden of 0.0.
+PRE_FIX_BURDEN = """
+    def group_burden(distances):
+        return float(distances.mean()) if distances.size else 0.0
+"""
+
+
+class TestFX009ZeroFallback:
+    def test_pre_fix_burden_flagged(self):
+        assert codes(PRE_FIX_BURDEN, path="src/fairexp/core/burden.py") == ["FX009"]
+
+    def test_np_mean_and_int_zero_flagged(self):
+        assert codes("""
+            import numpy as np
+
+            def precision(hits):
+                return np.mean(hits) if len(hits) else 0
+        """, path="src/fairexp/fairness/group_metrics.py") == ["FX009"]
+
+    def test_group_mean_clean(self):
+        assert codes("""
+            from fairexp.fairness.groups import group_mean
+
+            def group_burden(distances):
+                return group_mean(distances)
+        """, path="src/fairexp/core/burden.py") == []
+
+    def test_other_fallbacks_clean(self):
+        # Only a 0 fallback for a mean: NaN, a non-mean body or False pass.
+        assert codes("""
+            import numpy as np
+
+            def pick(values, n):
+                a = float(values.mean()) if values.size else np.nan
+                b = values.sum() / n if n else 0.0
+                c = values.mean() if values.size else False
+                return a, b, c
+        """, path="src/fairexp/core/burden.py") == []
+
+    def test_outside_core_and_fairness_exempt(self):
+        assert codes(PRE_FIX_BURDEN, path="src/fairexp/models/metrics.py") == []
+        assert codes(PRE_FIX_BURDEN, path="tests/core/test_burden.py") == []
+
+    def test_noqa_suppresses(self):
+        source = ("def magnitude(values, count):\n"
+                  "    return float(values.mean()) if count else 0.0"
+                  "  # fairexp: noqa[FX009] - an unchanged feature moved by 0.0\n")
+        assert lint_source(source, path="src/fairexp/core/precof.py") == []
+
+
 # ------------------------------------------------------- noqa + baseline
 class TestSuppression:
     def test_noqa_with_rule_suppresses(self):

@@ -8,8 +8,10 @@ import pytest
 from fairexp.exceptions import ValidationError
 from fairexp.fairness.mitigation import FairLogisticRegression, RecourseRegularizedClassifier
 from fairexp.models import (
+    CalibratedClassifier,
     DecisionTreeClassifier,
     GaussianNaiveBayes,
+    KNeighborsClassifier,
     LogisticRegression,
     MLPClassifier,
     RandomForestClassifier,
@@ -48,10 +50,22 @@ INVALID = {
 }
 
 
-def _fit(name, weights):
+#: Classifiers whose ``fit`` has no ``sample_weight``: a weighted call must fail.
+UNWEIGHTED = {
+    "knn": lambda: KNeighborsClassifier(n_neighbors=3),
+    "calibrated": lambda: CalibratedClassifier(LogisticRegression(n_iter=50), n_iter=50),
+}
+
+
+def _data():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(N_SAMPLES, 3))
     y = (X[:, 0] + 0.5 * rng.normal(size=N_SAMPLES) > 0).astype(int)
+    return X, y
+
+
+def _fit(name, weights):
+    X, y = _data()
     model = WEIGHTED[name]()
     if name in ("fair_logistic", "recourse_regularized"):
         return model.fit(X, y, sensitive=np.arange(N_SAMPLES) % 2, sample_weight=weights)
@@ -72,3 +86,20 @@ def test_valid_sample_weight_fits_unchanged(name):
     integers = [1 + k % 3 for k in range(N_SAMPLES)]
     assert pickle.dumps(_fit(name, integers)) == pickle.dumps(
         _fit(name, np.asarray(integers, dtype=float)))
+
+
+@pytest.mark.parametrize("zero_class", [0, 1])
+def test_naive_bayes_class_without_weight_raises(zero_class):
+    # Weights valid overall but summing to 0 over one class leave that
+    # class's Gaussian undefined.
+    X, y = _data()
+    weights = np.where(y == zero_class, 0.0, 1.0)
+    with pytest.raises(ValidationError, match=f"sample_weight sums to 0 over class {zero_class}"):
+        GaussianNaiveBayes().fit(X, y, sample_weight=weights)
+
+
+@pytest.mark.parametrize("name", UNWEIGHTED)
+def test_unweighted_classifier_rejects_sample_weight(name):
+    X, y = _data()
+    with pytest.raises(TypeError, match="sample_weight"):
+        UNWEIGHTED[name]().fit(X, y, sample_weight=np.ones(N_SAMPLES))
