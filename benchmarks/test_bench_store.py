@@ -108,19 +108,6 @@ def test_warm_start_sweep_has_zero_engine_predict_calls(benchmark, tmp_path):
     }, experiment="STORE")
 
 
-def test_corrupted_store_recovers_by_recomputing(tmp_path):
-    """Damage every manifest after the cold pass: the warm process must fall
-    back to recomputation (non-zero engine calls) yet report the same gaps."""
-    store_dir = tmp_path / "store"
-    cold = timed_sweep(store_dir)
-    for manifest in Path(store_dir).glob("*.json"):
-        manifest.write_text("{ definitely not json")
-    recovered = _fresh_process_sweep(store_dir)
-    assert recovered["engine_predict_calls"] > 0
-    for key in ("burden_gap", "nawb_gap", "precof_sensitive_change_rate"):
-        assert recovered[key] == cold[key], key
-
-
 def test_process_executor_sharding_bitwise_equal(benchmark, tmp_path):
     session_seq, dataset, subset = build_session(tmp_path / "s1", n_jobs=1)
     rejected = subset.X[session_seq.predict(subset.X) == 0]

@@ -87,8 +87,11 @@ class SubgroupAudit:
         return self.effectiveness_reference - self.effectiveness_protected
 
     @property
-    def choice_gap(self) -> int:
-        """Equal-Choice-for-Recourse violation (reference minus protected count)."""
+    def choice_gap(self) -> int | float:
+        """Equal-Choice-for-Recourse violation (reference minus protected
+        count); NaN when either side has no affected row to measure."""
+        if not (self.n_protected and self.n_reference):
+            return np.nan
         return self.n_effective_actions_reference - self.n_effective_actions_protected
 
     @property
@@ -102,7 +105,7 @@ class SubgroupAudit:
         return (
             f"[{clauses}] eff(G-)={self.effectiveness_reference:.2f} "
             f"eff(G+)={self.effectiveness_protected:.2f} "
-            f"gap={self.effectiveness_gap:+.2f} choice_gap={self.choice_gap:+d}"
+            f"gap={self.effectiveness_gap:+.2f} choice_gap={self.choice_gap:+}"
         )
 
 

@@ -937,8 +937,10 @@ class CoalescingScoringClient:
     private clients, and a fleet of graphs multiplexes over one client
     without cross-graph batches ever mixing.
 
-    A failed wire call raises in **every** coalesced caller; backends count
-    calls/rows only after a successful dispatch (see
+    A reply must be a 1-D vector of one bool, int or float label per row
+    sent; any other reply is a failed wire call.  A failed wire call raises
+    :class:`~fairexp.exceptions.ValidationError` in **every** coalesced
+    caller; backends count calls/rows only after a successful dispatch (see
     :class:`~fairexp.explanations.backends.NumpyPredictBackend.predict`), so
     a scorer timeout never inflates session accounting.  A ``429`` shed
     reply (the server's admission limit) is retried with exponential
@@ -1084,10 +1086,13 @@ class CoalescingScoringClient:
         while True:
             try:
                 labels = self._wire_call(stacked, lane, len(batch))
-                if labels.shape[0] != stacked.shape[0]:
+                # One label per row, of a label dtype.  Float stays: a graph
+                # of a model fitted on float targets answers float labels.
+                if labels.shape != stacked.shape[:1] or labels.dtype.kind not in "biuf":
                     raise ValidationError(
-                        f"scoring server returned {labels.shape[0]} labels "
-                        f"for {stacked.shape[0]} rows"
+                        f"scoring server at {self.url} answered {stacked.shape[0]} "
+                        f"rows with a {labels.shape} array of {labels.dtype}; "
+                        f"expected one bool, int or float label per row"
                     )
                 break
             except _ShedError as shed:
@@ -1179,7 +1184,8 @@ class CoalescingScoringClient:
             ) from error
         except ValueError as error:  # a malformed .npy reply
             connection.close()
-            raise ValidationError(f"bad reply from {self.url}: {error}") from error
+            raise ValidationError(
+                f"scoring server at {self.url} sent a bad reply: {error}") from error
         if response.will_close:
             connection.close()
         else:

@@ -26,18 +26,19 @@ keyed by a :func:`population_fingerprint` — a SHA-256 digest folding together
 On disk each entry is one deflate stream of the raw bytes of one
 :class:`~fairexp.explanations.base.CounterfactualBatch`'s fixed-dtype columns
 (the payload file's ``.npz`` suffix is historical), plus a JSON manifest
-carrying the format version, the payload's checksum and its row count and
-width, which fix every column's offset.  There is one format: the manifest's
-version must equal :data:`STORE_FORMAT_VERSION`, which the fingerprint also
-folds, so an entry of another format is never even addressed.  Writes are
-corruption-safe: payloads are content-named and published with an atomic
-``os.replace`` before the manifest that references them, so concurrent
-writers of the same fingerprint cannot interleave — a reader either sees a
-complete earlier entry or a complete later one, and any torn or truncated
-state fails checksum validation and is treated as a miss (recompute, then
-overwrite).  The store directory is bounded: least-recently-used entries are
-evicted beyond ``max_entries`` / ``max_bytes``, and orphaned payloads are
-swept.
+carrying the format version, a checksum of the fingerprint and the payload
+together (so a payload checks out only under its own entry) and the payload's
+row count and width, which fix every column's offset.  There is one format:
+the manifest's version must equal :data:`STORE_FORMAT_VERSION`, which the
+fingerprint also folds, so an entry of another format is never even
+addressed.  Writes are corruption-safe: payloads are content-named and
+published with an atomic ``os.replace`` before the manifest that references
+them, so concurrent writers of the same fingerprint cannot interleave — a
+reader either sees a complete earlier entry or a complete later one, and any
+torn or truncated state fails checksum validation and is treated as a miss
+(recompute, then overwrite).  The store directory is bounded:
+least-recently-used entries are evicted beyond ``max_entries`` /
+``max_bytes``, and orphaned payloads are swept.
 
 Generators seeded with a shared :class:`numpy.random.Generator` instance —
 or not seeded at all (``random_state=None`` draws fresh OS entropy every
@@ -78,9 +79,11 @@ __all__ = [
 ]
 
 #: Format version written into every manifest, folded into every
-#: fingerprint and required (by equality) at read time.  Version 4 stores
-#: one deflate stream of fixed-dtype columns (version 3: an ``.npz`` archive).
-STORE_FORMAT_VERSION = 4
+#: fingerprint and required (by equality) at read time.  Version 5 checksums
+#: the fingerprint followed by the payload (version 4: the payload alone);
+#: since version 4 the payload is one deflate stream of fixed-dtype columns
+#: (version 3: an ``.npz`` archive).
+STORE_FORMAT_VERSION = 5
 
 #: On-disk dtype of each payload column, in stream order.
 _PAYLOAD_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
@@ -389,6 +392,15 @@ def population_fingerprint(generator, X) -> str | None:
 # --------------------------------------------------------------------------
 # The store
 # --------------------------------------------------------------------------
+def _payload_checksum(fingerprint: str, blob: bytes) -> str:
+    """SHA-256 of the fingerprint followed by the payload: a payload checks
+    out only under the entry it was written for, so a manifest pointed at
+    another entry's payload (checksum and shape included) is a mismatch."""
+    digest = hashlib.sha256(fingerprint.encode())
+    digest.update(blob)
+    return digest.hexdigest()
+
+
 def _unpack_columns(raw: bytearray, n_rows, n_features) -> dict[str, np.ndarray]:
     """The columns of an inflated payload, as writable views into ``raw``.
 
@@ -511,34 +523,36 @@ class CounterfactualStore:
 
     def _scan(self) -> tuple[list[dict], list[tuple[str, str]]]:
         """:meth:`entry_details`, plus ``(fingerprint, manifest text)`` of
-        every manifest that was read but is damaged (not JSON, no object, or
-        counts that are no numbers)."""
+        every manifest that was read but is damaged (not JSON, no object,
+        counts that are no finite numbers, or a payload name no file can
+        have)."""
         now = time.time()
         details: list[dict] = []
         damaged: list[tuple[str, str]] = []
         for manifest_path in self._entry_manifests():
             try:
                 text = manifest_path.read_text(errors=_UNDECODABLE)
+                stat = manifest_path.stat()
+            except OSError:
+                continue  # evicted or replaced by a concurrent process
+            try:
                 manifest = json.loads(text)
-                size = manifest_path.stat().st_size
                 payload_name = str(manifest.get("payload", ""))
                 payload_path = self.directory / payload_name
+                size = stat.st_size
                 if payload_path.exists():
                     size += payload_path.stat().st_size
-                age = max(0.0, now - manifest_path.stat().st_mtime)
                 detail = {
                     "fingerprint": manifest_path.stem,
                     "n_rows": int(manifest.get("n_rows", 0)),
                     "n_features": int(manifest.get("n_features", 0)),
                     "bytes": int(size),
-                    "age_seconds": float(age),
+                    "age_seconds": float(max(0.0, now - stat.st_mtime)),
                     "updated_at": str(manifest.get("updated_at", "")),
                     "format_version": manifest.get("format_version"),
                     "payload": payload_name,
                 }
-            except OSError:
-                continue  # evicted or replaced by a concurrent process
-            except (ValueError, AttributeError, TypeError):
+            except (OSError, ValueError, AttributeError, TypeError, OverflowError):
                 damaged.append((manifest_path.stem, text))
                 continue
             details.append(detail)
@@ -612,9 +626,10 @@ class CounterfactualStore:
     def _read(self, fingerprint: str) -> CounterfactualBatch | None:
         """Validated read of one entry; ``None`` on absence or corruption.
 
-        Corrupt state (unparsable manifest, missing payload, checksum or
-        version mismatch, a payload that is no whole stream of the manifest's
-        shape) is discarded so the next save republishes cleanly.
+        Corrupt state (unparsable manifest, missing payload, version
+        mismatch, checksum mismatch — another entry's payload included — or
+        a payload that is no whole stream of the manifest's shape) is
+        discarded so the next save republishes cleanly.
         """
         manifest_path = self._manifest_path(fingerprint)
         try:
@@ -633,7 +648,7 @@ class CounterfactualStore:
             # manifest stops occupying an LRU slot and the next save
             # republishes cleanly.
             blob = payload_path.read_bytes()
-            if hashlib.sha256(blob).hexdigest() != manifest["payload_sha256"]:
+            if _payload_checksum(fingerprint, blob) != manifest["payload_sha256"]:
                 raise ValueError("payload checksum mismatch")
             inflater = zlib.decompressobj()
             # A bytearray, so the column views handed out stay writable.
@@ -711,7 +726,7 @@ class CounterfactualStore:
             "format_version": STORE_FORMAT_VERSION,
             "fingerprint": fingerprint,
             "payload": payload_path.name,
-            "payload_sha256": hashlib.sha256(blob).hexdigest(),
+            "payload_sha256": _payload_checksum(fingerprint, blob),
             "n_rows": len(batch),
             "n_features": batch.n_features,
             "updated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..models.calibration import expected_calibration_error
-from ..utils import safe_divide
-from .groups import group_masks, group_mean, group_rate
+from .groups import group_masks, group_mean, group_rate, group_ratio
 
 __all__ = [
     "statistical_parity_difference",
@@ -57,12 +56,15 @@ def statistical_parity_difference(y_pred, sensitive, *, protected_value=1) -> fl
 
 
 def disparate_impact(y_pred, sensitive, *, protected_value=1) -> float:
-    """P(ŷ=1 | protected) / P(ŷ=1 | reference); 1.0 is parity, <0.8 the classic 80% rule."""
+    """P(ŷ=1 | protected) / P(ŷ=1 | reference); 1.0 is parity, <0.8 the classic 80% rule.
+
+    When nobody in the reference group is selected it reads ``inf`` if
+    anyone in the protected group is, and 1.0 if nobody is.
+    """
     y_pred = np.asarray(y_pred, dtype=float)
     masks = group_masks(sensitive, protected_value=protected_value)
-    return float(
-        safe_divide(y_pred[masks.protected].mean(), y_pred[masks.reference].mean(), default=0.0)
-    )
+    return float(group_ratio(group_mean(y_pred[masks.protected]),
+                             group_mean(y_pred[masks.reference])))
 
 
 def equal_opportunity_difference(y_true, y_pred, sensitive, *, protected_value=1) -> float:

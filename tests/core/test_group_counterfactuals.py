@@ -12,6 +12,7 @@ from fairexp.core import (
     RecourseSetExplainer,
 )
 from fairexp.explanations import ActionabilityConstraints
+from fairexp.workloads import _loan_workload
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,21 @@ class TestFACTS:
         if result.subgroups:
             text = result.subgroups[0].describe()
             assert "eff(G-)" in text
+
+
+    def test_choice_gap_of_a_side_with_nobody_affected_is_nan(self):
+        """E1 loan data (400 rows, 50 audited) with the model's approvals as
+        the protected group: no protected row is rejected, so there is no
+        choice of actions to compare, not a choice gap of 4."""
+        dataset, train, test, model = _loan_workload(400, seed=0)
+        audit = test.subset(np.arange(50))
+        explainer = FACTSExplainer(model, dataset.feature_names, dataset.sensitive_index,
+                                   random_state=0)
+        result = explainer.explain(audit.X, model.predict(audit.X))
+        global_audit = result.global_audit
+        assert global_audit.n_protected == 0 and global_audit.n_reference > 0
+        assert np.isnan(global_audit.choice_gap)
+        assert "choice_gap=+nan" in global_audit.describe()
 
 
 class TestGlobeCE:

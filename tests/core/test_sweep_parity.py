@@ -64,9 +64,10 @@ def _store_checksums(store_dir):
 class TestStoreParity:
     """Legacy-run and sweep-run counterfactual matrices are byte-identical.
 
-    The persistent store records a ``payload_sha256`` over the exact matrix
-    bytes it writes, so comparing manifests across two independent store
-    directories is a bitwise comparison of the generated counterfactuals —
+    The persistent store records a ``payload_sha256`` over the fingerprint
+    and the exact matrix bytes it writes, so comparing the manifests of the
+    same fingerprints across two independent store directories is a bitwise
+    comparison of the generated counterfactuals —
     the strongest form of the parity claim, covering the matrices themselves
     rather than the scalar metrics derived from them.
     """

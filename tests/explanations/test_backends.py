@@ -50,30 +50,6 @@ class TestNumpyPredictBackend:
         assert backend.call_count == 0
         assert backend.row_count == 0
 
-    def test_raising_predict_does_not_count(self, X):
-        """A dispatch that raises (a remote scorer timeout, a worker crash)
-        must not inflate the accounting: only successful dispatches count,
-        so a caller retrying the batch is not double-counted."""
-
-        class FlakyModel:
-            def __init__(self):
-                self.attempts = 0
-
-            def predict(self, Z):
-                self.attempts += 1
-                if self.attempts == 1:
-                    raise TimeoutError("scorer timed out")
-                return np.zeros(np.atleast_2d(Z).shape[0], dtype=int)
-
-        backend = NumpyPredictBackend(FlakyModel())
-        with pytest.raises(TimeoutError):
-            backend.predict(X)
-        assert backend.call_count == 0
-        assert backend.row_count == 0
-        backend.predict(X)  # the retry succeeds and is counted exactly once
-        assert backend.call_count == 1
-        assert backend.row_count == X.shape[0]
-
 
 class TestCallablePredictBackend:
     def test_wraps_bare_function(self, X):

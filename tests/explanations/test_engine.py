@@ -437,34 +437,6 @@ class TestProcessExecutor:
         ).generate_aligned(rejected[:8])
         _assert_same_results(sequential, engine.generate_aligned(rejected[:8]))
 
-    def test_worker_pool_failure_falls_back_to_threads(self, loan_workload,
-                                                       monkeypatch):
-        """A pool that breaks at run time (spawn-method rebuild failures,
-        BrokenProcessPool) must degrade to thread shards, not crash audits."""
-        from fairexp.explanations import engine as engine_module
-        from fairexp.explanations.pool import ExecutorPool
-
-        real_map = ExecutorPool.map
-
-        def exploding_map(self, kind, fn, *iterables):
-            if kind == "process":
-                raise RuntimeError("worker bootstrap failed")
-            return real_map(self, kind, fn, *iterables)
-
-        monkeypatch.setattr(engine_module.ExecutorPool, "map", exploding_map)
-        model, background, constraints, rejected = loan_workload
-        sequential = CounterfactualEngine(
-            GrowingSpheresCounterfactual(model, background, constraints=constraints,
-                                         random_state=0),
-            n_jobs=1,
-        ).generate_aligned(rejected[:6])
-        engine = CounterfactualEngine(
-            GrowingSpheresCounterfactual(_gil_holding(model), background,
-                                         constraints=constraints, random_state=0),
-            n_jobs=2,
-        )
-        _assert_same_results(sequential, engine.generate_aligned(rejected[:6]))
-
     def test_shared_stream_generator_stays_sequential(self, loan_workload):
         model, background, constraints, rejected = loan_workload
         generator = GrowingSpheresCounterfactual(

@@ -106,30 +106,6 @@ class TestEnginePooling:
             CounterfactualEngine(_generator(train, model, constraints),
                                  pool=ThreadPoolExecutor(max_workers=1))
 
-    def test_broken_process_pool_resets_and_falls_back(self, workload):
-        """A pool whose process executor dies mid-call falls back to threads
-        for that call and leaves the pool usable (fresh executor next time)."""
-        train, model, constraints, rejected = workload
-
-        class ExplodingExecutor:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def map(self, *args, **kwargs):
-                raise RuntimeError("worker died")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        factory = _CountingFactory(ExplodingExecutor)
-        with ExecutorPool(process_factory=factory) as pool:
-            engine = CounterfactualEngine(_gil_holding_generator(train, model, constraints),
-                                          n_jobs=2, pool=pool)
-            results = engine.generate_aligned(rejected)  # thread fallback
-            assert all(result is not None for result in results)
-            assert factory.constructed == 1
-            assert "process" not in pool.active_kinds()  # reset after breakage
-
 
 class TestSessionPooling:
     def test_process_sweep_constructs_exactly_one_process_pool(self, workload):

@@ -9,6 +9,8 @@ vector.  For every case:
   mapping them all to 0 gives bitwise the same result (NaN equal to NaN);
 * a group metric over an empty selection is NaN, and so is every gap and
   ratio built from it; an optimizer that needs such a metric raises;
+* a ratio whose reference side selects nobody (``disparate_impact`` over
+  the approved rows) reads ``inf`` or 1.0, never a finite disparity;
 * with both sides of every selection non-empty, every metric is finite.
 
 A *selection* is the set of rows a metric measures (rejected rows, rows with
@@ -227,6 +229,7 @@ def _facts(pop, s):
         "per_action_reference": [a["effectiveness_reference"] for a in audit.per_action],
         "n_effective": [audit.n_effective_actions_protected,
                         audit.n_effective_actions_reference],
+        "choice_gap": audit.choice_gap,
         "subgroups": [[a.n_protected, a.n_reference, a.effectiveness_protected,
                        a.effectiveness_reference, a.mean_cost_protected,
                        a.mean_cost_reference] for a in result.subgroups],
@@ -247,6 +250,9 @@ class Case:
     run: object
     expect: dict = field(default_factory=dict)
     raises: tuple = ()   # (selection, side) pairs whose emptiness makes the call raise
+    # Ratios against a reference that can be 0: output -> the (selection,
+    # side) pairs whose emptiness makes it read inf or 1.0 instead.
+    unbounded: dict = field(default_factory=dict)
 
 
 CASES = {
@@ -260,7 +266,7 @@ CASES = {
         "average_odds_difference": [("positive", P), ("positive", R),
                                     ("negative_label", P), ("negative_label", R)],
         "predictive_parity_difference": [("approved", P), ("approved", R)],
-    }),
+    }, unbounded={"disparate_impact": [("approved", R)]}),
     "fairness/mitigation/preprocessing": Case(_preprocessing),
     "fairness/mitigation/inprocessing": Case(_inprocessing, _sides(
         "recourse_rejected", (), (), ("group_recourse_gap",))),
@@ -295,7 +301,8 @@ CASES = {
         ("coverage_reference", "correctness_reference"), ("coverage_gap",))),
     "core/facts": Case(_facts, {
         **_sides("rejected", ("effectiveness_protected", "per_action_protected"),
-                 ("effectiveness_reference", "per_action_reference"), ("effectiveness_gap",)),
+                 ("effectiveness_reference", "per_action_reference"),
+                 ("effectiveness_gap", "choice_gap")),
         **_sides("facts_recourse", ("cost_protected",), ("cost_reference",), ("cost_gap",)),
     }),
 }
@@ -303,7 +310,8 @@ CASES = {
 
 # ------------------------------------------------------------------- the test
 def _selections_of(case):
-    return sorted({selection for deps in case.expect.values() for selection, _ in deps}
+    return sorted({selection for deps in (*case.expect.values(), *case.unbounded.values())
+                   for selection, _ in deps}
                   | {selection for selection, _ in case.raises}) or ["all"]
 
 
@@ -373,5 +381,7 @@ def test_group_contract(population, name, data):
     for key, values in result.items():
         if any(empty[dep] for dep in case.expect.get(key, ())):
             assert np.isnan(values).all(), (key, values)   # nothing to measure
+        elif any(empty[dep] for dep in case.unbounded.get(key, ())):
+            assert np.isin(values, [np.inf, 1.0]).all(), (key, values)
         else:
             assert np.isfinite(values).all(), (key, values)

@@ -73,8 +73,11 @@ class TestBaseRateMetrics:
         assert disparate_impact(pred, SENSITIVE) == pytest.approx(1.0)
 
     def test_disparate_impact_zero_reference_rate(self):
-        pred = np.array([1, 1, 0, 0, 0, 0, 0, 0])
-        assert disparate_impact(pred, SENSITIVE) == 0.0
+        """Nobody selected in the reference group is no disparity against
+        the protected group: ``inf`` when anyone in the protected group is
+        selected, parity when nobody is."""
+        assert disparate_impact(np.array([1, 1, 0, 0, 0, 0, 0, 0]), SENSITIVE) == np.inf
+        assert disparate_impact(np.zeros(8), SENSITIVE) == 1.0
 
 
 class TestErrorBasedMetrics:

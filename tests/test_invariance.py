@@ -18,18 +18,16 @@ nowhere else:
 
 Across the runs of a group every result key must be bitwise-equal, except
 the accounting keys in :data:`ACCOUNTING_PREFIXES`.  For cells that publish
-to the store, the sorted ``payload_sha256`` lists must be equal too:
+to the store, the sorted digests of the payload files must be equal too:
 fingerprints differ by backend, payloads must not.  :data:`ULP_SHARDED`
-names the one known exception.  The last case kills a worker process in
-the middle of a process-sharded map.
+names the one known exception.  A worker process killed in the middle of a
+process-sharded map is a fault, generated by ``tests/test_faults.py``.
 """
 
 import functools
+import hashlib
 import inspect
 import json
-import multiprocessing
-import os
-import signal
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -122,12 +120,14 @@ def _run(group: Group, backend: str | None, **overrides) -> Run:
                                 store=store).cells[0] for _ in range(2))
         manifests = [json.loads(path.read_text()) for path in Path(store).glob("*.json")
                      if path.name != "SWEEP_JOURNAL.json"]
+        # The manifests' checksums fold the fingerprint in; the bytes do not.
+        payloads = sorted(hashlib.sha256((Path(store) / m["payload"]).read_bytes())
+                          .hexdigest() for m in manifests)
     if manifests:
         # The warm run is served from what the cold run published.
         assert warm.stats["engine_predict_calls"] == 0
         assert warm.stats["store_row_hits"] == sum(m["n_rows"] for m in manifests)
-    return Run(cold=cold, warm=warm,
-               payloads=sorted(m["payload_sha256"] for m in manifests),
+    return Run(cold=cold, warm=warm, payloads=payloads,
                fingerprints=frozenset(m["fingerprint"] for m in manifests))
 
 
@@ -225,33 +225,6 @@ def test_process_shards(group):
     stats = run.cold.stats
     assert stats["pool_process_executors_created"] > 0
     assert stats["pool_thread_executors_created"] == 0
-
-
-class _KillsWorkers:
-    """A GIL-holding predict callable that SIGKILLs any worker process it
-    runs in; in the parent process it is the model's ``predict``."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def __call__(self, X):
-        if multiprocessing.parent_process() is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return self.model.predict(X)
-
-
-def test_killed_worker_recomputes_on_threads():
-    """A worker dying mid-map breaks the process pool; the engine resets it
-    and recomputes the shards on threads.  The published batches (every
-    column of every row) and the metrics equal the ``n_jobs=1`` run's, so
-    no partial batch ever reaches an audit."""
-    group = SHARDED[0]
-    with _predicting_with(_KillsWorkers):
-        run = _run(group, group.backends[0], n_jobs=2)
-    _assert_invariant(run, _reference(group.id))
-    stats = run.cold.stats
-    assert stats["pool_process_executors_created"] > 0
-    assert stats["pool_thread_executors_created"] > 0
 
 
 def test_accounting_prefixes_name_real_keys():
