@@ -116,13 +116,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
           f"{sum(d['bytes'] for d in details)} bytes (oldest first)")
     print(f"{'FINGERPRINT':<16} {'ROWS':>6} {'BYTES':>10} {'AGE':>6} "
           f"{'FMT':>3}  UPDATED")
+    encoding = sys.stdout.encoding or "utf-8"
     for entry in details:
         row = (f"{entry['fingerprint'][:16]:<16} {entry['n_rows']:>6} "
                f"{entry['bytes']:>10} {_format_age(entry['age_seconds']):>6} "
                f"{str(entry['format_version']):>3}  {entry['updated_at']}")
-        # A damaged manifest's undecodable bytes are escaped, not a crash on
-        # a strict UTF-8 stdout.
-        print(row.encode("utf-8", "backslashreplace").decode("utf-8"))
+        # A damaged manifest's text is escaped where stdout cannot encode
+        # it (undecodable bytes; non-ASCII on an ASCII stdout), not a crash.
+        print(row.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

@@ -79,8 +79,9 @@ __all__ = [
 ]
 
 #: Format version written into every manifest, folded into every
-#: fingerprint and required (by equality) at read time.  Version 5 checksums
-#: the fingerprint followed by the payload (version 4: the payload alone);
+#: fingerprint and required (an int, by equality) at read time.  Version 5
+#: checksums the fingerprint followed by the payload as ``entry_sha256``
+#: (version 4: the payload alone, as ``payload_sha256``);
 #: since version 4 the payload is one deflate stream of fixed-dtype columns
 #: (version 3: an ``.npz`` archive).
 STORE_FORMAT_VERSION = 5
@@ -392,7 +393,7 @@ def population_fingerprint(generator, X) -> str | None:
 # --------------------------------------------------------------------------
 # The store
 # --------------------------------------------------------------------------
-def _payload_checksum(fingerprint: str, blob: bytes) -> str:
+def _entry_checksum(fingerprint: str, blob: bytes) -> str:
     """SHA-256 of the fingerprint followed by the payload: a payload checks
     out only under the entry it was written for, so a manifest pointed at
     another entry's payload (checksum and shape included) is a mismatch."""
@@ -638,8 +639,9 @@ class CounterfactualStore:
             return None  # no entry published (or it was concurrently evicted)
         try:
             manifest = json.loads(manifest_text)
-            if manifest["format_version"] != STORE_FORMAT_VERSION:
-                raise ValueError(f"format version {manifest['format_version']}")
+            version = manifest["format_version"]
+            if type(version) is not int or version != STORE_FORMAT_VERSION:
+                raise ValueError(f"format version {version!r}")
             if manifest["fingerprint"] != fingerprint:
                 raise ValueError("fingerprint mismatch")
             payload_path = self.directory / manifest["payload"]
@@ -648,8 +650,8 @@ class CounterfactualStore:
             # manifest stops occupying an LRU slot and the next save
             # republishes cleanly.
             blob = payload_path.read_bytes()
-            if _payload_checksum(fingerprint, blob) != manifest["payload_sha256"]:
-                raise ValueError("payload checksum mismatch")
+            if _entry_checksum(fingerprint, blob) != manifest["entry_sha256"]:
+                raise ValueError("entry checksum mismatch")
             inflater = zlib.decompressobj()
             # A bytearray, so the column views handed out stay writable.
             raw = bytearray(inflater.decompress(blob))
@@ -726,7 +728,7 @@ class CounterfactualStore:
             "format_version": STORE_FORMAT_VERSION,
             "fingerprint": fingerprint,
             "payload": payload_path.name,
-            "payload_sha256": _payload_checksum(fingerprint, blob),
+            "entry_sha256": _entry_checksum(fingerprint, blob),
             "n_rows": len(batch),
             "n_features": batch.n_features,
             "updated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

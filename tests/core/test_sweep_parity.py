@@ -10,7 +10,7 @@ checks the contract without running anything twice:
    of ``spec.cell()`` equals that runner's signature default.
 2. *Store parity* — a legacy run against ``$FAIREXP_STORE_DIR`` and a sweep
    run against ``run_sweep(store=...)`` persist byte-identical counterfactual
-   matrices: same store fingerprints, same ``payload_sha256`` manifests.
+   matrices: same store fingerprints, same ``entry_sha256`` manifests.
 
 That a cell's results do not depend on its backend, shard count or a
 warm store is checked by the generated matrix in ``tests/test_invariance.py``.
@@ -51,20 +51,20 @@ class TestDefaultCellParity:
 
 
 def _store_checksums(store_dir):
-    """fingerprint -> payload_sha256, straight from the store's manifests."""
+    """fingerprint -> entry_sha256, straight from the store's manifests."""
     checksums = {}
     for manifest in sorted(store_dir.glob("*.json")):
         if manifest.name == "SWEEP_JOURNAL.json":
             continue
         payload = json.loads(manifest.read_text())
-        checksums[manifest.stem] = payload["payload_sha256"]
+        checksums[manifest.stem] = payload["entry_sha256"]
     return checksums
 
 
 class TestStoreParity:
     """Legacy-run and sweep-run counterfactual matrices are byte-identical.
 
-    The persistent store records a ``payload_sha256`` over the fingerprint
+    The persistent store records an ``entry_sha256`` over the fingerprint
     and the exact matrix bytes it writes, so comparing the manifests of the
     same fingerprints across two independent store directories is a bitwise
     comparison of the generated counterfactuals —

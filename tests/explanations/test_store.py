@@ -111,7 +111,7 @@ def _raw_stream(columns):
 
 
 def _checksum(fingerprint, blob):
-    """The manifest's ``payload_sha256``: SHA-256 of the fingerprint
+    """The manifest's ``entry_sha256``: SHA-256 of the fingerprint
     followed by the payload."""
     return hashlib.sha256(fingerprint.encode() + blob).hexdigest()
 
@@ -609,6 +609,7 @@ class TestCorruptionFallback:
         assert store.entries() == []                  # genuine corruption goes
 
 
+
 class TestEviction:
     def test_entry_bound_evicts_least_recently_used(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -866,7 +867,7 @@ class TestBatchRoundTrip:
             blob = (store.directory / manifest["payload"]).read_bytes()
             loaded = store.load("a" * 64)
         assert manifest["format_version"] == STORE_FORMAT_VERSION == 5
-        assert manifest["payload_sha256"] == _checksum("a" * 64, blob)
+        assert manifest["entry_sha256"] == _checksum("a" * 64, blob)
         assert list(batch.columns) == list(_PAYLOAD_COLUMNS)
         raw = _raw_stream(batch.columns)
         assert zlib.decompress(blob) == raw
